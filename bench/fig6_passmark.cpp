@@ -71,17 +71,6 @@ bool env_flag(const char* name) {
   return value != nullptr && *value != '\0' && std::string_view(value) != "0";
 }
 
-std::uint64_t fnv1a_hash(const cycada::Image& image) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const std::uint32_t pixel : image.pixels()) {
-    for (int byte = 0; byte < 4; ++byte) {
-      hash ^= (pixel >> (8 * byte)) & 0xffu;
-      hash *= 1099511628211ULL;
-    }
-  }
-  return hash;
-}
-
 // CYCADA_PASSMARK_HASH: every (config, test) pair renders the same seeded
 // workload, so the screen hash is a pure function of the raster pipeline.
 // The output is diffed across CYCADA_GPU_WORKERS settings by scripts/ci.sh.

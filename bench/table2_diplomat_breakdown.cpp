@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "core/classification.h"
-#include "dispatch_compare.h"
 #include "trace/metrics.h"
 
 int main() {
@@ -38,12 +37,6 @@ int main() {
   for (const auto& name : functions_with_pattern(DiplomatPattern::kMulti)) {
     std::printf("  %s\n", name.c_str());
   }
-
-  // Before/after cost of resolving and dispatching one of these entry
-  // points (docs/DISPATCH.md) — the per-call indirection Table 2's 344
-  // functions all pay.
-  const auto comparison = cycada::benchcmp::run_dispatch_comparison(500000);
-  cycada::benchcmp::report_dispatch_comparison(comparison, "table2");
 
   // Machine-readable mirror of the table, via the metrics registry.
   cycada::trace::MetricsRegistry& metrics =

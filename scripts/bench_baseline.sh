@@ -103,7 +103,10 @@ join_nonempty() {
 } > "${OUT}"
 
 echo "==> wrote ${OUT}"
-grep -o '"table3.dispatch.[^,}]*' "${OUT}" | sed 's/"//g'
+# The gated dispatch timings and the lock-freedom proof's acquisition count.
+grep -o '"table3.dispatch.[a-z_]*_ns_x1000":[0-9]*' "${OUT}" | sed 's/"//g'
+grep -o '"table3.dispatch.steady_registry_acquisitions":[0-9]*' "${OUT}" \
+  | sed 's/"//g'
 grep -o '"fig6.sweep.[^,}]*' "${OUT}" | sed 's/"//g'
 grep -o '"soak.watchdog.[^,}]*' "${OUT}" | sed 's/"//g' | head -8
 grep -o '"fleet.[^,}]*' "${OUT}" | sed 's/"//g'

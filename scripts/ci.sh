@@ -64,11 +64,29 @@ fi
 # stream at 1 and 4 threads with fidelity verification (per-diplomat counts
 # exact, crossings/call within 5%), and mine both captures with the trace
 # checker. Any finding fails the leg; batchability candidates are advisory.
+# The PassMark capture also records the span timeline (CYCADA_TRACE), so
+# replay and the miner run over a stream that carries span records; the
+# run must drop nothing and its Chrome JSON must hold the gpu, persona and
+# diplomat layers.
 tracedir="$(mktemp -d)"
 trap 'rm -rf "${tracedir}"' EXIT
-echo "==> capturing fig6_passmark + fig5_sunspider (CYCADA_TRACE_CAPTURE)"
-run env CYCADA_TRACE_CAPTURE="${tracedir}/passmark.cyt" \
-  ./build/bench/fig6_passmark
+echo "==> capturing fig6_passmark (CYCADA_TRACE + CYCADA_TRACE_CAPTURE)"
+run env CYCADA_TRACE="${tracedir}/passmark.json" \
+  CYCADA_TRACE_CAPTURE="${tracedir}/passmark.cyt" \
+  ./build/bench/fig6_passmark 2> "${tracedir}/passmark.log" \
+  || { cat "${tracedir}/passmark.log" >&2; exit 1; }
+if grep -q 'record(s) dropped' "${tracedir}/passmark.log"; then
+  echo "ci.sh: FAIL — the trace recorder dropped records" >&2
+  grep 'record(s) dropped' "${tracedir}/passmark.log" >&2
+  exit 1
+fi
+for category in gpu persona diplomat; do
+  if ! grep -q "\"cat\":\"${category}\"" "${tracedir}/passmark.json"; then
+    echo "ci.sh: FAIL — CYCADA_TRACE JSON has no '${category}' spans" >&2
+    exit 1
+  fi
+done
+echo "==> capturing fig5_sunspider (CYCADA_TRACE_CAPTURE)"
 run env CYCADA_TRACE_CAPTURE="${tracedir}/sunspider.cyt" \
   ./build/bench/fig5_sunspider
 echo "==> replaying the PassMark capture (1 and 4 threads, max rate)"
@@ -150,6 +168,6 @@ fi
 run cmake -B build-tsan -S . -DCYCADA_TSAN=ON
 run cmake --build build-tsan -j
 (cd build-tsan && run ctest --output-on-failure -j "$(nproc)" \
-  -R 'DispatchTest|Robustness|LinkerTest|BatchTest|PipelineTest|SessionTest')
+  -R 'DispatchTest|Robustness|LinkerTest|BatchTest|PipelineTest|SessionTest|TraceTest|TraceReplayTest')
 
 echo "ci.sh: OK"

@@ -241,8 +241,7 @@ ClassifyAudit check_classification(
       facts.recorded_batchable = def.batchable;
     }
     for (const trace::CytRecord& record : trace->records) {
-      if (record.type != static_cast<std::uint8_t>(trace::CytRecordType::kEvent))
-        continue;
+      if (!trace::cyt_is_stream_event(record)) continue;
       const trace::CytDef* def = trace->def(record.id);
       if (def == nullptr) continue;
       CorpusFacts& facts = corpus_facts[def->name];

@@ -23,10 +23,6 @@ namespace {
 
 using core::DiplomatPattern;
 
-bool is_event(const trace::CytRecord& record) {
-  return record.type == static_cast<std::uint8_t>(trace::CytRecordType::kEvent);
-}
-
 DiplomatPattern def_pattern(const trace::CytDef& def) {
   return static_cast<DiplomatPattern>(def.pattern);
 }
@@ -87,7 +83,7 @@ TraceAudit check_trace(const trace::ParsedTrace& trace, Report& report,
   // batched, so not candidates.
   std::set<std::uint32_t> batched_somewhere;
   for (const trace::CytRecord& record : trace.records) {
-    if (!is_event(record)) continue;
+    if (!trace::cyt_is_stream_event(record)) continue;
     if (static_cast<trace::CytEventKind>(record.kind) ==
         trace::CytEventKind::kBatchedCall) {
       batched_somewhere.insert(record.id);
@@ -114,7 +110,7 @@ TraceAudit check_trace(const trace::ParsedTrace& trace, Report& report,
   };
 
   for (const trace::CytRecord& record : trace.records) {
-    if (!is_event(record)) continue;
+    if (!trace::cyt_is_stream_event(record)) continue;
     ++audit.events;
     const auto kind = static_cast<trace::CytEventKind>(record.kind);
     RunState& lane = lanes[record.tid];

@@ -38,8 +38,7 @@ std::vector<Lane> build_lanes(const trace::ParsedTrace& trace) {
   std::vector<Lane> lanes;
   std::map<std::uint32_t, std::size_t> index;
   for (const trace::CytRecord& record : trace.records) {
-    if (record.type != static_cast<std::uint8_t>(trace::CytRecordType::kEvent))
-      continue;
+    if (!trace::cyt_is_stream_event(record)) continue;
     auto [it, inserted] = index.emplace(record.tid, lanes.size());
     if (inserted) lanes.push_back(Lane{record.tid, {}});
     lanes[it->second].events.push_back(&record);
@@ -164,8 +163,7 @@ StatusOr<ReplayStats> replay_trace(const trace::ParsedTrace& trace,
   std::map<std::uint32_t, DiplomatEntry*> entries;
   DiplomatRegistry& registry = DiplomatRegistry::instance();
   for (const trace::CytRecord& record : trace.records) {
-    if (record.type != static_cast<std::uint8_t>(trace::CytRecordType::kEvent))
-      continue;
+    if (!trace::cyt_is_stream_event(record)) continue;
     if (record.id == trace::kCytMarkerId) continue;
     if (entries.count(record.id) != 0) continue;
     const trace::CytDef* def = trace.def(record.id);

@@ -33,7 +33,7 @@ struct ReplayOptions {
 };
 
 struct ReplayStats {
-  std::uint64_t events = 0;    // records walked (defs and markers included)
+  std::uint64_t events = 0;    // events walked (markers included, spans not)
   std::uint64_t calls = 0;     // diplomat calls re-driven (all kinds)
   std::uint64_t batched = 0;   // of which replayed through the recorder
   std::uint64_t flushes = 0;   // batch flushes driven

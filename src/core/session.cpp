@@ -160,20 +160,6 @@ void Session::clear_cross_leak_evidence() {
   for (auto& counter : cross_leaks_) counter.store(0);
 }
 
-trace::Counter& Session::scoped_counter(std::string_view name) const {
-  trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
-  if (is_default()) return metrics.counter(name);
-  return metrics.counter("session.s" + std::to_string(id_) + "." +
-                         std::string(name));
-}
-
-trace::Histogram& Session::scoped_histogram(std::string_view name) const {
-  trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
-  if (is_default()) return metrics.histogram(name);
-  return metrics.histogram("session.s" + std::to_string(id_) + "." +
-                           std::string(name));
-}
-
 SessionRegistry& SessionRegistry::instance() {
   static SessionRegistry* registry = new SessionRegistry();
   return *registry;

@@ -5,7 +5,7 @@
 // A `Session` owns the per-app half of the bridge — kernel thread/persona
 // registry, linker images + replica views, graphics-TLS tracker, GPU device
 // frame state, surface registries, and (copy-on-write) any session-local
-// dispatch-table fork. Cross-cutting infrastructure (tracer, metrics, fault
+// dispatch-table fork. Cross-cutting infrastructure (trace recorder, metrics, fault
 // registry, watchdog monitor, epoch reclaimer, tile worker pool) stays
 // process-global; what *degrades* — watchdog rung ladders, fault filters —
 // is per-session so one wedged app never stalls its neighbors.
@@ -34,16 +34,10 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/lock_order.h"
 #include "util/status.h"
-
-namespace cycada::trace {
-class Counter;
-class Histogram;
-}  // namespace cycada::trace
 
 namespace cycada::core {
 
@@ -184,11 +178,6 @@ class Session {
   }
   std::uint64_t cross_leak_total() const;
   void clear_cross_leak_evidence();
-
-  // A metrics counter carrying this session's label dimension:
-  // "<name>" for the default session, "session.s<id>.<name>" otherwise.
-  trace::Counter& scoped_counter(std::string_view name) const;
-  trace::Histogram& scoped_histogram(std::string_view name) const;
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

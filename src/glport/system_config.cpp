@@ -1,6 +1,8 @@
 #include "glport/system_config.h"
 
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "android_gl/vendor.h"
 #include "core/diplomat.h"
@@ -20,62 +22,70 @@
 namespace cycada::glport {
 
 namespace {
-// CYCADA_TRACE=path.json turns the tracer on for the whole run and writes a
-// chrome://tracing-loadable JSON at process exit. Installed once, from the
-// first apply_system_config() call (every bench/example goes through here).
-void install_trace_env_hook() {
-  static const bool installed = [] {
-    const char* path = std::getenv("CYCADA_TRACE");
-    if (path == nullptr || *path == '\0') return false;
-    trace::Tracer::instance().set_enabled(true);
-    static std::string out_path(path);
-    std::atexit([] {
-      const Status status = trace::write_chrome_trace(out_path);
-      if (!status.is_ok()) {
-        CYCADA_LOG(kError) << "CYCADA_TRACE export failed: "
-                           << status.to_string();
-      } else if (const std::uint64_t dropped = trace::Tracer::instance().dropped();
-                 dropped > 0) {
-        // Long runs overflow the fixed per-thread rings (drop-newest); the
-        // exported file is truncated, not corrupt — say so.
-        CYCADA_LOG(kWarn) << "CYCADA_TRACE: " << dropped
-                          << " events dropped to full ring buffers";
-      }
-    });
-    return true;
-  }();
-  (void)installed;
+// One recorder serves both trace variables for the whole run. It starts
+// from the first apply_system_config() call (every bench/example goes
+// through here) and is finalized at process exit; like the timeline, one
+// capture spans every configuration the run applies — diplomat ids are
+// immortal across resets, so one .cyt can hold a whole multi-config bench
+// (docs/TRACING.md).
+//   CYCADA_TRACE=path.json        spans on; Chrome JSON written at exit
+//   CYCADA_TRACE_CAPTURE=path     crossings only; the .cyt is the output
+// With CYCADA_TRACE alone the capture goes to path.json.cyt, which is
+// removed after the export; with both, the named capture is kept and holds
+// the spans too.
+struct TraceEnv {
+  std::string json_path;
+  std::string cyt_path;
+  bool keep_cyt = false;
+  const char* label = "";
+};
+
+TraceEnv& trace_env() {
+  static TraceEnv env;
+  return env;
 }
 
-// CYCADA_TRACE_CAPTURE=path.cyt starts the diplomat trace recorder for the
-// whole run and finalizes the file (footer + checksum) at process exit.
-// Like the Chrome-trace hook above, the capture spans every configuration
-// the run applies — diplomat ids are immortal across resets, so one .cyt
-// can hold a whole multi-config bench (docs/TRACING.md).
-void install_capture_env_hook() {
+void finish_trace_env() {
+  const TraceEnv& env = trace_env();
+  trace::TraceRecorder& recorder = trace::TraceRecorder::instance();
+  const std::uint64_t dropped = recorder.dropped();
+  Status status = recorder.stop();
+  if (status.is_ok() && !env.json_path.empty()) {
+    auto parsed = trace::read_cyt(env.cyt_path);
+    status = parsed.is_ok() ? trace::write_chrome_trace(env.json_path, *parsed)
+                            : parsed.status();
+  }
+  if (!env.keep_cyt) std::remove(env.cyt_path.c_str());
+  if (!status.is_ok()) {
+    CYCADA_LOG(kError) << env.label << " finalize failed: "
+                       << status.to_string();
+  } else if (dropped > 0) {
+    // The recorder drops rather than blocking the hot path; the file is
+    // valid but misses events — the footer records how many.
+    CYCADA_LOG(kWarn) << env.label << ": " << dropped
+                      << " record(s) dropped to an exhausted chunk pool";
+  }
+}
+
+void install_trace_env_hook() {
   static const bool installed = [] {
-    const char* path = std::getenv("CYCADA_TRACE_CAPTURE");
-    if (path == nullptr || *path == '\0') return false;
-    const Status status = trace::TraceRecorder::instance().start(path);
+    const char* json = std::getenv("CYCADA_TRACE");
+    const char* capture = std::getenv("CYCADA_TRACE_CAPTURE");
+    TraceEnv& env = trace_env();
+    if (json != nullptr) env.json_path = json;
+    if (capture != nullptr) env.cyt_path = capture;
+    if (env.json_path.empty() && env.cyt_path.empty()) return false;
+    env.keep_cyt = !env.cyt_path.empty();
+    if (!env.keep_cyt) env.cyt_path = env.json_path + ".cyt";
+    env.label = env.json_path.empty() ? "CYCADA_TRACE_CAPTURE" : "CYCADA_TRACE";
+    const Status status = trace::TraceRecorder::instance().start(
+        env.cyt_path, /*spans=*/!env.json_path.empty());
     if (!status.is_ok()) {
-      CYCADA_LOG(kError) << "CYCADA_TRACE_CAPTURE start failed: "
+      CYCADA_LOG(kError) << env.label << " start failed: "
                          << status.to_string();
       return false;
     }
-    std::atexit([] {
-      trace::TraceRecorder& recorder = trace::TraceRecorder::instance();
-      const std::uint64_t dropped = recorder.dropped();
-      const Status stop_status = recorder.stop();
-      if (!stop_status.is_ok()) {
-        CYCADA_LOG(kError) << "CYCADA_TRACE_CAPTURE finalize failed: "
-                           << stop_status.to_string();
-      } else if (dropped > 0) {
-        // The ring drops rather than blocking the hot path; the file is
-        // valid but misses events — the footer records how many.
-        CYCADA_LOG(kWarn) << "CYCADA_TRACE_CAPTURE: " << dropped
-                          << " record(s) dropped to a full ring";
-      }
-    });
+    std::atexit(finish_trace_env);
     return true;
   }();
   (void)installed;
@@ -84,7 +94,6 @@ void install_capture_env_hook() {
 
 void apply_system_config(SystemConfig config) {
   install_trace_env_hook();
-  install_capture_env_hook();
   // Leave no dangling per-thread context before tearing the world down.
   ios_gl::EAGLContext::clear_current_context();
 

@@ -342,6 +342,37 @@ void capture_set_impersonating(bool active) {
   TraceRecorder::instance().push(marker);
 }
 
+namespace {
+CytRecord span_record(CytEventKind kind, const char* category,
+                      const char* name, std::int64_t timestamp_ns) {
+  CytRecord record = cyt_zero_record();
+  record.type = static_cast<std::uint8_t>(CytRecordType::kEvent);
+  record.kind = static_cast<std::uint8_t>(kind);
+  record.id = kCytSpanId;
+  record.tid = capture_tid();
+  record.timestamp_ns = timestamp_ns;
+  std::memcpy(record.args, category,
+              strnlen(category, sizeof(record.args)));
+  std::memcpy(record.name, name, strnlen(name, sizeof(record.name)));
+  return record;
+}
+}  // namespace
+
+void capture_span(const char* category, const char* name,
+                  std::int64_t start_ns, std::int64_t duration_ns) {
+  CytRecord record =
+      span_record(CytEventKind::kSpan, category, name, start_ns);
+  constexpr std::int64_t kMaxAux = 0xffffffffll;
+  record.aux = static_cast<std::uint32_t>(
+      duration_ns < 0 ? 0 : (duration_ns > kMaxAux ? kMaxAux : duration_ns));
+  TraceRecorder::instance().push(record);
+}
+
+void capture_instant(const char* category, const char* name) {
+  TraceRecorder::instance().push(
+      span_record(CytEventKind::kInstant, category, name, now_ns()));
+}
+
 // --- TraceRecorder ----------------------------------------------------------
 
 // A producing thread's private block of records. Only the owning thread
@@ -400,7 +431,7 @@ TraceRecorder::TraceRecorder() : impl_(new Impl()) {}
 
 TraceRecorder::~TraceRecorder() { (void)stop(); }
 
-Status TraceRecorder::start(const std::string& path) {
+Status TraceRecorder::start(const std::string& path, bool spans) {
   std::lock_guard<std::mutex> lock(impl_->control_mutex);
   if (active_.load(std::memory_order_acquire)) {
     return Status::failed_precondition("cyt: a capture is already running");
@@ -455,12 +486,14 @@ Status TraceRecorder::start(const std::string& path) {
   impl_->writer = std::thread([this] { writer_loop(); });
   active_.store(true, std::memory_order_release);
   g_cyt_capture_enabled.store(true, std::memory_order_release);
+  g_cyt_spans_enabled.store(spans, std::memory_order_release);
   return Status::ok();
 }
 
 Status TraceRecorder::stop() {
   std::lock_guard<std::mutex> lock(impl_->control_mutex);
   if (!active_.load(std::memory_order_acquire)) return Status::ok();
+  g_cyt_spans_enabled.store(false, std::memory_order_release);
   g_cyt_capture_enabled.store(false, std::memory_order_release);
   active_.store(false, std::memory_order_release);
   running_.store(false, std::memory_order_release);

@@ -1,38 +1,40 @@
-// The .cyt diplomat trace format: capture and replay of real call streams.
+// The .cyt trace format and the process's one event recorder.
 //
-// Where trace.h answers "what happened, for a human timeline" (Chrome
-// spans), a .cyt file is a machine-replayable record of every diplomat
-// crossing: diplomat id/name/pattern, direction (caller persona), thread,
-// batch membership, EAGLContext + impersonation annotations, monotonic
+// A .cyt file is a machine-replayable record of every diplomat crossing:
+// diplomat id/name/pattern, direction (caller persona), thread, batch
+// membership, EAGLContext + impersonation annotations, monotonic
 // timestamps and scalar arguments. tools/cycada_replay re-drives a captured
 // stream through the real dispatch/batch/persona machinery as load, and
 // analyze::check_trace mines it for classification errors (docs/TRACING.md).
+// The human timeline rides in the same file: TRACE_SCOPE / TRACE_INSTANT
+// (trace/trace.h) write span and instant records into the same per-thread
+// chunks, and chrome_trace_json() exports them for chrome://tracing.
 //
 // On-disk layout (little-endian, the build's native byte order):
 //   CytHeader   32 bytes   magic "CYTR", version, record size, start time
 //   CytRecord × N, 128 bytes each, fixed size (version 1)
 //   CytFooter   32 bytes   magic "RTYC", record count, FNV-1a checksum
 // Records are either defs (first sighting of a diplomat id: name, pattern,
-// batchable bit) or events (one crossing / marker). Defs are inline — a
-// trace is self-describing and needs no side table.
+// batchable bit) or events (one crossing / marker / span). Defs are inline —
+// a trace is self-describing and needs no side table.
 //
 // The recorder gives every producing thread its own chunk of records
 // (claimed from a preallocated pool under a mutex once per kRecordsPerChunk
 // events, never per event) and drains full chunks on one writer thread.
 // The hot path is wait-free and share-nothing: no atomic RMW, no cache
 // line any other core writes; the 128-byte record is one memcpy into the
-// thread's own chunk, and timestamps come from a per-thread coarse stamp
-// refreshed every few events instead of a clock read per record. When the
-// pool is exhausted the record is dropped and counted (the footer carries
-// the drop count).
-// Enable with CYCADA_TRACE_CAPTURE=<path> or TraceRecorder::start().
+// thread's own chunk, and crossing timestamps come from a per-thread coarse
+// stamp refreshed every few events instead of a clock read per record.
+// When the pool is exhausted the record is dropped and counted (the footer
+// carries the drop count).
+// Enable with CYCADA_TRACE_CAPTURE=<path> (crossings), CYCADA_TRACE=<json>
+// (crossings + spans) or TraceRecorder::start().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +52,8 @@ inline constexpr int kCytMaxArgs = 6;
 inline constexpr std::size_t kCytNameChars = 47;
 // id used by marker records (context/impersonation), which define nothing.
 inline constexpr std::uint32_t kCytMarkerId = 0xfffffffeu;
+// id used by span and instant records (TRACE_SCOPE / TRACE_INSTANT).
+inline constexpr std::uint32_t kCytSpanId = 0xfffffffdu;
 
 enum class CytRecordType : std::uint8_t {
   kDef = 1,    // kind = DiplomatPattern, name/batchable valid
@@ -67,6 +71,9 @@ enum class CytEventKind : std::uint8_t {
                      // flags high nibble = BatchFlushReason)
   kContextSet = 6,   // EAGLContext made current (context_id = new context)
   kImpersonate = 7,  // thread impersonation started (aux=1) / ended (aux=0)
+  kSpan = 8,         // TRACE_SCOPE span (timestamp = exact start, aux =
+                     // duration ns, saturating at ~4.29 s)
+  kInstant = 9,      // TRACE_INSTANT point event (exact timestamp)
 };
 
 // Event flags (low nibble). The high nibble of kBatchFlush events carries
@@ -129,6 +136,28 @@ inline CytRecord cyt_zero_record() {
   return record;
 }
 
+// Span and instant records share the chunks with crossings but are the
+// human timeline only.
+inline bool cyt_is_span(const CytRecord& record) {
+  return record.id == kCytSpanId;
+}
+// Crossing and marker events: the stream replay, the miner and the corpus
+// reader walk. Spans are left out, so a span never closes a batchable run
+// the way a context or impersonation marker does.
+inline bool cyt_is_stream_event(const CytRecord& record) {
+  return record.type == static_cast<std::uint8_t>(CytRecordType::kEvent) &&
+         !cyt_is_span(record);
+}
+// A span's category lives in its args bytes and its name in `name` (spans
+// carry no arguments); both are NUL padded and need not be terminated.
+inline std::string_view cyt_span_category(const CytRecord& record) {
+  const char* text = reinterpret_cast<const char*>(record.args);
+  return {text, strnlen(text, sizeof(record.args))};
+}
+inline std::string_view cyt_span_name(const CytRecord& record) {
+  return {record.name, strnlen(record.name, sizeof(record.name))};
+}
+
 // --- Reading ----------------------------------------------------------------
 
 struct CytDef {
@@ -169,6 +198,12 @@ inline std::atomic<bool> g_cyt_capture_enabled{false};
 inline bool capture_enabled() {
   return g_cyt_capture_enabled.load(std::memory_order_relaxed);
 }
+// Span gate: on only while a capture started with spans runs. TRACE_SCOPE
+// and TRACE_INSTANT cost one relaxed load and a branch when it is off.
+inline std::atomic<bool> g_cyt_spans_enabled{false};
+inline bool spans_enabled() {
+  return g_cyt_spans_enabled.load(std::memory_order_relaxed);
+}
 
 // Scalar arguments staged by the GL dispatch layer for the next diplomat
 // event on this thread. Batched calls take a copy at record time so the
@@ -202,14 +237,21 @@ void capture_diplomat_event(CytEventKind kind, std::uint32_t id,
 void capture_set_context(std::uint64_t context_id);
 void capture_set_impersonating(bool active);
 
+// Span and instant records (the TRACE_SCOPE / TRACE_INSTANT back end).
+// `category` and `name` are copied, truncated to their fields.
+void capture_span(const char* category, const char* name,
+                  std::int64_t start_ns, std::int64_t duration_ns);
+void capture_instant(const char* category, const char* name);
+
 class TraceRecorder {
  public:
   static TraceRecorder& instance();
 
-  // Opens `path`, writes the header and starts the writer thread. Fails if
-  // a capture is already running.
-  Status start(const std::string& path);
-  // Drains the ring, writes the footer and closes the file. No-op when idle.
+  // Opens `path`, writes the header and starts the writer thread; with
+  // `spans` the span gate opens too. Fails if a capture is already running.
+  Status start(const std::string& path, bool spans = false);
+  // Drains the chunks, writes the footer and closes the file. No-op when
+  // idle.
   Status stop();
   bool active() const { return active_.load(std::memory_order_acquire); }
 

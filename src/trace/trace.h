@@ -1,13 +1,13 @@
-// Low-overhead event tracing for the persona/diplomat/GL pipeline.
+// Span tracing for the persona/diplomat/GL pipeline: the human-timeline
+// front end of the .cyt recorder (trace/cyt.h).
 //
 // Every layer of the bridge records spans (TRACE_SCOPE) and instant events
-// (TRACE_INSTANT) into a fixed-size per-thread ring buffer. The hot path is
-// wait-free: the owning thread writes a slot and publishes it with one
-// release store (Vyukov-style sequence numbers); when the buffer is full the
-// newest event is dropped and counted rather than blocking the traced code.
-// Buffers are drained under the Tracer mutex into a central store that the
-// Chrome-tracing exporter (trace_export.cpp) serializes, so a run with
-// CYCADA_TRACE=out.json can be loaded into chrome://tracing / Perfetto.
+// (TRACE_INSTANT). While a capture started with spans runs, each one
+// becomes a kSpan / kInstant record in the recording thread's chunk, next
+// to the diplomat crossings; a record the exhausted chunk pool cannot take
+// is counted in the .cyt footer. chrome_trace_json() exports the span
+// records of a ParsedTrace, so a run with CYCADA_TRACE=out.json can be
+// loaded into chrome://tracing / Perfetto.
 //
 // Categories in use across the pipeline: "persona" (set_persona syscalls),
 // "diplomat" (the 11-step call procedure), "impersonation" (thread identity
@@ -18,122 +18,22 @@
 // docs/ROBUSTNESS.md).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "trace/cyt.h"
 #include "util/clock.h"
-#include "util/lock_order.h"
 #include "util/status.h"
 
 namespace cycada::trace {
 
-// Events carry fixed-size copies of their strings so ring-buffer slots stay
-// trivially copyable and the producer never allocates.
-inline constexpr std::size_t kMaxCategoryChars = 16;
-inline constexpr std::size_t kMaxNameChars = 48;
-inline constexpr std::size_t kDefaultBufferCapacity = 1 << 13;  // events
-
-enum class EventType : std::uint8_t {
-  kComplete,  // span with start + duration (Chrome "ph":"X")
-  kInstant,   // point-in-time marker (Chrome "ph":"i")
-};
-
-struct TraceEvent {
-  char category[kMaxCategoryChars];
-  char name[kMaxNameChars];
-  EventType type = EventType::kComplete;
-  std::uint32_t tid = 0;  // thread_ordinal() of the recording thread
-  std::int64_t start_ns = 0;
-  std::int64_t duration_ns = 0;
-};
-
-// Bounded single-producer (the owning thread) / single-consumer (a drainer
-// holding the Tracer mutex) ring. Each slot carries a sequence number that
-// both publishes the payload (release store after the plain writes) and
-// tells the producer whether the slot is free for its current lap, so the
-// producer never waits: a full buffer drops the new event and bumps a
-// counter instead.
-class ThreadBuffer {
- public:
-  explicit ThreadBuffer(std::uint32_t tid,
-                        std::size_t capacity = kDefaultBufferCapacity);
-  ThreadBuffer(const ThreadBuffer&) = delete;
-  ThreadBuffer& operator=(const ThreadBuffer&) = delete;
-
-  // Owner thread only. Returns false (and counts a drop) when full.
-  bool push(const TraceEvent& event);
-
-  // Consumer only (the Tracer holds its mutex around this). Appends every
-  // published event to `out` and frees the slots; returns how many.
-  std::size_t drain(std::vector<TraceEvent>& out);
-
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  std::uint32_t tid() const { return tid_; }
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    TraceEvent event;
-  };
-
-  const std::uint32_t tid_;
-  const std::size_t capacity_;  // power of two
-  std::unique_ptr<Slot[]> slots_;
-  std::uint64_t head_ = 0;  // producer position; owner thread only
-  std::uint64_t tail_ = 0;  // consumer position; guarded by Tracer mutex
-  std::atomic<std::uint64_t> dropped_{0};
-};
-
-class Tracer {
- public:
-  static Tracer& instance();
-
-  // Cheap global gate; TRACE_* macros are a relaxed load + branch when off.
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  void record_complete(const char* category, const char* name,
-                       std::int64_t start_ns, std::int64_t duration_ns);
-  void record_instant(const char* category, const char* name);
-
-  // Drains every thread's pending events into the central store and returns
-  // a copy of everything collected since the last reset(). Events survive
-  // the exit of the thread that recorded them.
-  std::vector<TraceEvent> collect();
-  // Total events dropped to full buffers across all threads.
-  std::uint64_t dropped() const;
-  // Discards all collected and pending events (tests/benches).
-  void reset();
-
- private:
-  Tracer() = default;
-  ThreadBuffer& buffer();
-
-  std::atomic<bool> enabled_{false};
-  mutable util::OrderedMutex mutex_{util::LockLevel::kTracer, "trace.tracer"};
-  // Buffers live for the process lifetime (a thread's events remain
-  // exportable after it exits); the thread keeps only a raw pointer.
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::vector<TraceEvent> collected_;
-};
-
-// RAII span: records one complete event covering its lexical scope. The
-// category/name pointers must outlive the scope (string literals, or
-// registry-owned names such as DiplomatEntry::name).
+// RAII span: records one span covering its lexical scope. The category/name
+// pointers must stay valid until the scope ends (string literals, or
+// registry-owned names such as DiplomatEntry::name); they are copied then.
 class ScopedSpan {
  public:
   ScopedSpan(const char* category, const char* name)
-      : active_(Tracer::instance().enabled()) {
+      : active_(spans_enabled()) {
     if (active_) {
       category_ = category;
       name_ = name;
@@ -142,8 +42,7 @@ class ScopedSpan {
   }
   ~ScopedSpan() {
     if (active_) {
-      Tracer::instance().record_complete(category_, name_, start_ns_,
-                                         now_ns() - start_ns_);
+      capture_span(category_, name_, start_ns_, now_ns() - start_ns_);
     }
   }
   ScopedSpan(const ScopedSpan&) = delete;
@@ -158,10 +57,12 @@ class ScopedSpan {
 
 // --- Chrome-tracing export (trace_export.cpp) ------------------------------
 
-// Serializes everything collect()ed so far as chrome://tracing JSON.
-std::string chrome_trace_json();
-// Writes chrome_trace_json() to `path` (the CYCADA_TRACE=path.json hook).
-Status write_chrome_trace(const std::string& path);
+// Serializes the span and instant records of `trace` as chrome://tracing
+// JSON; crossing records are skipped.
+std::string chrome_trace_json(const ParsedTrace& trace);
+// Writes chrome_trace_json(trace) to `path` (the CYCADA_TRACE=path.json
+// hook).
+Status write_chrome_trace(const std::string& path, const ParsedTrace& trace);
 
 }  // namespace cycada::trace
 
@@ -172,11 +73,9 @@ Status write_chrome_trace(const std::string& path);
   ::cycada::trace::ScopedSpan CYCADA_TRACE_CONCAT(trace_span_,   \
                                                   __LINE__)(category, name)
 
-#define TRACE_INSTANT(category, name)                                     \
-  do {                                                                    \
-    ::cycada::trace::Tracer& cycada_tracer_ =                             \
-        ::cycada::trace::Tracer::instance();                              \
-    if (cycada_tracer_.enabled()) {                                       \
-      cycada_tracer_.record_instant(category, name);                      \
-    }                                                                     \
+#define TRACE_INSTANT(category, name)                   \
+  do {                                                  \
+    if (::cycada::trace::spans_enabled()) {             \
+      ::cycada::trace::capture_instant(category, name); \
+    }                                                   \
   } while (0)

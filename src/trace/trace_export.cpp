@@ -1,17 +1,19 @@
-// Serializes collected trace events as Chrome trace-event JSON ("JSON array
-// with metadata" flavor), loadable in chrome://tracing and Perfetto.
+// Serializes the span and instant records of a .cyt capture as Chrome
+// trace-event JSON ("JSON array with metadata" flavor), loadable in
+// chrome://tracing and Perfetto.
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "trace/trace.h"
 
 namespace cycada::trace {
 
 namespace {
-void append_escaped(std::string& out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    const unsigned char c = static_cast<unsigned char>(*p);
+void append_escaped(std::string& out, std::string_view text) {
+  for (const char ch : text) {
+    const unsigned char c = static_cast<unsigned char>(ch);
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -29,50 +31,52 @@ void append_escaped(std::string& out, const char* text) {
   }
 }
 
-void append_event(std::string& out, const TraceEvent& event) {
+void append_event(std::string& out, const CytRecord& record) {
+  const bool span =
+      record.kind == static_cast<std::uint8_t>(CytEventKind::kSpan);
   char buffer[64];
   out += "{\"name\":\"";
-  append_escaped(out, event.name);
+  append_escaped(out, cyt_span_name(record));
   out += "\",\"cat\":\"";
-  append_escaped(out, event.category);
+  append_escaped(out, cyt_span_category(record));
   out += "\",\"ph\":\"";
-  out += event.type == EventType::kComplete ? 'X' : 'i';
+  out += span ? 'X' : 'i';
   out += '"';
-  if (event.type == EventType::kInstant) out += ",\"s\":\"t\"";
+  if (!span) out += ",\"s\":\"t\"";
   // Chrome expects microseconds; keep nanosecond precision as decimals.
   std::snprintf(buffer, sizeof buffer, ",\"ts\":%.3f",
-                static_cast<double>(event.start_ns) / 1000.0);
+                static_cast<double>(record.timestamp_ns) / 1000.0);
   out += buffer;
-  if (event.type == EventType::kComplete) {
+  if (span) {
     std::snprintf(buffer, sizeof buffer, ",\"dur\":%.3f",
-                  static_cast<double>(event.duration_ns) / 1000.0);
+                  static_cast<double>(record.aux) / 1000.0);
     out += buffer;
   }
   std::snprintf(buffer, sizeof buffer, ",\"pid\":1,\"tid\":%" PRIu32 "}",
-                event.tid);
+                record.tid);
   out += buffer;
 }
 }  // namespace
 
-std::string chrome_trace_json() {
-  const std::vector<TraceEvent> events = Tracer::instance().collect();
+std::string chrome_trace_json(const ParsedTrace& trace) {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent& event : events) {
+  for (const CytRecord& record : trace.records) {
+    if (!cyt_is_span(record)) continue;
     if (!first) out += ',';
     first = false;
-    append_event(out, event);
+    append_event(out, record);
   }
   out += "],\"displayTimeUnit\":\"ms\"}";
   return out;
 }
 
-Status write_chrome_trace(const std::string& path) {
+Status write_chrome_trace(const std::string& path, const ParsedTrace& trace) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     return Status::internal("cannot open trace output: " + path);
   }
-  const std::string json = chrome_trace_json();
+  const std::string json = chrome_trace_json(trace);
   const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
   std::fclose(file);
   if (written != json.size()) {

@@ -47,4 +47,15 @@ bool Image::write_ppm(const std::string& path) const {
   return ok;
 }
 
+std::uint64_t fnv1a_hash(const Image& image) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const std::uint32_t pixel : image.pixels()) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (pixel >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
 }  // namespace cycada

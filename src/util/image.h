@@ -49,4 +49,9 @@ class Image {
   std::vector<std::uint32_t> pixels_;
 };
 
+// FNV-1a 64 over every pixel's four bytes, low byte first: the screen hash
+// that fig6_passmark and cycada_fleet compare across worker counts and
+// sessions.
+std::uint64_t fnv1a_hash(const Image& image);
+
 }  // namespace cycada

@@ -79,7 +79,6 @@ const char* lock_level_name(int level) {
     case LockLevel::kWatchdog: return "watchdog";
     case LockLevel::kSessionRegistry: return "session-registry";
     case LockLevel::kMetrics: return "metrics";
-    case LockLevel::kTracer: return "tracer";
     case LockLevel::kLogEmit: return "log-emit";
   }
   return "?";

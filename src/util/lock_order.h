@@ -36,7 +36,6 @@ enum class LockLevel : int {
   kWatchdog = 66,          // util::Watchdog::threads_mutex_ (slot registry)
   kSessionRegistry = 68,   // core::SessionRegistry::mutex_ (live sessions)
   kMetrics = 70,           // trace::MetricsRegistry::mutex_
-  kTracer = 80,            // trace::Tracer::mutex_
   kLogEmit = 90,           // util/log.cpp emission mutex
 };
 

@@ -23,7 +23,7 @@ constexpr const char* level_tag(LogLevel level) {
 }
 
 // Monotonic epoch captured on first emission; log timestamps are seconds
-// since then, matching the tracer's clock.
+// since then, on the trace recorder's clock.
 std::int64_t log_epoch_ns() {
   static const std::int64_t epoch = now_ns();
   return epoch;

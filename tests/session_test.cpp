@@ -21,7 +21,6 @@
 #include "kernel/kernel.h"
 #include "linker/linker.h"
 #include "passmark/passmark.h"
-#include "trace/metrics.h"
 #include "util/clock.h"
 #include "util/epoch.h"
 #include "util/faultpoint.h"
@@ -421,25 +420,6 @@ TEST_F(SessionTest, ChaosInOneSessionLeavesTheNeighborLive) {
 
   registry.destroy(*chaos);
   registry.destroy(*neighbor);
-}
-
-// --- Metrics ----------------------------------------------------------------
-
-TEST_F(SessionTest, ScopedCountersCarryTheSessionDimension) {
-  SessionRegistry& registry = SessionRegistry::instance();
-  auto session = registry.create("metrics");
-  ASSERT_TRUE(session.is_ok());
-  (*session)->scoped_counter("frames").add();
-  const std::string name =
-      "session.s" + std::to_string((*session)->id()) + ".frames";
-  EXPECT_EQ(trace::MetricsRegistry::instance().counter(name).value(), 1u);
-  // Default session counters stay unprefixed (the singleton names).
-  Session::default_session().scoped_counter("session_test.plain").add();
-  EXPECT_EQ(trace::MetricsRegistry::instance()
-                .counter("session_test.plain")
-                .value(),
-            1u);
-  registry.destroy(*session);
 }
 
 }  // namespace

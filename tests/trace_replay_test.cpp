@@ -2,7 +2,8 @@
 // miner (analyze::check_trace, docs/TRACING.md): byte-identical round
 // trips, rejection of truncated/corrupt/wrong-version files with errors
 // that name the defect, capture→replay count fidelity, every seeded mining
-// rule, and the committed golden PassMark corpus.
+// rule, span records riding along without changing what replay and the
+// miner see, and the committed golden corpora.
 #include "core/replay.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "core/batch.h"
 #include "core/diplomat.h"
 #include "glport/system_config.h"
+#include "passmark/passmark.h"
 #include "trace/cyt.h"
 #include "util/status.h"
 
@@ -82,10 +85,12 @@ Status write_trace(const std::string& path,
   return trace::write_cyt(path, header, records);
 }
 
-// Captures `workload` into `path` through the real recorder.
-void capture(const std::string& path, const std::function<void()>& workload) {
+// Captures `workload` into `path` through the real recorder (with span
+// records when `spans`).
+void capture(const std::string& path, const std::function<void()>& workload,
+             bool spans = false) {
   trace::TraceRecorder& recorder = trace::TraceRecorder::instance();
-  ASSERT_TRUE(recorder.start(path).is_ok());
+  ASSERT_TRUE(recorder.start(path, spans).is_ok());
   workload();
   ASSERT_TRUE(recorder.stop().is_ok());
   ASSERT_EQ(recorder.dropped(), 0u);
@@ -408,6 +413,122 @@ TEST_F(TraceReplayTest, GoldenPassmarkTraceMinesCleanAndReplaysFaithfully) {
       static_cast<double>(trace_expected_crossings(*parsed)) /
       static_cast<double>(stats->calls);
   EXPECT_NEAR(stats->crossings_per_call(), expected_cpc, expected_cpc * 0.05);
+}
+
+TEST_F(TraceReplayTest, GoldenCorporaRoundTripByteIdentical) {
+  for (const char* name : {"golden_passmark", "golden_sunspider"}) {
+    const std::string path =
+        std::string(CYCADA_SOURCE_DIR) + "/tests/data/" + name + ".cyt";
+    auto parsed = trace::read_cyt(path);
+    ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+    for (const trace::CytRecord& record : parsed->records) {
+      ASSERT_FALSE(trace::cyt_is_span(record)) << name;
+    }
+    const std::string rewritten = tmp_path(name);
+    ASSERT_TRUE(trace::write_cyt(rewritten, parsed->header, parsed->records,
+                                 parsed->dropped)
+                    .is_ok());
+    EXPECT_EQ(read_file(path), read_file(rewritten)) << name;
+  }
+}
+
+// --- Spans in the crossing stream --------------------------------------------
+
+// One PassMark frame of every Figure 6 test on a fresh Cycada iOS machine.
+void passmark_workload() {
+  glport::apply_system_config(glport::SystemConfig::kCycadaIos);
+  auto port = glport::make_gl_port(glport::SystemConfig::kCycadaIos);
+  ASSERT_TRUE(port->init(64, 64, 1).is_ok());
+  passmark::PassMark passmark(*port);
+  for (const passmark::TestSpec& spec : passmark::test_specs()) {
+    ASSERT_TRUE(passmark.run(spec.name, 1).is_ok()) << spec.name;
+  }
+}
+
+struct Mined {
+  std::vector<std::string> findings;    // "rule subject"
+  std::vector<std::string> candidates;  // "name occurrences longest_run"
+  std::uint64_t events = 0;
+  std::uint64_t calls = 0;
+};
+
+Mined mine(const trace::ParsedTrace& trace) {
+  analyze::Report report;
+  const analyze::TraceAudit audit = analyze::check_trace(trace, report);
+  Mined out;
+  for (const analyze::Finding& finding : report.findings()) {
+    out.findings.push_back(finding.rule + " " + finding.subject);
+  }
+  for (const analyze::BatchCandidate& candidate : audit.candidates) {
+    out.candidates.push_back(candidate.name + " " +
+                             std::to_string(candidate.occurrences) + " " +
+                             std::to_string(candidate.longest_run));
+  }
+  out.events = audit.events;
+  out.calls = audit.calls;
+  return out;
+}
+
+TEST_F(TraceReplayTest, SpansLeaveReplayAndMiningUnchanged) {
+  const std::string plain_path = tmp_path("workload_plain");
+  const std::string spans_path = tmp_path("workload_spans");
+  capture(plain_path, passmark_workload);
+  capture(spans_path, passmark_workload, /*spans=*/true);
+  auto plain = trace::read_cyt(plain_path);
+  auto spans = trace::read_cyt(spans_path);
+  ASSERT_TRUE(plain.is_ok()) << plain.status().to_string();
+  ASSERT_TRUE(spans.is_ok()) << spans.status().to_string();
+
+  // Only the span capture carries the timeline, across the layers.
+  std::set<std::string> categories;
+  std::uint64_t span_records = 0;
+  for (const trace::CytRecord& record : plain->records) {
+    EXPECT_FALSE(trace::cyt_is_span(record));
+  }
+  for (const trace::CytRecord& record : spans->records) {
+    if (!trace::cyt_is_span(record)) continue;
+    ++span_records;
+    categories.insert(std::string(trace::cyt_span_category(record)));
+  }
+  EXPECT_GT(span_records, 0u);
+  for (const char* category : {"diplomat", "persona", "gpu"}) {
+    EXPECT_EQ(categories.count(category), 1u) << category;
+  }
+
+  // Same crossing stream: per-diplomat counts and expected crossings.
+  const std::map<std::string, std::uint64_t> counts =
+      trace_call_counts(*plain);
+  ASSERT_FALSE(counts.empty());
+  EXPECT_EQ(trace_call_counts(*spans), counts);
+  EXPECT_EQ(trace_expected_crossings(*spans), trace_expected_crossings(*plain));
+
+  // Both replay to the same per-diplomat counts and crossings per call.
+  ReplayOptions options;
+  options.threads = 1;
+  options.iterations = 1;
+  std::vector<ReplayStats> stats;
+  for (const trace::ParsedTrace* trace : {&*plain, &*spans}) {
+    const std::map<std::string, std::uint64_t> before = registry_call_counts();
+    auto replayed = replay_trace(*trace, options);
+    ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
+    EXPECT_EQ(delta(before, registry_call_counts()), counts);
+    stats.push_back(*replayed);
+  }
+  EXPECT_EQ(stats[1].events, stats[0].events);
+  EXPECT_EQ(stats[1].calls, stats[0].calls);
+  EXPECT_EQ(stats[1].lanes, stats[0].lanes);
+  EXPECT_DOUBLE_EQ(stats[1].crossings_per_call(),
+                   stats[0].crossings_per_call());
+
+  // Both mine to the same findings and batchable-run candidates: no span
+  // closes a run.
+  const Mined mined_plain = mine(*plain);
+  const Mined mined_spans = mine(*spans);
+  EXPECT_FALSE(mined_plain.candidates.empty());
+  EXPECT_EQ(mined_spans.findings, mined_plain.findings);
+  EXPECT_EQ(mined_spans.candidates, mined_plain.candidates);
+  EXPECT_EQ(mined_spans.events, mined_plain.events);
+  EXPECT_EQ(mined_spans.calls, mined_plain.calls);
 }
 
 }  // namespace

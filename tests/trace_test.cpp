@@ -1,19 +1,22 @@
-// Tests for the src/trace subsystem: ring-buffer wraparound and drop
-// accounting, concurrent multi-thread span recording, histogram percentile
-// math against known distributions, and well-formed Chrome trace JSON
-// export (parsed back with a minimal JSON reader).
+// Tests for the src/trace subsystem: span and instant records through the
+// .cyt recorder (nothing dropped on long single-thread runs, nothing
+// recorded with the span gate closed, concurrent multi-thread recording),
+// histogram percentile math against known distributions, and well-formed
+// Chrome trace JSON export (parsed back with a minimal JSON reader).
 #include "trace/trace.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <string_view>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "trace/metrics.h"
@@ -166,124 +169,136 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-TraceEvent make_event(const char* category, const char* name) {
-  TraceEvent event{};
-  std::snprintf(event.category, kMaxCategoryChars, "%s", category);
-  std::snprintf(event.name, kMaxNameChars, "%s", name);
-  event.start_ns = 1;
-  event.duration_ns = 2;
-  return event;
+// Runs `body` under a fresh capture (span gate open when `spans`) and
+// returns the parsed file. The recorder is process-global; every test
+// leaves it stopped.
+ParsedTrace capture(const char* name, bool spans,
+                    const std::function<void()>& body) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "trace_" + name + ".cyt";
+  TraceRecorder& recorder = TraceRecorder::instance();
+  EXPECT_TRUE(recorder.start(path, spans).is_ok());
+  body();
+  EXPECT_TRUE(recorder.stop().is_ok());
+  auto parsed = read_cyt(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  return parsed.is_ok() ? std::move(parsed).value() : ParsedTrace{};
 }
 
-// Tracer state is process-global; leave it disabled and empty between tests.
+bool is_kind(const CytRecord& record, CytEventKind kind) {
+  return record.kind == static_cast<std::uint8_t>(kind);
+}
+
 class TraceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    Tracer::instance().set_enabled(false);
-    Tracer::instance().reset();
-  }
-  void TearDown() override {
-    Tracer::instance().set_enabled(false);
-    Tracer::instance().reset();
-  }
+  void SetUp() override { ASSERT_FALSE(TraceRecorder::instance().active()); }
+  void TearDown() override { (void)TraceRecorder::instance().stop(); }
 };
 
-// --- Ring buffer ----------------------------------------------------------
-
-TEST(ThreadBufferTest, CapacityRoundsUpToPowerOfTwo) {
-  ThreadBuffer buffer(1, 6);
-  EXPECT_EQ(buffer.capacity(), 8u);
-}
-
-TEST(ThreadBufferTest, WraparoundDropsNewestAndCounts) {
-  ThreadBuffer buffer(7, 8);
-  const TraceEvent event = make_event("test", "span");
-  for (int i = 0; i < 20; ++i) buffer.push(event);
-  EXPECT_EQ(buffer.dropped(), 12u);
-
-  std::vector<TraceEvent> drained;
-  EXPECT_EQ(buffer.drain(drained), 8u);
-  ASSERT_EQ(drained.size(), 8u);
-  EXPECT_EQ(drained[0].tid, 7u);  // buffer stamps its thread ordinal
-
-  // Slots freed by the drain are reusable: the ring keeps working across
-  // several laps of the sequence numbers.
-  for (int lap = 0; lap < 3; ++lap) {
-    for (int i = 0; i < 8; ++i) EXPECT_TRUE(buffer.push(event));
-    drained.clear();
-    EXPECT_EQ(buffer.drain(drained), 8u);
-  }
-  EXPECT_EQ(buffer.dropped(), 12u);  // no further drops
-}
-
-// --- Tracer ---------------------------------------------------------------
+// --- Span and instant records ----------------------------------------------
 
 TEST_F(TraceTest, ScopesAndInstantsAreCollected) {
-  Tracer::instance().set_enabled(true);
-  {
+  const ParsedTrace trace = capture("scopes", /*spans=*/true, [] {
     TRACE_SCOPE("unit", "outer");
     TRACE_INSTANT("unit", "marker");
-  }
-  const auto events = Tracer::instance().collect();
-  int spans = 0;
-  int instants = 0;
-  for (const TraceEvent& event : events) {
-    if (std::string_view(event.category) != "unit") continue;
-    if (event.type == EventType::kComplete) {
-      ++spans;
-      EXPECT_STREQ(event.name, "outer");
-      EXPECT_GE(event.duration_ns, 0);
+  });
+  const CytRecord* span = nullptr;
+  const CytRecord* instant = nullptr;
+  for (const CytRecord& record : trace.records) {
+    if (!cyt_is_span(record) || cyt_span_category(record) != "unit") continue;
+    if (is_kind(record, CytEventKind::kSpan)) {
+      EXPECT_EQ(span, nullptr);
+      span = &record;
+      EXPECT_EQ(cyt_span_name(record), "outer");
     } else {
-      ++instants;
-      EXPECT_STREQ(event.name, "marker");
+      EXPECT_EQ(instant, nullptr);
+      instant = &record;
+      EXPECT_TRUE(is_kind(record, CytEventKind::kInstant));
+      EXPECT_EQ(cyt_span_name(record), "marker");
     }
   }
-  EXPECT_EQ(spans, 1);
-  EXPECT_EQ(instants, 1);
+  ASSERT_NE(span, nullptr);
+  ASSERT_NE(instant, nullptr);
+  // Exact timestamps: the instant fired inside the span's interval.
+  EXPECT_GE(span->timestamp_ns, trace.header.start_ns);
+  EXPECT_LE(span->timestamp_ns, instant->timestamp_ns);
+  EXPECT_LE(instant->timestamp_ns,
+            span->timestamp_ns + static_cast<std::int64_t>(span->aux));
+  EXPECT_EQ(span->tid, instant->tid);
 }
 
 TEST_F(TraceTest, DisabledTracerRecordsNothing) {
+  // Recorder idle: the span gate is closed.
+  EXPECT_FALSE(spans_enabled());
   {
     TRACE_SCOPE("unit", "ignored");
     TRACE_INSTANT("unit", "ignored");
   }
-  EXPECT_TRUE(Tracer::instance().collect().empty());
+  // A capture without spans (CYCADA_TRACE_CAPTURE alone) keeps the gate
+  // closed too: the file holds no span records.
+  const ParsedTrace trace = capture("disabled", /*spans=*/false, [] {
+    EXPECT_FALSE(spans_enabled());
+    TRACE_SCOPE("unit", "ignored");
+    TRACE_INSTANT("unit", "ignored");
+  });
+  for (const CytRecord& record : trace.records) {
+    EXPECT_FALSE(cyt_is_span(record));
+  }
+  EXPECT_FALSE(spans_enabled());
+}
+
+// A long single-thread run keeps every span and instant: the recorder
+// drops only when its chunk pool is exhausted, and 3 x 8192 + 3 records fit
+// in the pool even if the writer thread never drains.
+TEST_F(TraceTest, LongRunsKeepEverySpan) {
+  constexpr int kLaps = 3;
+  constexpr int kSpansPerLap = 8192;
+  const ParsedTrace trace = capture("long", /*spans=*/true, [] {
+    for (int lap = 0; lap < kLaps; ++lap) {
+      for (int i = 0; i < kSpansPerLap; ++i) TRACE_SCOPE("long", "span");
+      TRACE_INSTANT("long", "lap");
+    }
+  });
+  int spans = 0;
+  int instants = 0;
+  for (const CytRecord& record : trace.records) {
+    if (!cyt_is_span(record) || cyt_span_category(record) != "long") continue;
+    if (is_kind(record, CytEventKind::kSpan)) ++spans;
+    if (is_kind(record, CytEventKind::kInstant)) ++instants;
+  }
+  EXPECT_EQ(spans, kLaps * kSpansPerLap);
+  EXPECT_EQ(instants, kLaps);
+  EXPECT_EQ(trace.dropped, 0u);
 }
 
 TEST_F(TraceTest, ConcurrentSpanRecordingFromManyThreads) {
-  Tracer::instance().set_enabled(true);
   constexpr int kThreads = 4;
-  constexpr int kSpans = 500;
-  std::atomic<bool> stop{false};
-
-  // A concurrent drainer exercises the producer/consumer synchronization
-  // while spans are being recorded (the TSan-relevant interleaving).
-  std::thread drainer([&stop] {
-    while (!stop.load()) (void)Tracer::instance().collect();
+  constexpr int kSpans = 2000;
+  // The writer thread drains full chunks while the workers keep recording
+  // (the TSan-relevant interleaving).
+  const ParsedTrace trace = capture("mt", /*spans=*/true, [] {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([] {
+        for (int i = 0; i < kSpans; ++i) {
+          TRACE_SCOPE("mt", "worker-span");
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
   });
 
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
-      for (int i = 0; i < kSpans; ++i) {
-        TRACE_SCOPE("mt", "worker-span");
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  stop.store(true);
-  drainer.join();
-
-  const auto events = Tracer::instance().collect();
   std::set<std::uint32_t> tids;
   int count = 0;
-  for (const TraceEvent& event : events) {
-    if (std::string_view(event.category) != "mt") continue;
+  for (const CytRecord& record : trace.records) {
+    if (!cyt_is_span(record) || cyt_span_category(record) != "mt") continue;
     ++count;
-    tids.insert(event.tid);
+    tids.insert(record.tid);
   }
   EXPECT_EQ(count, kThreads * kSpans);
   EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(trace.dropped, 0u);
 }
 
 // --- Histogram ------------------------------------------------------------
@@ -341,13 +356,13 @@ TEST(HistogramTest, ConcurrentRecordingSumsExactly) {
 // --- Chrome JSON export ---------------------------------------------------
 
 TEST_F(TraceTest, ChromeJsonExportParsesBack) {
-  Tracer& tracer = Tracer::instance();
-  tracer.set_enabled(true);
-  tracer.record_complete("alpha", "span-a", 1000, 500);
-  tracer.record_complete("beta", "evil\"name\\with\nescapes", 2000, 250);
-  tracer.record_instant("alpha", "tick");
+  const ParsedTrace trace = capture("json", /*spans=*/true, [] {
+    capture_span("alpha", "span-a", 1000, 500);
+    capture_span("beta", "evil\"name\\with\nescapes", 2000, 250);
+    capture_instant("alpha", "tick");
+  });
 
-  const std::string json = chrome_trace_json();
+  const std::string json = chrome_trace_json(trace);
   JsonValue root;
   ASSERT_TRUE(JsonParser(json).parse(root)) << json;
   ASSERT_EQ(root.kind, JsonValue::Kind::kObject);
@@ -374,6 +389,11 @@ TEST_F(TraceTest, ChromeJsonExportParsesBack) {
   EXPECT_TRUE(phases.count("X"));
   EXPECT_TRUE(phases.count("i"));
   EXPECT_TRUE(names.count("evil\"name\\with\nescapes"));
+  for (const JsonValue& event : events.array) {
+    if (event.at("name").string != "span-a") continue;
+    EXPECT_DOUBLE_EQ(event.at("ts").number, 1.0);  // microseconds
+    EXPECT_DOUBLE_EQ(event.at("dur").number, 0.5);
+  }
 }
 
 // --- Metrics registry -----------------------------------------------------

@@ -65,17 +65,6 @@ struct WorkerResult {
   std::vector<std::int64_t> frame_ns;
 };
 
-std::uint64_t fnv1a_hash(const Image& image) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const std::uint32_t pixel : image.pixels()) {
-    for (int byte = 0; byte < 4; ++byte) {
-      hash ^= (pixel >> (8 * byte)) & 0xffu;
-      hash *= 1099511628211ULL;
-    }
-  }
-  return hash;
-}
-
 // One app run: init a 128x128 iOS port in the *current* session, warm up,
 // then render `frames` measured frames one at a time (per-frame latency is
 // the fleet's p99 input). The same sequence renders the reference, so the
