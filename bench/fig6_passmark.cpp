@@ -305,14 +305,12 @@ int run_soak_mode(std::int64_t budget_ms) {
     }
   }
   std::printf("soak: %llu frames under injection (%llu errored, worst %lld "
-              "ms), rungs now [g=%d p=%d b=%d x=%d e=%d c=%d]\n",
+              "ms), rungs now [g=%d p=%d e=%d c=%d]\n",
               static_cast<unsigned long long>(frames_run),
               static_cast<unsigned long long>(frames_errored),
               static_cast<long long>(worst_frame_ns / 1'000'000),
               watchdog.rung(cycada::util::WatchdogDomain::kGpuPhase),
               watchdog.rung(cycada::util::WatchdogDomain::kPresent),
-              watchdog.rung(cycada::util::WatchdogDomain::kBatch),
-              watchdog.rung(cycada::util::WatchdogDomain::kCrossing),
               watchdog.rung(cycada::util::WatchdogDomain::kEgl),
               watchdog.rung(cycada::util::WatchdogDomain::kCompositor));
 
@@ -332,12 +330,10 @@ int run_soak_mode(std::int64_t budget_ms) {
   if (!all_rungs_clear()) {
     std::fprintf(stderr,
                  "soak: FAIL ladder did not return to rung 0 after %d clean "
-                 "frames [g=%d p=%d b=%d x=%d e=%d c=%d]\n",
+                 "frames [g=%d p=%d e=%d c=%d]\n",
                  kSoakMaxRecoveryFrames,
                  watchdog.rung(cycada::util::WatchdogDomain::kGpuPhase),
                  watchdog.rung(cycada::util::WatchdogDomain::kPresent),
-                 watchdog.rung(cycada::util::WatchdogDomain::kBatch),
-                 watchdog.rung(cycada::util::WatchdogDomain::kCrossing),
                  watchdog.rung(cycada::util::WatchdogDomain::kEgl),
                  watchdog.rung(cycada::util::WatchdogDomain::kCompositor));
     return 1;

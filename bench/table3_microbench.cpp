@@ -11,7 +11,6 @@
 #include <iostream>
 #include <string>
 
-#include "core/batch.h"
 #include "core/diplomat.h"
 #include "core/impersonation.h"
 #include "kernel/kernel.h"
@@ -241,60 +240,6 @@ std::uint64_t run_dispatch_proof() {
   return acquisitions;
 }
 
-// --- Batched crossings (src/core/batch.h) -----------------------------------
-
-// The tentpole proof: a run of batchable GL state setters dispatched the
-// way the GL layer dispatches them — record if a BatchScope is open, plain
-// diplomat_call otherwise — measured in persona crossings per call.
-// Unbatched every call pays 2 set_persona syscalls; batched, N calls share
-// one token-bracketed crossing (2 switches per flush), so crossings per
-// call drop from 2 to ~2/N.
-void run_batching_proof() {
-  namespace core = cycada::core;
-  namespace trace = cycada::trace;
-  configure(TrapModel::kCycada, Persona::kIos);
-  // A real batchable Table 2 diplomat (direct pattern, classifier-approved).
-  auto& entry = core::DiplomatRegistry::instance().entry(
-      "glEnable", core::DiplomatPattern::kDirect);
-  trace::Counter& switches =
-      trace::MetricsRegistry::instance().counter("persona.switches");
-  constexpr int kCalls = 8192;
-  const auto dispatch_one = [&] {
-    if (!core::batch_record(entry, {}, [] {})) {
-      core::diplomat_call(entry, {}, [] {});
-    }
-  };
-
-  const std::uint64_t unbatched_before = switches.value();
-  for (int i = 0; i < kCalls; ++i) dispatch_one();
-  const std::uint64_t unbatched = switches.value() - unbatched_before;
-
-  const std::uint64_t batched_before = switches.value();
-  {
-    core::BatchScope scope;
-    for (int i = 0; i < kCalls; ++i) dispatch_one();
-  }
-  const std::uint64_t batched = switches.value() - batched_before;
-
-  const double unbatched_per_call =
-      static_cast<double>(unbatched) / static_cast<double>(kCalls);
-  const double batched_per_call =
-      static_cast<double>(batched) / static_cast<double>(kCalls);
-  std::printf(
-      "\nBatched persona crossings (command buffer, cap %zu)\n"
-      "%-40s %10.3f crossings/call\n%-40s %10.3f crossings/call  (%s)\n",
-      core::BatchScope::kDefaultSizeCap, "unbatched diplomat calls",
-      unbatched_per_call, "batched under one BatchScope", batched_per_call,
-      batched_per_call < 0.2 ? "< 0.2: PASS" : ">= 0.2: FAIL");
-
-  trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
-  metrics.counter("table3.batch.crossings_per_call_unbatched_x1000")
-      .set(static_cast<std::uint64_t>(unbatched_per_call * 1000.0));
-  metrics.counter("table3.batch.crossings_per_call_batched_x1000")
-      .set(static_cast<std::uint64_t>(batched_per_call * 1000.0));
-  cycada::kernel::sys_set_persona(Persona::kAndroid);
-}
-
 // --- Capture overhead (src/trace/cyt.h) --------------------------------------
 
 // The observability tax: the same dispatch loop with the .cyt recorder off
@@ -383,7 +328,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   const std::uint64_t registry_acquisitions = run_dispatch_proof();
-  run_batching_proof();
   run_capture_overhead_proof();
   cycada::trace::emit_bench_json(
       std::cout,

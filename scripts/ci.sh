@@ -2,10 +2,10 @@
 # The CI entry point (.github/workflows/ci.yml runs exactly this): tier-1
 # build + full test suite + the cycada_check contract analyzer, the tile
 # pipeline determinism/scaling leg, the trace capture/replay leg, the
-# classification prover with its amendment proof gate, a fault-injected
-# cycada_check run that must degrade gracefully, a chaos soak that stalls
-# every fault probe under a tight watchdog budget, and a TSan leg over the
-# concurrency-sensitive suites. Fast enough for every push; the full
+# zero-finding classification check over the golden corpus, the fleet leg,
+# a fault-injected cycada_check run that must degrade gracefully, chaos
+# passmark, a chaos soak that stalls every fault probe under a tight
+# watchdog budget, and a TSan leg over the concurrency-sensitive suites. Fast enough for every push; the full
 # sanitizer matrix stays in scripts/check.sh (ci.yml also runs a focused
 # ASan+UBSan leg).
 #
@@ -63,7 +63,7 @@ fi
 # Capture the real PassMark and SunSpider bench runs, replay the PassMark
 # stream at 1 and 4 threads with fidelity verification (per-diplomat counts
 # exact, crossings/call within 5%), and mine both captures with the trace
-# checker. Any finding fails the leg; batchability candidates are advisory.
+# checker. Any finding fails the leg.
 # The PassMark capture also records the span timeline (CYCADA_TRACE), so
 # replay and the miner run over a stream that carries span records; the
 # run must drop nothing and its Chrome JSON must hold the gpu, persona and
@@ -100,28 +100,13 @@ run ./build/tools/cycada_check --trace "${tracedir}/passmark.cyt" \
   --trace "$(pwd)/tests/data/golden_passmark.cyt" \
   --trace "$(pwd)/tests/data/golden_sunspider.cyt"
 
-# --- Classification prover (docs/ANALYZER.md) --------------------------------
+# --- Classification check (docs/ANALYZER.md) --------------------------------
 # The static dispatch-site scanner and the committed golden corpus must
-# agree with classification.cpp (zero findings, blocking), and the
-# static+corpus agreements must graduate into at least one amendment that
-# the real cycada_replay --verify binary proves end-to-end under
-# CYCADA_CLASSIFY_AMEND.
-echo "==> cycada_check --classify (classification prover + amendment proof)"
+# agree with classification.cpp (zero findings, blocking).
+echo "==> cycada_check --classify (classification check)"
 run ./build/tools/cycada_check --classify --root "$(pwd)/src" \
   --corpus "$(pwd)/tests/data/golden_passmark.cyt" \
-  --corpus "$(pwd)/tests/data/golden_sunspider.cyt" \
-  --amend-out "${tracedir}/classification_amendments"
-if ! grep -q '^batchable ' "${tracedir}/classification_amendments"; then
-  echo "ci.sh: FAIL — the classification prover produced no amendment" >&2
-  exit 1
-fi
-echo "==> replaying the golden corpus under the generated amendments"
-run env CYCADA_CLASSIFY_AMEND="${tracedir}/classification_amendments" \
-  ./build/tools/cycada_replay "$(pwd)/tests/data/golden_passmark.cyt" \
-  --threads 2 --iterations 2 --verify
-run env CYCADA_CLASSIFY_AMEND="${tracedir}/classification_amendments" \
-  ./build/tools/cycada_replay "$(pwd)/tests/data/golden_sunspider.cyt" \
-  --threads 2 --iterations 2 --verify
+  --corpus "$(pwd)/tests/data/golden_sunspider.cyt"
 
 # --- Fleet leg (docs/SESSIONS.md) --------------------------------------------
 # Eight concurrent sessions in one process, each replaying the golden
@@ -143,7 +128,7 @@ run env CYCADA_FAULT='linker.dlforce=every:1,egl.create_context=every:1' \
 # --- Chaos passmark (docs/ROBUSTNESS.md §fault grammar) -----------------------
 # Every probe in the fault catalog fires with probability 0.1% (seeded, so
 # the run is reproducible). The graphics pipeline must absorb the faults —
-# degraded serial mode, replica remint, batch abort-and-replay — and the
+# degraded serial mode, replica remint, forced persona recovery — and the
 # passmark workload must still finish with exit 0.
 echo "==> fig6_passmark under CYCADA_FAULT=all=prob:1000:42 (chaos mode)"
 run env CYCADA_FAULT='all=prob:1000:42' ./build/bench/fig6_passmark
@@ -168,6 +153,6 @@ fi
 run cmake -B build-tsan -S . -DCYCADA_TSAN=ON
 run cmake --build build-tsan -j
 (cd build-tsan && run ctest --output-on-failure -j "$(nproc)" \
-  -R 'DispatchTest|Robustness|LinkerTest|BatchTest|PipelineTest|SessionTest|TraceTest|TraceReplayTest')
+  -R 'DispatchTest|Robustness|LinkerTest|PipelineTest|SessionTest|TraceTest|TraceReplayTest')
 
 echo "ci.sh: OK"

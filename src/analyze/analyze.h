@@ -76,15 +76,8 @@ class Report {
 //   diplomat.classification-mismatch   entry pattern != Table 2 universe
 //   diplomat.open-graphics-window      a prelude's graphics-TLS window was
 //                                      never closed by a postlude
-//   batch.illegal-batched-call         batched evidence on an entry that is
-//                                      neither classifier-batchable nor a
-//                                      kMulti coalescer
-//   batch.unflushed-at-exit            calls still queued in a command
-//                                      buffer at the quiescent point
 // Entries with no runtime activity are skipped (the registry is
 // process-lifetime; only evidence since the last stats reset counts).
-// Batchable entries may legitimately report preludes < domestic_calls (one
-// library prelude per batch, charged to the opening entry).
 void check_diplomat_contracts(Report& report);
 
 // Lock-order checker (over util::LockOrderGraph; enable recording before
@@ -169,45 +162,24 @@ void check_session_isolation(Report& report);
 
 // --- Trace mining (docs/TRACING.md) -----------------------------------------
 
-struct TraceAuditOptions {
-  // Shortest run of consecutive batch-eligible plain calls worth reporting
-  // as a batchability candidate.
-  std::size_t min_run_length = 4;
-};
-
-// One advisory batchability candidate mined from a trace. Candidates are
-// NOT findings — they are leads for extending classify_ios_gl_batchable /
-// adopting BatchScope, printed by cycada_check --trace but never gating.
-struct BatchCandidate {
-  std::string name;
-  // Batch-eligible plain calls observed inside qualifying runs.
-  std::uint64_t occurrences = 0;
-  std::uint64_t longest_run = 0;
-  bool classifier_batchable = false;
-  std::string why;
-};
-
 struct TraceAudit {
   std::uint64_t events = 0;
   std::uint64_t calls = 0;
-  std::vector<BatchCandidate> candidates;
 };
 
-// Mines a captured .cyt stream for contract violations and classification
-// leads. Rules (checker "trace"):
+// Mines a captured .cyt stream for contract violations. Legacy kBatchedCall
+// records count as plain calls; legacy kBatchFlush records are skipped.
+// Rules (checker "trace"):
 //   trace.illegal-skip             a kSkip event on a non-data-dependent def
-//   trace.illegal-batched-call     a batched event on a non-batchable def
 //   trace.pattern-contradiction    observed behaviour contradicts the
 //                                  recorded Table 2 pattern (e.g. a kMulti
 //                                  crossing on a non-multi def)
-//   trace.classification-mismatch  a def's recorded pattern/batchable bit
-//                                  disagrees with this build's classifier
+//   trace.classification-mismatch  a def's recorded pattern disagrees with
+//                                  this build's classifier
 //   trace.unimplemented-invoked    an event on a kUnimplemented def
 //   trace.def-missing              an event references an id with no def
-//   trace.empty-flush              a batch flush closing zero calls
-// Returns the advisory audit (batchability candidates and totals).
-TraceAudit check_trace(const trace::ParsedTrace& trace, Report& report,
-                       const TraceAuditOptions& options = {});
+// Returns the event and call totals.
+TraceAudit check_trace(const trace::ParsedTrace& trace, Report& report);
 
 // Compares per-diplomat call counts a replay was expected to produce
 // (core::trace_call_counts × threads × iterations) against the observed
@@ -225,12 +197,6 @@ void check_replay_divergence(
 //                              not routed through kernel::libc:: (bypasses
 //                              the 12-line-patch hooks the TLS tracker
 //                              relies on)
-//   lint.batch-capture-by-ref  an IOS_GL dispatch site whose diplomat the
-//                              classifier marks batchable contains a
-//                              reference-capturing lambda — the command
-//                              buffer replays closures after the caller's
-//                              frame is gone, so batchable sites must
-//                              capture by value
 //   lint.allow-without-reason  a bare "cycada-lint: allow" marker; every
 //                              suppression must carry a justification,
 //                              "cycada-lint: allow(<reason>)"
@@ -250,62 +216,33 @@ void lint_source_file(const std::string& path, const std::string& contents,
 // finding) when `root` cannot be read.
 bool lint_source_tree(const std::string& root, Report& report);
 
-// --- Classification prover (docs/ANALYZER.md) --------------------------------
+// --- Classification check (docs/ANALYZER.md) --------------------------------
 //
-// Proves the hand-written Table 2 classification (src/core/classification.cpp)
+// Checks the hand-written Table 2 classification (src/core/classification.cpp)
 // against two independent evidence sources: the compiled static scanner over
 // the IOS_GL dispatch sites (source A) and a .cyt trace corpus (source B).
-// Contradictions are blocking findings; static+corpus agreements above a
-// confidence threshold graduate into amendment proposals, each proved by
-// replaying the corpus under the amended classification before acceptance.
+// Contradictions are blocking findings.
 
 // Static facts one IOS_GL dispatch site yields without running anything.
 struct ClassifySiteFacts {
   std::string name;
   int line = 0;  // line of the IOS_GL(...) marker
   core::DiplomatPattern declared{};  // this build's classifier verdict
-  bool void_return = false;       // the entry point returns void
-  bool pointer_args = false;      // a parameter carries a pointer
-  bool capture_by_value = false;  // a [=] dispatch lambda (batch protocol)
-  bool capture_by_ref = false;    // a [&] dispatch lambda (immediate path)
-  bool has_skip = false;          // diplomat_skip at the site (iOS-side answer)
-  bool redirect = false;          // the engine call name differs from the
-                                  // site's (input re-arranging, e.g.
-                                  // glSetFenceAPPLE -> glSetFenceNV)
-};
-
-// One auto-generated amendment proposal: both sources agree this direct
-// diplomat is batch-safe even though the hand table keeps it out.
-struct AmendmentProposal {
-  std::string name;
-  std::uint64_t corpus_occurrences = 0;
-  std::uint64_t longest_run = 0;
-  bool replay_proved = false;  // survived the corpus replay proof
-  std::string why;
+  bool has_skip = false;  // diplomat_skip at the site (iOS-side answer)
+  bool redirect = false;  // the engine call name differs from the site's
+                          // (input re-arranging, e.g. glSetFenceAPPLE ->
+                          // glSetFenceNV)
 };
 
 struct ClassifyAudit {
   std::vector<ClassifySiteFacts> sites;
   std::size_t corpus_traces = 0;
-  std::vector<AmendmentProposal> proposals;
-};
-
-struct ClassifyOptions {
-  // Confidence threshold: corpus occurrences inside qualifying runs a
-  // static+corpus agreement needs before it becomes a proposal.
-  std::uint64_t min_corpus_occurrences = 8;
-  std::size_t min_run_length = 4;
-  // Prove every proposal by replaying the corpus in-process under the
-  // amended classification (exact per-diplomat counts); unproved proposals
-  // are dropped. CI additionally drives the real cycada_replay --verify
-  // binary against the generated file (scripts/ci.sh).
-  bool prove_with_replay = true;
 };
 
 // Scans one ios_gl source file for IOS_GL dispatch sites and extracts the
 // per-site facts. Purely textual, like the source lint: the scanner relies
-// on the site idiom (column-0 function headers, the IOS_GL macro, dispatch
-// lambdas), not on parsing C++.
+// on the site idiom (the IOS_GL macro, dispatch lambdas, column-0 closing
+// braces), not on parsing C++.
 std::vector<ClassifySiteFacts> scan_ios_gl_sites(const std::string& path,
                                                  const std::string& contents);
 
@@ -317,23 +254,12 @@ std::vector<ClassifySiteFacts> scan_ios_gl_sites(const std::string& path,
 //                                  a non-data-dependent site, an engine
 //                                  redirect under kDirect, a site outside
 //                                  the Table 2 universe)
-//   classify.batchable-unsafe      the classifier marks the name batchable
-//                                  but the site is not void/scalar/by-value
-//   classify.corpus-contradiction  a corpus def or event stream disagrees
-//                                  with this build's classifier (recorded
-//                                  pattern/batchable bit differs, or a
-//                                  batched event on a classifier-rejected
-//                                  name)
-// Returns the audit (per-site facts + surviving amendment proposals).
+//   classify.corpus-contradiction  a corpus def records a pattern that
+//                                  disagrees with this build's classifier
+// Returns the audit (per-site facts and the corpus size).
 ClassifyAudit check_classification(
     const std::string& gl_source_path, const std::string& contents,
-    const std::vector<const trace::ParsedTrace*>& corpus, Report& report,
-    const ClassifyOptions& options = {});
-
-// Renders proposals as a versioned amendment file body
-// (core::parse_classification_amendments reads it back).
-std::string render_classification_amendments(
-    const std::vector<AmendmentProposal>& proposals);
+    const std::vector<const trace::ParsedTrace*>& corpus, Report& report);
 
 // --- Convenience ------------------------------------------------------------
 

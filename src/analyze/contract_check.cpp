@@ -4,7 +4,6 @@
 #include <string>
 
 #include "analyze/analyze.h"
-#include "core/batch.h"
 #include "core/classification.h"
 #include "core/diplomat.h"
 #include "core/impersonation.h"
@@ -35,8 +34,7 @@ const std::set<std::string>& table2_universe() {
 
 bool has_activity(const core::DiplomatSnapshot& s) {
   return s.calls != 0 || s.preludes != 0 || s.postludes != 0 ||
-         s.unbalanced_persona != 0 || s.pattern_conflicts != 0 ||
-         s.batched_calls != 0;
+         s.unbalanced_persona != 0 || s.pattern_conflicts != 0;
 }
 
 std::string count_pair(std::uint64_t a, std::uint64_t b) {
@@ -92,20 +90,6 @@ void check_diplomat_contracts(Report& report) {
                      " registration(s) under a different pattern than \"" +
                      std::string(pattern_name(s.pattern)) + "\"");
     }
-    // Only two kinds of entry may reach the domestic side through a shared
-    // crossing: classifier-approved batchable diplomats (the command-buffer
-    // recorder) and kMulti coalescers (multi_diplomat_call). Batched
-    // evidence on anything else means a call site smuggled a non-batchable
-    // diplomat into a batch. Note: batchable entries legitimately show
-    // preludes < domestic_calls — one library prelude per batch, charged to
-    // the opening entry, not one per replayed call.
-    if (s.batched_calls != 0 && !s.batchable &&
-        s.pattern != DiplomatPattern::kMulti) {
-      report.add("diplomat", "batch.illegal-batched-call", s.name,
-                 std::to_string(s.batched_calls) +
-                     " call(s) replayed through the command buffer, but the "
-                     "classifier does not mark this diplomat batchable");
-    }
     if (s.calls != 0 && table2_universe().contains(s.name)) {
       const DiplomatPattern expected = core::classify_ios_gl_function(s.name);
       if (expected != s.pattern) {
@@ -116,18 +100,6 @@ void check_diplomat_contracts(Report& report) {
                        std::string(pattern_name(expected)));
       }
     }
-  }
-
-  // Calls still queued in a thread's command buffer at a quiescent point
-  // were recorded but never replayed: a BatchScope leaked without its
-  // destructor running, or a flush boundary was bypassed. The foreign
-  // caller believes those GL calls happened.
-  if (const std::uint64_t pending = core::global_pending_batched_calls();
-      pending != 0) {
-    report.add("diplomat", "batch.unflushed-at-exit", "command buffer",
-               std::to_string(pending) +
-                   " batched call(s) still pending at a quiescent point; a "
-                   "batch was recorded but never flushed");
   }
 
   // A prelude that opened the graphics-TLS gating window without a matching

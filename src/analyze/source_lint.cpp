@@ -7,18 +7,13 @@
 //    elsewhere is exactly the unbalanced-persona bug class;
 //  * graphics code reserves TLS slots only through kernel::libc::, because
 //    a raw pthread_key_create would dodge the kernel hooks the graphics-TLS
-//    tracker (and therefore impersonation migration) depends on;
-//  * IOS_GL dispatch sites whose diplomat the classifier marks batchable
-//    capture by value — the command buffer replays the closure after the
-//    caller's frame is gone, so a reference capture is a use-after-return
-//    waiting for the first deferred flush.
+//    tracker (and therefore impersonation migration) depends on.
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "analyze/analyze.h"
-#include "core/classification.h"
 
 namespace cycada::analyze {
 
@@ -29,7 +24,6 @@ const std::string kSetPersonaNeedle = std::string("sys_set_") + "persona";
 const std::string kKeyCreateNeedle = std::string("pthread_key_") + "create";
 const std::string kKeyDeleteNeedle = std::string("pthread_key_") + "delete";
 const std::string kAllowMarker = std::string("cycada-lint: ") + "allow";
-const std::string kIosGlNeedle = std::string("IOS_") + "GL(";
 const std::string kWaitNeedle = std::string(".wa") + "it(";
 
 bool path_contains(const std::string& path, const char* fragment) {
@@ -37,13 +31,10 @@ bool path_contains(const std::string& path, const char* fragment) {
 }
 
 // Files allowed to switch personas directly: the kernel (defines the
-// syscall and the ScopedPersona guard) and the diplomat procedure itself —
-// including its command-buffer arm, which owns the token-bracketed
-// crossings and their forced-recovery fallbacks.
+// syscall and the ScopedPersona guard) and the diplomat procedure itself.
 bool set_persona_allowed(const std::string& path) {
   return path_contains(path, "kernel/") ||
          path_contains(path, "core/diplomat.h") ||
-         path_contains(path, "core/batch.") ||
          path_contains(path, "analyze/");
 }
 
@@ -101,49 +92,6 @@ bool handle_allow_marker(const std::string& path, int line_number,
   return false;
 }
 
-// Per-file scanner state for the batch-capture rule: which IOS_GL dispatch
-// site the scan is currently inside, and whether its diplomat batches.
-struct BatchCaptureState {
-  std::string site;
-  bool batchable = false;
-};
-
-// Inside ios_gl dispatch code, a classifier-batchable site must build its
-// batch lambda with [=]: a [&] capture anywhere in the site defers dangling
-// references into the command buffer.
-void lint_batch_capture(const std::string& path, int line_number,
-                        const std::string& line, bool exempt,
-                        BatchCaptureState& state, Report& report) {
-  if (!path_contains(path, "ios_gl/")) return;
-  if (!line.empty() && line[0] == '}') {  // column-0 brace ends the site
-    state = {};
-    return;
-  }
-  if (const std::size_t pos = line.find(kIosGlNeedle);
-      pos != std::string::npos) {
-    const std::size_t first = line.find_first_not_of(" \t");
-    if (first != std::string::npos && line[first] != '#') {  // not the macro
-      const std::size_t name_begin = pos + kIosGlNeedle.size();
-      const std::size_t name_end = line.find(')', name_begin);
-      if (name_end != std::string::npos) {
-        state.site = line.substr(name_begin, name_end - name_begin);
-        state.batchable = core::classify_ios_gl_batchable(state.site);
-      }
-    }
-  }
-  if (!exempt && state.batchable &&
-      line.find("[&]") != std::string::npos) {
-    report.add("lint", "lint.batch-capture-by-ref",
-               path + ":" + std::to_string(line_number),
-               state.site +
-                   " is classifier-batchable but its dispatch site captures "
-                   "by reference; the command buffer replays the closure "
-                   "after the caller's frame is gone, so batchable sites "
-                   "must capture by value ([=])");
-    state.batchable = false;  // one finding per site
-  }
-}
-
 void lint_line(const std::string& path, int line_number,
                const std::string& line, Report& report) {
   const std::string subject = path + ":" + std::to_string(line_number);
@@ -194,12 +142,10 @@ void lint_source_file(const std::string& path, const std::string& contents,
   std::istringstream stream(contents);
   std::string line;
   int line_number = 0;
-  BatchCaptureState batch_state;
   while (std::getline(stream, line)) {
     ++line_number;
     if (comment_only(line)) continue;
     const bool exempt = handle_allow_marker(path, line_number, line, report);
-    lint_batch_capture(path, line_number, line, exempt, batch_state, report);
     if (!exempt) lint_line(path, line_number, line, report);
   }
 }

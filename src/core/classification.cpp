@@ -1,14 +1,5 @@
 #include "core/classification.h"
 
-#include <array>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <mutex>
-#include <set>
-#include <sstream>
-
 #include "glcore/api_registry.h"
 
 namespace cycada::core {
@@ -51,82 +42,12 @@ constexpr std::string_view kUnimplemented[] = {
     "glPointParameterxv", "glMultiTexCoord4x", "glSampleCoveragex",
 };
 
-// Batchable direct diplomats: void return, scalar-only arguments, no
-// synchronization semantics. Pointer-taking calls (glShaderSource,
-// gl*Pointer, glGen*/glDelete* arrays, matrix uploads) must not defer —
-// the caller's memory may be a stack temporary that dies before replay —
-// and draws consume client-array pointers installed earlier, so they flush.
-constexpr std::string_view kBatchable[] = {
-    // Common scalar state.
-    "glClear", "glClearColor", "glClearDepthf", "glEnable", "glDisable",
-    "glBlendFunc", "glDepthFunc", "glDepthMask", "glCullFace", "glViewport",
-    "glScissor", "glPointSize", "glColorMask", "glFrontFace", "glLineWidth",
-    "glDepthRangef", "glBlendEquation", "glHint", "glStencilFunc",
-    "glStencilMask", "glStencilOp", "glPolygonOffset",
-    // Texture state (scalar forms only).
-    "glBindTexture", "glActiveTexture", "glTexParameteri", "glGenerateMipmap",
-    "glCopyTexImage2D", "glCopyTexSubImage2D",
-    // Buffer / framebuffer binding.
-    "glBindBuffer", "glBindFramebuffer", "glBindRenderbuffer",
-    "glFramebufferRenderbuffer", "glFramebufferTexture2D",
-    // Shader / program lifecycle with handle-only arguments.
-    "glDeleteShader", "glCompileShader", "glDeleteProgram", "glAttachShader",
-    "glLinkProgram", "glUseProgram", "glUniform4f", "glUniform1i",
-    "glUniform1f",
-    // Vertex attribute scalar state.
-    "glEnableVertexAttribArray", "glDisableVertexAttribArray",
-    "glVertexAttrib4f",
-    // GLES1 fixed-function scalar state.
-    "glMatrixMode", "glLoadIdentity", "glPushMatrix", "glPopMatrix",
-    "glTranslatef", "glRotatef", "glScalef", "glOrthof", "glFrustumf",
-    "glColor4f", "glEnableClientState", "glDisableClientState", "glTexEnvi",
-};
-
 template <std::size_t N>
 bool contains(const std::string_view (&list)[N], std::string_view name) {
   for (std::string_view candidate : list) {
     if (candidate == name) return true;
   }
   return false;
-}
-
-// The active amendment overlay: an immortal published set swapped under a
-// mutex (amendments install at boot or in tests, never on a hot path; the
-// classifier reads with one acquire load). Superseded sets are never freed
-// — a reader may still hold a pointer to one — but stay reachable through
-// the retired list, bounded by the number of set/clear calls.
-std::atomic<const std::set<std::string, std::less<>>*> g_amended_batchable{
-    nullptr};
-std::mutex g_amend_mutex;
-std::vector<const std::set<std::string, std::less<>>*>& retired_amendments() {
-  static auto* retired =
-      new std::vector<const std::set<std::string, std::less<>>*>();
-  return *retired;
-}
-
-// Lazily folds CYCADA_CLASSIFY_AMEND in before the first classification
-// query, so registration-time batchable bits see the overlay.
-void ensure_env_amendments_loaded() {
-  static const bool loaded = [] {
-    if (const char* path = std::getenv("CYCADA_CLASSIFY_AMEND")) {
-      // A broken amendment file must not silently change classification;
-      // surface it loudly and keep the hand tables.
-      if (const Status status = load_classification_amendments(path);
-          !status.is_ok()) {
-        std::fprintf(stderr, "CYCADA_CLASSIFY_AMEND: %s\n",
-                     status.to_string().c_str());
-      }
-    }
-    return true;
-  }();
-  (void)loaded;
-}
-
-std::string strip(const std::string& line) {
-  const std::size_t begin = line.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return {};
-  const std::size_t end = line.find_last_not_of(" \t\r");
-  return line.substr(begin, end - begin + 1);
 }
 
 }  // namespace
@@ -137,14 +58,6 @@ DiplomatPattern classify_ios_gl_function(std::string_view name) {
   if (contains(kMulti, name)) return DiplomatPattern::kMulti;
   if (contains(kUnimplemented, name)) return DiplomatPattern::kUnimplemented;
   return DiplomatPattern::kDirect;
-}
-
-bool classify_ios_gl_batchable(std::string_view name) {
-  // Only direct diplomats ever batch; the other patterns carry semantics
-  // (input rewriting, readbacks, side tables) the replay phase cannot defer.
-  if (classify_ios_gl_function(name) != DiplomatPattern::kDirect) return false;
-  if (contains(kBatchable, name)) return true;
-  return classification_amended(name);
 }
 
 Table2Counts count_table2() {
@@ -165,100 +78,6 @@ std::vector<std::string> functions_with_pattern(DiplomatPattern pattern) {
   std::vector<std::string> out;
   for (const std::string& name : glcore::ios_function_universe()) {
     if (classify_ios_gl_function(name) == pattern) out.push_back(name);
-  }
-  return out;
-}
-
-StatusOr<ClassificationAmendments> parse_classification_amendments(
-    const std::string& contents) {
-  ClassificationAmendments amendments;
-  std::istringstream stream(contents);
-  std::string raw;
-  bool saw_header = false;
-  int line_number = 0;
-  while (std::getline(stream, raw)) {
-    ++line_number;
-    std::string line = strip(raw);
-    if (line.empty()) continue;
-    if (!saw_header) {
-      if (line != kClassificationAmendmentsHeader) {
-        return Status::invalid_argument(
-            "amendment file must start with \"" +
-            std::string(kClassificationAmendmentsHeader) + "\" (line " +
-            std::to_string(line_number) + " is \"" + line + "\")");
-      }
-      saw_header = true;
-      continue;
-    }
-    if (line[0] == '#') continue;
-    // Trailing comments: "batchable glFoo  # evidence".
-    if (const std::size_t hash = line.find('#'); hash != std::string::npos) {
-      line = strip(line.substr(0, hash));
-    }
-    std::istringstream fields(line);
-    std::string directive, name, extra;
-    fields >> directive >> name;
-    if (directive != "batchable" || name.empty() || (fields >> extra)) {
-      return Status::invalid_argument(
-          "line " + std::to_string(line_number) +
-          ": expected \"batchable <name>\", got \"" + line + "\"");
-    }
-    // The overlay only widens the batchable set of DIRECT diplomats; an
-    // amendment naming any other pattern is a corrupt or stale file.
-    if (classify_ios_gl_function(name) != DiplomatPattern::kDirect) {
-      return Status::invalid_argument(
-          "line " + std::to_string(line_number) + ": " + name +
-          " is not a direct diplomat; only direct entries may be amended "
-          "batchable");
-    }
-    amendments.batchable.push_back(std::move(name));
-  }
-  if (!saw_header) {
-    return Status::invalid_argument("empty amendment file (missing header)");
-  }
-  return amendments;
-}
-
-Status load_classification_amendments(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::not_found("cannot read amendment file " + path);
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  auto amendments = parse_classification_amendments(contents.str());
-  if (!amendments.is_ok()) {
-    return Status(amendments.status().code(),
-                  path + ": " + std::string(amendments.status().message()));
-  }
-  set_classification_amendments(*amendments);
-  return Status::ok();
-}
-
-void set_classification_amendments(
-    const ClassificationAmendments& amendments) {
-  auto* set = new std::set<std::string, std::less<>>(
-      amendments.batchable.begin(), amendments.batchable.end());
-  std::lock_guard lock(g_amend_mutex);
-  retired_amendments().push_back(set);
-  g_amended_batchable.store(set, std::memory_order_release);
-}
-
-void clear_classification_amendments() {
-  std::lock_guard lock(g_amend_mutex);
-  g_amended_batchable.store(nullptr, std::memory_order_release);
-}
-
-bool classification_amended(std::string_view name) {
-  ensure_env_amendments_loaded();
-  const auto* amended = g_amended_batchable.load(std::memory_order_acquire);
-  return amended != nullptr && amended->count(name) != 0;
-}
-
-ClassificationAmendments current_classification_amendments() {
-  ensure_env_amendments_loaded();
-  ClassificationAmendments out;
-  if (const auto* amended =
-          g_amended_batchable.load(std::memory_order_acquire)) {
-    out.batchable.assign(amended->begin(), amended->end());
   }
   return out;
 }

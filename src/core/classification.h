@@ -1,11 +1,5 @@
 // Diplomat classification of the 344-function iOS GLES universe (Table 2):
 // which usage pattern supports each iOS GLES entry point on Android.
-//
-// The hand tables below are the asserted baseline; a versioned amendment
-// overlay (docs/ANALYZER.md) can extend the batchable set with entries the
-// classification prover derived from trace corpora and proved with
-// cycada_replay --verify. Amendments load from CYCADA_CLASSIFY_AMEND=<path>
-// at first use, or programmatically for tests.
 #pragma once
 
 #include <string>
@@ -13,22 +7,12 @@
 #include <vector>
 
 #include "core/diplomat.h"
-#include "util/status.h"
 
 namespace cycada::core {
 
 // The pattern Cycada uses for an iOS GLES function (name from the iOS
 // function universe; unknown names classify as direct).
 DiplomatPattern classify_ios_gl_function(std::string_view name);
-
-// Whether the function may be recorded into the multi-diplomat command
-// buffer (src/core/batch.h) instead of crossing personas immediately. Only
-// direct diplomats that return void, take scalar-only arguments (no caller
-// pointers to defer) and carry no synchronization semantics qualify;
-// everything else — readbacks, pointer-taking uploads, draws consuming
-// client arrays, fences, and the data-dependent/multi patterns — forces a
-// flush and dispatches on its own.
-bool classify_ios_gl_batchable(std::string_view name);
 
 struct Table2Counts {
   int direct = 0;
@@ -46,48 +30,5 @@ Table2Counts count_table2();
 
 // All function names using a given pattern (for docs/benches).
 std::vector<std::string> functions_with_pattern(DiplomatPattern pattern);
-
-// --- Classification amendments (docs/ANALYZER.md) ---------------------------
-//
-// A parsed amendment file: names whose batchable bit the overlay turns on.
-// The file format is line-oriented text:
-//
-//   # cycada-classification-amendments v1
-//   batchable <name>        # trailing comments allowed
-//
-// Only kDirect names may be amended (the other patterns carry semantics the
-// command buffer cannot defer); parse rejects anything else. Whether an
-// amended name is actually SAFE to batch is the classification prover's
-// job (cycada_check --classify): it cross-checks every amendment against
-// the static dispatch-site facts and the trace corpus, and the replay proof
-// gate must pass before an amendment file ships.
-struct ClassificationAmendments {
-  std::vector<std::string> batchable;
-};
-
-inline constexpr std::string_view kClassificationAmendmentsHeader =
-    "# cycada-classification-amendments v1";
-
-// Parses an amendment file body. The first non-blank line must be the
-// versioned header; unknown directives and non-direct names are errors.
-StatusOr<ClassificationAmendments> parse_classification_amendments(
-    const std::string& contents);
-
-// Loads an amendment file from disk and installs it as the active overlay.
-Status load_classification_amendments(const std::string& path);
-
-// Installs / removes the overlay programmatically (tests, the prover's
-// replay proof). Entries already registered keep the batchable bit they
-// were registered with; the overlay affects later classification queries.
-void set_classification_amendments(const ClassificationAmendments& amendments);
-void clear_classification_amendments();
-
-// True when `name`'s batchable bit comes from the overlay, not the hand
-// table (classify_ios_gl_batchable already folds the overlay in).
-bool classification_amended(std::string_view name);
-
-// The active overlay's contents (empty when none is installed) — lets the
-// prover widen the overlay for a replay proof and restore it after.
-ClassificationAmendments current_classification_amendments();
 
 }  // namespace cycada::core

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "core/classification.h"
 #include "core/session.h"
 
 namespace cycada::core {
@@ -194,8 +193,6 @@ DiplomatEntry* DiplomatRegistry::allocate_entry_locked(std::string_view name,
   entry->name = std::string(name);
   entry->id = id;
   entry->pattern = pattern;
-  entry->batchable = pattern == DiplomatPattern::kDirect &&
-                     classify_ios_gl_batchable(name);
   DiplomatEntry* raw = entry.get();
   owned_.push_back(std::move(entry));
 
@@ -363,8 +360,7 @@ std::vector<DiplomatSnapshot> DiplomatRegistry::snapshot() const {
                    contract.domestic_calls.load(),
                    contract.skipped_calls.load(),
                    contract.unbalanced_persona.load(),
-                   contract.pattern_conflicts.load(),
-                   contract.batched_calls.load(), entry->batchable});
+                   contract.pattern_conflicts.load()});
   }
   return out;
 }

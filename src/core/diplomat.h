@@ -80,12 +80,6 @@ struct DiplomatContract {
   // Times the entry was re-requested under a different pattern than it was
   // registered with (two call sites disagreeing on classification).
   std::atomic<std::uint64_t> pattern_conflicts{0};
-  // Calls that reached the domestic function through the multi-diplomat
-  // command buffer (src/core/batch.h) instead of a private crossing. Legal
-  // only for entries the classifier marks batchable; a batch replays its
-  // calls under one shared crossing, so for these entries preludes may be
-  // fewer than domestic_calls (one prelude per batch, not per call).
-  std::atomic<std::uint64_t> batched_calls{0};
 
   void reset() {
     preludes.store(0);
@@ -94,7 +88,6 @@ struct DiplomatContract {
     skipped_calls.store(0);
     unbalanced_persona.store(0);
     pattern_conflicts.store(0);
-    batched_calls.store(0);
   }
 };
 
@@ -110,10 +103,6 @@ struct DiplomatEntry {
   std::string name;
   DiplomatId id = kInvalidDiplomatId;
   DiplomatPattern pattern = DiplomatPattern::kDirect;
-  // Whether the classifier allows this diplomat into the multi-diplomat
-  // command buffer (classify_ios_gl_batchable; set at registration, never
-  // changes). Non-batchable entries force a flush of any pending batch.
-  bool batchable = false;
   // Step-1 cache: the resolved domestic entry point (opaque).
   std::atomic<void*> cached_symbol{nullptr};
   // Incremented on every call, whether or not profiling is on, so counts
@@ -147,8 +136,6 @@ struct DiplomatSnapshot {
   std::uint64_t skipped_calls;
   std::uint64_t unbalanced_persona;
   std::uint64_t pattern_conflicts;
-  std::uint64_t batched_calls;
-  bool batchable;
 };
 
 // The immutable dispatch snapshot the registry publishes (docs/DISPATCH.md).
@@ -280,7 +267,9 @@ long errno_linux_to_darwin(long linux_errno);
 
 // Executes `domestic` under the full diplomat procedure and returns its
 // result. The calling thread's persona is restored afterwards (normally it
-// is the iOS persona; nesting is supported).
+// is the iOS persona; nesting is supported). Every pattern crosses here: a
+// multi diplomat's `domestic` makes its several Android calls inside the
+// one crossing, and its capture record is a kMulti instead of a kCall.
 template <typename Fn>
 auto diplomat_call(DiplomatEntry& entry, const DiplomatHooks& hooks,
                    Fn&& domestic) {
@@ -341,6 +330,9 @@ auto diplomat_call(DiplomatEntry& entry, const DiplomatHooks& hooks,
     }
     entry.contract.domestic_calls.fetch_add(1, std::memory_order_relaxed);
     entry.calls.fetch_add(1, std::memory_order_relaxed);
+    const trace::CytEventKind kind = entry.pattern == DiplomatPattern::kMulti
+                                         ? trace::CytEventKind::kMulti
+                                         : trace::CytEventKind::kCall;
     if (profiling) {
       // Profiling already reads the clock; that read doubles as the
       // captured event's timestamp and its aux duration.
@@ -349,8 +341,8 @@ auto diplomat_call(DiplomatEntry& entry, const DiplomatHooks& hooks,
       entry.record_latency(elapsed_ns);
       if (capturing) {
         trace::capture_diplomat_event(
-            trace::CytEventKind::kCall, entry.id, entry.name,
-            static_cast<std::uint8_t>(entry.pattern), entry.batchable,
+            kind, entry.id, entry.name,
+            static_cast<std::uint8_t>(entry.pattern),
             static_cast<std::uint8_t>(caller_persona),
             static_cast<std::uint32_t>(elapsed_ns < 0 ? 0 : elapsed_ns));
       }
@@ -358,8 +350,7 @@ auto diplomat_call(DiplomatEntry& entry, const DiplomatHooks& hooks,
       // Capture alone stays clock-free on the hot path: the recorder
       // stamps the event from its per-thread cached clock.
       trace::capture_diplomat_event(
-          trace::CytEventKind::kCall, entry.id, entry.name,
-          static_cast<std::uint8_t>(entry.pattern), entry.batchable,
+          kind, entry.id, entry.name, static_cast<std::uint8_t>(entry.pattern),
           static_cast<std::uint8_t>(caller_persona), /*aux=*/0);
     }
   };
@@ -385,7 +376,7 @@ inline void diplomat_skip(DiplomatEntry& entry) {
   if (trace::capture_enabled()) {
     trace::capture_diplomat_event(
         trace::CytEventKind::kSkip, entry.id, entry.name,
-        static_cast<std::uint8_t>(entry.pattern), entry.batchable,
+        static_cast<std::uint8_t>(entry.pattern),
         static_cast<std::uint8_t>(
             kernel::Kernel::instance().current_thread().persona()),
         /*aux=*/0);

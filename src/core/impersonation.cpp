@@ -1,6 +1,5 @@
 #include "core/impersonation.h"
 
-#include "core/batch.h"
 #include "core/session.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -154,9 +153,6 @@ bool GraphicsTlsTracker::is_graphics_key(kernel::TlsKey key) const {
 
 ThreadImpersonation::ThreadImpersonation(kernel::Tid target) : target_(target) {
   TRACE_SCOPE("impersonation", "acquire");
-  // TLS-migration boundary: calls recorded under this thread's own identity
-  // must replay before the target's TLS is installed.
-  flush_current_batch(BatchFlushReason::kImpersonation);
   kernel::Kernel& kernel = kernel::Kernel::instance();
   self_ = kernel.current_thread().tid();
   if (target_ == kernel::kInvalidTid || target_ == self_) return;
@@ -206,9 +202,6 @@ ThreadImpersonation::ThreadImpersonation(kernel::Tid target) : target_(target) {
 }
 
 ThreadImpersonation::~ThreadImpersonation() {
-  // Mirror of the constructor's boundary: nothing recorded while
-  // impersonating may replay after the identity and TLS are handed back.
-  flush_current_batch(BatchFlushReason::kImpersonation);
   if (!active_) return;
   TRACE_SCOPE("impersonation", "release");
   const int count = static_cast<int>(keys_.size());

@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch.h"
 #include "core/diplomat.h"
 #include "core/session.h"
 #include "kernel/kernel.h"
@@ -49,8 +48,6 @@ std::vector<Lane> build_lanes(const trace::ParsedTrace& trace) {
 struct LaneTotals {
   std::uint64_t events = 0;
   std::uint64_t calls = 0;
-  std::uint64_t batched = 0;
-  std::uint64_t flushes = 0;
   std::uint64_t skips = 0;
 };
 
@@ -59,7 +56,6 @@ struct LaneTotals {
 void replay_lane(const Lane& lane,
                  const std::map<std::uint32_t, DiplomatEntry*>& entries,
                  const ReplayOptions& options, LaneTotals& totals) {
-  BatchScope scope(options.batch_cap);
   const std::int64_t lane_start_ns =
       lane.events.empty() ? 0 : lane.events.front()->timestamp_ns;
   const std::int64_t replay_start_ns = now_ns();
@@ -80,6 +76,8 @@ void replay_lane(const Lane& lane,
     DiplomatEntry& entry = *it->second;
     switch (kind) {
       case trace::CytEventKind::kCall:
+      case trace::CytEventKind::kMulti:
+      case trace::CytEventKind::kBatchedCall:
         diplomat_call(entry, {}, [] {});
         ++totals.calls;
         break;
@@ -88,33 +86,10 @@ void replay_lane(const Lane& lane,
         ++totals.calls;
         ++totals.skips;
         break;
-      case trace::CytEventKind::kMulti:
-        multi_diplomat_call(entry, {},
-                            static_cast<int>(record->aux == 0 ? 1
-                                                              : record->aux),
-                            [] {});
-        ++totals.calls;
-        break;
-      case trace::CytEventKind::kBatchedCall:
-        if (batch_record(entry, {}, [] {})) {
-          ++totals.batched;
-        } else {
-          // The live stream only batched under an open scope; replay keeps
-          // one open, so this fires only for traces whose groups exceed
-          // the replay cap or whose entries are no longer batchable.
-          diplomat_call(entry, {}, [] {});
-        }
-        ++totals.calls;
-        break;
-      case trace::CytEventKind::kBatchFlush:
-        flush_current_batch(BatchFlushReason::kExplicit);
-        ++totals.flushes;
-        break;
       default:
         break;
     }
   }
-  // BatchScope exit flushes whatever a truncated lane left queued.
 }
 
 }  // namespace
@@ -141,7 +116,7 @@ std::uint64_t trace_expected_crossings(const trace::ParsedTrace& trace) {
     switch (static_cast<trace::CytEventKind>(record.kind)) {
       case trace::CytEventKind::kCall:
       case trace::CytEventKind::kMulti:
-      case trace::CytEventKind::kBatchFlush:
+      case trace::CytEventKind::kBatchedCall:
         crossings += 2;
         break;
       default:
@@ -158,8 +133,7 @@ StatusOr<ReplayStats> replay_trace(const trace::ParsedTrace& trace,
                                     "at least 1");
   }
   // Resolve every referenced diplomat into the live registry up front, with
-  // the pattern the trace recorded. Registration re-derives the batchable
-  // bit from the classifier, so recorded batch groups stay batchable.
+  // the pattern the trace recorded.
   std::map<std::uint32_t, DiplomatEntry*> entries;
   DiplomatRegistry& registry = DiplomatRegistry::instance();
   for (const trace::CytRecord& record : trace.records) {
@@ -209,8 +183,6 @@ StatusOr<ReplayStats> replay_trace(const trace::ParsedTrace& trace,
   for (const LaneTotals& t : totals) {
     stats.events += t.events;
     stats.calls += t.calls;
-    stats.batched += t.batched;
-    stats.flushes += t.flushes;
     stats.skips += t.skips;
   }
   return stats;

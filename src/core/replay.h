@@ -1,15 +1,15 @@
 // Trace replay: re-drives a captured .cyt diplomat stream through the real
-// dispatch/batch/persona machinery (docs/TRACING.md).
+// dispatch/persona machinery (docs/TRACING.md).
 //
 // Events are grouped into lanes by recording thread; each replay thread
-// walks every lane in capture order, once per iteration, under its own
-// BatchScope so recorded batch groups (kBatchedCall runs closed by a
-// kBatchFlush) replay as batches and everything else replays as the plain
-// eleven-step procedure. Replayed calls hit the live DiplomatRegistry and
-// kernel, so the run emits exactly the counters/histograms the live
-// benches emit — a replayed PassMark trace is a first-class bench
-// workload. Max-rate mode replays as fast as the machinery allows; paced
-// mode sleeps each lane to the recorded inter-event gaps.
+// walks every lane in capture order, once per iteration, and replays every
+// call as the eleven-step procedure. Legacy kBatchedCall records replay as
+// plain calls and legacy kBatchFlush records are skipped. Replayed calls
+// hit the live DiplomatRegistry and kernel, so the run emits exactly the
+// counters/histograms the live benches emit — a replayed PassMark trace is
+// a first-class bench workload. Max-rate mode replays as fast as the
+// machinery allows; paced mode sleeps each lane to the recorded inter-event
+// gaps.
 #pragma once
 
 #include <cstdint>
@@ -26,18 +26,12 @@ struct ReplayOptions {
   int iterations = 1;
   // Replay the recorded timestamp gaps (true) or run at max rate (false).
   bool paced = false;
-  // BatchScope size cap during replay. Recorded groups are replayed
-  // verbatim, so the cap only guards against malformed traces; keep it
-  // above the capture-side cap or groups split.
-  std::size_t batch_cap = 4096;
 };
 
 struct ReplayStats {
   std::uint64_t events = 0;    // events walked (markers included, spans not)
   std::uint64_t calls = 0;     // diplomat calls re-driven (all kinds)
-  std::uint64_t batched = 0;   // of which replayed through the recorder
-  std::uint64_t flushes = 0;   // batch flushes driven
-  std::uint64_t skips = 0;     // data-dependent skips
+  std::uint64_t skips = 0;     // of which data-dependent skips
   // Delta of the persona.switches counter across the replay (every thread).
   std::uint64_t persona_switches = 0;
   std::int64_t wall_ns = 0;
@@ -58,8 +52,7 @@ std::map<std::string, std::uint64_t> trace_call_counts(
     const trace::ParsedTrace& trace);
 
 // Crossings (persona switches) one pass over the trace costs live: two per
-// plain/multi call and two per batch flush, none for skips or batched
-// calls riding a shared crossing.
+// call (legacy batched calls included), none for skips.
 std::uint64_t trace_expected_crossings(const trace::ParsedTrace& trace);
 
 // Replays `trace` on options.threads threads × options.iterations passes.

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "core/batch.h"
 #include "core/diplomat.h"
 #include "gpu/device.h"
 #include "kernel/kernel.h"
@@ -86,9 +85,6 @@ StatusOr<EAGLContext::Ref> EAGLContext::init_with_api_sharegroup(
 
 bool EAGLContext::set_current_context(Ref context) {
   TRACE_SCOPE("gl", "EAGLContext.setCurrentContext");
-  // Pending batched calls were recorded against the outgoing context; they
-  // must land before another context owns this thread's GL stream.
-  core::flush_current_batch(core::BatchFlushReason::kContextSwitch);
   t_current_context = context;
   trace::capture_set_context(reinterpret_cast<std::uint64_t>(
       static_cast<const void*>(context.get())));
@@ -225,12 +221,11 @@ Status EAGLContext::tex_image_io_surface(
   android_gl::UiWrapper* wrapper = connection_.wrapper;
   auto serial = eglbridge::degraded_serial_lock(degraded());
   // Coalesces save-binding + bind + EGLImage target + restore-binding under
-  // one token-bracketed crossing.
-  return core::multi_diplomat_call(
-      entry, eglbridge::graphics_hooks(), /*coalesced_calls=*/4, [&] {
-        return iosurface::LinuxCoreSurface::instance().bind_gles_texture(
-            surface, wrapper, texture);
-      });
+  // one crossing.
+  return core::diplomat_call(entry, eglbridge::graphics_hooks(), [&] {
+    return iosurface::LinuxCoreSurface::instance().bind_gles_texture(
+        surface, wrapper, texture);
+  });
 }
 
 StatusOr<std::pair<int, int>> EAGLContext::drawable_size(

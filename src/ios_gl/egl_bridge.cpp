@@ -1,6 +1,5 @@
 #include "ios_gl/egl_bridge.h"
 
-#include "core/batch.h"
 #include "core/diplomat.h"
 #include "core/impersonation.h"
 #include "glcore/context.h"
@@ -26,10 +25,6 @@ std::unique_lock<util::OrderedMutex> degraded_serial_lock(bool degraded) {
   if (!degraded) {
     return std::unique_lock<util::OrderedMutex>(*mutex, std::defer_lock);
   }
-  // Entering the degraded (serialized) path: recorded calls must not stay
-  // queued across the fallback boundary — their context may be unrelated to
-  // the shared connection this lock guards.
-  core::flush_current_batch(core::BatchFlushReason::kDegraded);
   return std::unique_lock<util::OrderedMutex>(*mutex);
 }
 
@@ -48,10 +43,9 @@ StatusOr<BridgeConnection> aegl_bridge_init(int gles_version, int width,
                                             int height) {
   static core::DiplomatEntry& entry = bridge_entry("aegl_bridge_init");
   // Coalesces EGL initialize + replica acquisition + context/surface setup
-  // under one token-bracketed crossing.
-  return core::multi_diplomat_call(
-      entry, graphics_hooks(), /*coalesced_calls=*/3,
-      [&]() -> StatusOr<BridgeConnection> {
+  // under one crossing.
+  return core::diplomat_call(
+      entry, graphics_hooks(), [&]() -> StatusOr<BridgeConnection> {
         android_gl::AndroidEgl* egl = android_gl::open_android_egl();
         if (egl == nullptr || egl->eglInitialize() != android_gl::EGL_TRUE) {
           return Status::internal("EGL initialization failed");
@@ -126,8 +120,7 @@ StatusOr<BridgeConnection> aegl_bridge_init(int gles_version, int width,
 Status aegl_bridge_destroy(const BridgeConnection& connection) {
   static core::DiplomatEntry& entry = bridge_entry("aegl_bridge_destroy");
   // Coalesces unbind-if-current + connection release.
-  return core::multi_diplomat_call(
-      entry, graphics_hooks(), /*coalesced_calls=*/2, [&]() -> Status {
+  return core::diplomat_call(entry, graphics_hooks(), [&]() -> Status {
     android_gl::AndroidEgl* egl = android_gl::open_android_egl();
     if (egl == nullptr) return Status::internal("no EGL wrapper");
     // Clear this thread's binding if it points into the connection.
@@ -160,8 +153,7 @@ Status aegl_bridge_destroy(const BridgeConnection& connection) {
 Status aegl_bridge_make_current(android_gl::UiWrapper* wrapper) {
   static core::DiplomatEntry& entry = bridge_entry("aegl_bridge_make_current");
   // Coalesces context bind + surface bind.
-  return core::multi_diplomat_call(
-      entry, graphics_hooks(), /*coalesced_calls=*/2, [&]() -> Status {
+  return core::diplomat_call(entry, graphics_hooks(), [&]() -> Status {
     if (wrapper == nullptr) return Status::invalid_argument("null wrapper");
     return wrapper->make_current();
   });
@@ -172,9 +164,8 @@ StatusOr<gmem::BufferId> aegl_bridge_create_drawable(
   static core::DiplomatEntry& entry =
       bridge_entry("aegl_bridge_create_drawable");
   // Coalesces gralloc allocation + drawable registration.
-  return core::multi_diplomat_call(entry, graphics_hooks(),
-                                   /*coalesced_calls=*/2,
-                                   [&]() -> StatusOr<gmem::BufferId> {
+  return core::diplomat_call(entry, graphics_hooks(),
+                             [&]() -> StatusOr<gmem::BufferId> {
                                if (wrapper == nullptr) {
                                  return Status::invalid_argument("null wrapper");
                                }
@@ -189,8 +180,7 @@ Status aegl_bridge_bind_renderbuffer(android_gl::UiWrapper* wrapper,
   static core::DiplomatEntry& entry =
       bridge_entry("aegl_bridge_bind_renderbuffer");
   // Coalesces renderbuffer bind + storage attach.
-  return core::multi_diplomat_call(
-      entry, graphics_hooks(), /*coalesced_calls=*/2, [&]() -> Status {
+  return core::diplomat_call(entry, graphics_hooks(), [&]() -> Status {
     if (wrapper == nullptr) return Status::invalid_argument("null wrapper");
     return wrapper->bind_renderbuffer(rb, buffer);
   });
@@ -200,9 +190,8 @@ Status aegl_bridge_draw_fbo_tex(android_gl::UiWrapper* wrapper,
                                 gmem::BufferId content) {
   static core::DiplomatEntry& entry = bridge_entry("aegl_bridge_draw_fbo_tex");
   // Coalesces FBO bind + texture bind + quad setup + draw under one
-  // crossing — the bridge's original ad-hoc batch, now token-bracketed.
-  return core::multi_diplomat_call(
-      entry, graphics_hooks(), /*coalesced_calls=*/4, [&]() -> Status {
+  // crossing.
+  return core::diplomat_call(entry, graphics_hooks(), [&]() -> Status {
     if (wrapper == nullptr) return Status::invalid_argument("null wrapper");
     return wrapper->draw_fbo_tex(content);
   });
@@ -212,8 +201,7 @@ Status egl_swap_buffers(android_gl::UiWrapper* wrapper) {
   static core::DiplomatEntry& entry = core::DiplomatRegistry::instance().entry(
       "eglSwapBuffers", core::DiplomatPattern::kMulti);
   // Coalesces back-buffer flip + composition handoff.
-  return core::multi_diplomat_call(
-      entry, graphics_hooks(), /*coalesced_calls=*/2, [&]() -> Status {
+  return core::diplomat_call(entry, graphics_hooks(), [&]() -> Status {
     if (wrapper == nullptr) return Status::invalid_argument("null wrapper");
     return wrapper->swap_buffers();
   });
@@ -223,8 +211,7 @@ Status aegl_bridge_copy_tex_buf(android_gl::UiWrapper* wrapper,
                                 glcore::GLuint texture, gmem::BufferId dst) {
   static core::DiplomatEntry& entry = bridge_entry("aegl_bridge_copy_tex_buf");
   // Coalesces texture source bind + readback + buffer write.
-  return core::multi_diplomat_call(
-      entry, graphics_hooks(), /*coalesced_calls=*/3, [&]() -> Status {
+  return core::diplomat_call(entry, graphics_hooks(), [&]() -> Status {
     if (wrapper == nullptr) return Status::invalid_argument("null wrapper");
     return wrapper->copy_tex_buf(texture, dst);
   });

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <vector>
 
-#include "core/batch.h"
 #include "core/classification.h"
 #include "glcore/api_registry.h"
 #include "core/diplomat.h"
@@ -55,15 +54,12 @@ core::DiplomatId gl_diplomat_id(std::string_view name) {
 }
 
 // Dispatches one iOS GLES call: direct on native iOS, a diplomat into the
-// current EAGLContext's replica engine on Cycada. While a core::BatchScope
-// is open, batchable calls queue in the multi-diplomat command buffer and
-// cross personas together at the next flush; everything else flushes the
-// pending batch and crosses on its own.
+// current EAGLContext's replica engine on Cycada.
 //
 // `scalar_args` are the call's scalar arguments when it has only scalars
 // (call sites that capture by value pass them through); while trace capture
 // is on they are staged for the .cyt event this dispatch produces, together
-// with the void-return bit the batchability miner keys on (docs/TRACING.md).
+// with the void-return bit (docs/TRACING.md).
 template <typename Fn, typename... Args>
 std::invoke_result_t<Fn, glcore::GlesEngine&> dispatch(
     core::DiplomatEntry& entry, Fn&& fn, Args... scalar_args) {
@@ -87,22 +83,6 @@ std::invoke_result_t<Fn, glcore::GlesEngine&> dispatch(
   }
   const bool migrate = kernel::sys_gettid() != eagl->creator_tid();
   android_gl::UiWrapper* wrapper = eagl->wrapper();
-  if constexpr (std::is_void_v<Result>) {
-    // Batchable calls (void return, scalar args) defer: the closure owns
-    // copies of its arguments — call sites capture by value — plus a
-    // context Ref so the replica engine outlives the deferred replay.
-    // Migrating threads never batch (replay would need the creator's TLS),
-    // and degraded contexts serialize through the fallback connection.
-    if (entry.batchable && !migrate && core::batching_active() &&
-        !eagl->degraded() &&
-        core::batch_record(entry, eglbridge::graphics_hooks(),
-                           [fn, eagl]() { fn(*eagl->wrapper()->engine()); })) {
-      return;
-    }
-  }
-  // Any other dispatch needs the bus in program order: replay whatever the
-  // recorder still holds before crossing for this call.
-  core::flush_current_batch(core::BatchFlushReason::kNonBatchable);
   return core::diplomat_call(entry, eglbridge::graphics_hooks(),
                              [&]() -> Result {
                                MigrationScope scope(migrate ? eagl.get()
@@ -354,10 +334,6 @@ void glPolygonOffset(GLfloat factor, GLfloat units) {
                     factor, units);
 }
 
-// glBlendColor and glSampleCoverage are void/scalar/value-capturing but the
-// hand table conservatively keeps them unbatched until a trace corpus shows
-// them in batch-eligible runs — the classification prover's amendment
-// pipeline (docs/ANALYZER.md) graduates them once the replay proof passes.
 void glBlendColor(GLclampf r, GLclampf g, GLclampf b, GLclampf a) {
   IOS_GL(glBlendColor);
   dispatch(entry, [=](glcore::GlesEngine& gl) { gl.glBlendColor(r, g, b, a); },
@@ -672,8 +648,6 @@ void glAttachShader(GLuint program, GLuint shader) {
   }, program, shader);
 }
 
-// Conservatively unbatched like glBlendColor above: a handle-only scalar
-// site the amendment pipeline can prove batch-safe from a corpus.
 void glDetachShader(GLuint program, GLuint shader) {
   IOS_GL(glDetachShader);
   dispatch(entry, [=](glcore::GlesEngine& gl) {

@@ -1,6 +1,5 @@
 #include "iosurface/iosurface.h"
 
-#include "core/batch.h"
 #include "core/diplomat.h"
 #include "core/impersonation.h"
 #include "core/session.h"
@@ -264,11 +263,10 @@ Status IOSurfaceLock(const IOSurfaceRef& surface, std::uint32_t options) {
       "IOSurfaceLock", core::DiplomatPattern::kMulti);
   // Coalesces the §6.2 disassociation dance (save binding + rebind to the
   // single-pixel buffer + restore + EGLImage teardown) plus the CPU lock.
-  return core::multi_diplomat_call(
-      entry, graphics_hooks(), /*coalesced_calls=*/4, [&] {
-        return LinuxCoreSurface::instance().lock(
-            surface, (options & kIOSurfaceLockReadOnly) != 0);
-      });
+  return core::diplomat_call(entry, graphics_hooks(), [&] {
+    return LinuxCoreSurface::instance().lock(
+        surface, (options & kIOSurfaceLockReadOnly) != 0);
+  });
 }
 
 Status IOSurfaceUnlock(const IOSurfaceRef& surface) {
@@ -276,8 +274,8 @@ Status IOSurfaceUnlock(const IOSurfaceRef& surface) {
       "IOSurfaceUnlock", core::DiplomatPattern::kMulti);
   // Coalesces the CPU unlock plus the §6.2 re-association (new EGLImage +
   // save binding + rebind + restore).
-  return core::multi_diplomat_call(
-      entry, graphics_hooks(), /*coalesced_calls=*/4,
+  return core::diplomat_call(
+      entry, graphics_hooks(),
       [&] { return LinuxCoreSurface::instance().unlock(surface); });
 }
 

@@ -140,12 +140,6 @@ void Kernel::set_persona_direct(Persona persona) {
   current_thread().persona_ = persona;
 }
 
-void Kernel::abort_persona_batch(Persona persona) {
-  ThreadState& thread = current_thread();
-  thread.batch_token_ = 0;
-  thread.persona_ = persona;
-}
-
 std::int32_t Kernel::translate_foreign_sysno(std::int32_t foreign) const {
   auto it = std::lower_bound(
       foreign_sysno_table_.begin(), foreign_sysno_table_.end(),
@@ -265,33 +259,6 @@ long Kernel::dispatch(ThreadState& thread, std::int32_t native_sysno,
     case Sys::kYield:
       std::this_thread::yield();
       return 0;
-    case Sys::kSetPersonaBatch: {
-      const auto persona = args.reg[0];
-      const std::uint64_t token = args.reg[1];
-      if (persona >= kNumPersonas) return kErrInval;
-      if (token == 0) {
-        // Open: one batch per thread; nesting is a caller bug.
-        if (thread.batch_token_ != 0) return kErrInval;
-        // Probed after validation, like kSetPersona: an injected fault is a
-        // transient kernel-side failure of a well-formed crossing.
-        static util::FaultPoint& fault =
-            util::FaultRegistry::instance().point("kernel.set_persona");
-        if (fault.should_fail()) return kErrAgain;
-        const std::uint64_t minted = next_batch_token_.fetch_add(1);
-        thread.batch_saved_persona_ = thread.persona_;
-        thread.persona_ = static_cast<Persona>(persona);
-        thread.batch_token_ = minted;
-        return static_cast<long>(minted);
-      }
-      // Close: the token must match the thread's open batch.
-      if (thread.batch_token_ != token) return kErrInval;
-      static util::FaultPoint& close_fault =
-          util::FaultRegistry::instance().point("kernel.set_persona");
-      if (close_fault.should_fail()) return kErrAgain;
-      thread.batch_token_ = 0;
-      thread.persona_ = static_cast<Persona>(persona);
-      return 0;
-    }
     case Sys::kCount:
       break;
   }
@@ -459,39 +426,6 @@ long sys_set_persona(Persona persona) {
   SyscallArgs args;
   args.reg[0] = static_cast<std::uint64_t>(persona);
   return Kernel::instance().syscall(Sys::kSetPersona, args);
-}
-
-long sys_persona_batch_begin(Persona target) {
-  TRACE_SCOPE("persona", "persona_batch_begin");
-  // A batch crossing is still one persona switch each way; the amortization
-  // shows up as N diplomat calls sharing these two bumps.
-  static trace::Counter& switches =
-      trace::MetricsRegistry::instance().counter("persona.switches");
-  static trace::Counter& crossings =
-      trace::MetricsRegistry::instance().counter("persona.batch.crossings");
-  SyscallArgs args;
-  args.reg[0] = static_cast<std::uint64_t>(target);
-  args.reg[1] = 0;  // open
-  const long ret = Kernel::instance().syscall(Sys::kSetPersonaBatch, args);
-  if (ret > 0) {
-    switches.add();
-    crossings.add();
-  }
-  return ret;
-}
-
-long sys_persona_batch_end(std::uint64_t token, Persona restore,
-                           int replayed_calls) {
-  TRACE_SCOPE("persona", "persona_batch_end");
-  static trace::Counter& switches =
-      trace::MetricsRegistry::instance().counter("persona.switches");
-  SyscallArgs args;
-  args.reg[0] = static_cast<std::uint64_t>(restore);
-  args.reg[1] = token;
-  args.reg[2] = static_cast<std::uint64_t>(replayed_calls);
-  const long ret = Kernel::instance().syscall(Sys::kSetPersonaBatch, args);
-  if (ret == 0) switches.add();
-  return ret;
 }
 
 long sys_impersonate(Tid target) {

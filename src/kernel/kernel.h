@@ -76,10 +76,6 @@ class ThreadState {
   // The identity the thread presents to libraries; differs from tid() while
   // the thread impersonates another thread.
   Tid effective_tid() const { return effective_tid_; }
-  // Nonzero while a batched persona crossing is open on this thread (the
-  // token sys_persona_batch_begin returned); 0 otherwise.
-  std::uint64_t persona_batch_token() const { return batch_token_; }
-
   // Per-persona errno, converted across the ABI boundary by diplomats.
   long persona_errno(Persona persona) const {
     return errno_[static_cast<int>(persona)];
@@ -96,8 +92,6 @@ class ThreadState {
   Persona persona_;
   const Persona initial_persona_ = persona_;
   Tid effective_tid_;
-  std::uint64_t batch_token_ = 0;
-  Persona batch_saved_persona_ = Persona::kAndroid;
   std::array<long, kNumPersonas> errno_{};
   std::array<TlsArea, kNumPersonas> tls_;
   // Guards TLS areas for cross-thread access via locate/propagate_tls.
@@ -146,12 +140,6 @@ class Kernel {
   // bounded retries so an injected fault can never leave a thread stuck in
   // the wrong persona; normal crossings must go through sys_set_persona.
   void set_persona_direct(Persona persona);
-
-  // Last-resort close of an open batched crossing, mirroring
-  // set_persona_direct: clears the caller's crossing token and restores
-  // `persona` without going through the (injectable) trap path. Used by the
-  // batch recorder's abort path only.
-  void abort_persona_batch(Persona persona);
 
   // --- TLS keys (shared by both personas' libc, as in Cycada) -----------
   StatusOr<TlsKey> tls_key_create();
@@ -202,10 +190,6 @@ class Kernel {
   // Sorted (foreign, native) pairs; binary-searched on every foreign trap.
   std::vector<std::pair<std::int32_t, std::int32_t>> foreign_sysno_table_;
 
-  // Crossing-token mint for kSetPersonaBatch; tokens are process-unique and
-  // never 0 (0 means "open a batch" in the ABI).
-  std::atomic<std::uint64_t> next_batch_token_{1};
-
   mutable util::OrderedMutex keys_mutex_{util::LockLevel::kKernelKeys,
                                          "kernel.keys"};
   std::array<bool, kMaxTlsSlots> key_in_use_{};
@@ -233,15 +217,6 @@ long sys_locate_tls(Tid tid, Persona persona, const TlsKey* keys, void** values,
 // Writes `count` TLS values into (`tid`, `persona`).
 long sys_propagate_tls(Tid tid, Persona persona, const TlsKey* keys,
                        void* const* values, int count);
-// Opens a batched persona crossing: switches the calling thread to `target`
-// and returns a nonzero crossing token (or a negative errno). Exactly one
-// batch may be open per thread.
-long sys_persona_batch_begin(Persona target);
-// Closes the batched crossing `token` opened by sys_persona_batch_begin,
-// restoring `restore` as the thread's persona. `replayed_calls` is the
-// number of diplomat calls the batch amortized (kernel-side accounting).
-long sys_persona_batch_end(std::uint64_t token, Persona restore,
-                           int replayed_calls);
 
 // RAII persona switch: issues set_persona on construction and restores the
 // previous persona on destruction. The building block of diplomats.

@@ -21,11 +21,6 @@ enum class Sys : std::int32_t {
   kImpersonate = 5,   // set/clear the caller's effective tid
   kGetPid = 6,
   kYield = 7,
-  // One crossing brackets N diplomat calls (the multi-diplomat command
-  // buffer): arg0 = target persona, arg1 = 0 to open (returns a nonzero
-  // crossing token) or the token to close, arg2 = replayed-call count on
-  // close (accounting only).
-  kSetPersonaBatch = 8,
   kCount,
 };
 

@@ -22,6 +22,15 @@ std::uint32_t capture_tid() {
   return tid;
 }
 
+// Scalar arguments staged by the GL dispatch layer for the next diplomat
+// event on this thread.
+struct CytStagedArgs {
+  double args[kCytMaxArgs] = {};
+  std::uint8_t count = 0;
+  bool void_return = false;
+  bool armed = false;  // set by capture_stage_args, cleared on consumption
+};
+
 // Per-thread annotation state stamped onto every event this thread records.
 struct CaptureTls {
   std::uint64_t context_id = 0;
@@ -195,7 +204,6 @@ StatusOr<ParsedTrace> read_cyt(const std::string& path) {
     def.name.assign(record.name,
                     strnlen(record.name, sizeof(record.name)));
     def.pattern = record.kind;
-    def.batchable = (record.flags & kCytDefFlagBatchable) != 0;
     trace.defs.emplace(record.id, std::move(def));
   }
   return trace;
@@ -246,29 +254,18 @@ void capture_stage_args(const double* args, int count, bool void_return) {
   staged.armed = true;
 }
 
-CytStagedArgs capture_take_staged() {
-  CytStagedArgs& staged = capture_tls().staged;
-  CytStagedArgs out = staged;
-  staged = CytStagedArgs{};
-  return out;
-}
-
 void capture_diplomat_event(CytEventKind kind, std::uint32_t id,
                             std::string_view name, std::uint8_t pattern,
-                            bool batchable, std::uint8_t persona,
-                            std::uint32_t aux, std::uint8_t reason,
-                            const CytStagedArgs* explicit_args,
+                            std::uint8_t persona, std::uint32_t aux,
                             std::int64_t timestamp_ns) {
   TraceRecorder& recorder = TraceRecorder::instance();
   CaptureTls& tls = capture_tls();
   // Consume the staging only when armed: the common no-args event skips
   // the 64-byte copy-and-clear entirely.
-  CytStagedArgs taken;
-  const CytStagedArgs* staged = explicit_args;
-  if (staged == nullptr && tls.staged.armed) {
-    taken = tls.staged;
+  CytStagedArgs staged;
+  if (tls.staged.armed) {
+    staged = tls.staged;
     tls.staged = CytStagedArgs{};
-    staged = &taken;
   }
   if (!recorder.active()) return;
   if (timestamp_ns == 0) timestamp_ns = coarse_now_ns(tls);
@@ -277,7 +274,6 @@ void capture_diplomat_event(CytEventKind kind, std::uint32_t id,
     CytRecord def = cyt_zero_record();
     def.type = static_cast<std::uint8_t>(CytRecordType::kDef);
     def.kind = pattern;
-    def.flags = batchable ? kCytDefFlagBatchable : 0;
     def.id = id;
     def.tid = capture_tid();
     def.timestamp_ns = timestamp_ns;
@@ -291,20 +287,19 @@ void capture_diplomat_event(CytEventKind kind, std::uint32_t id,
   event.type = static_cast<std::uint8_t>(CytRecordType::kEvent);
   event.kind = static_cast<std::uint8_t>(kind);
   event.persona = persona;
-  const bool armed = staged != nullptr && staged->armed;
   std::uint8_t flags = 0;
   if (tls.impersonating) flags |= kCytFlagImpersonating;
-  if (armed && staged->void_return) flags |= kCytFlagVoidReturn;
-  if (armed && staged->count > 0) flags |= kCytFlagScalarArgs;
-  event.flags = cyt_pack_flush_reason(flags, reason);
+  if (staged.armed && staged.void_return) flags |= kCytFlagVoidReturn;
+  if (staged.armed && staged.count > 0) flags |= kCytFlagScalarArgs;
+  event.flags = flags;
   event.id = id;
   event.tid = capture_tid();
   event.aux = aux;
   event.timestamp_ns = timestamp_ns;
   event.context_id = tls.context_id;
-  if (armed) {
-    for (int i = 0; i < kCytMaxArgs; ++i) event.args[i] = staged->args[i];
-    event.arg_count = staged->count;
+  if (staged.armed) {
+    for (int i = 0; i < kCytMaxArgs; ++i) event.args[i] = staged.args[i];
+    event.arg_count = staged.count;
   }
   recorder.push(event);
 }

@@ -1,11 +1,11 @@
 // The .cyt trace format and the process's one event recorder.
 //
 // A .cyt file is a machine-replayable record of every diplomat crossing:
-// diplomat id/name/pattern, direction (caller persona), thread, batch
-// membership, EAGLContext + impersonation annotations, monotonic
-// timestamps and scalar arguments. tools/cycada_replay re-drives a captured
-// stream through the real dispatch/batch/persona machinery as load, and
-// analyze::check_trace mines it for classification errors (docs/TRACING.md).
+// diplomat id/name/pattern, direction (caller persona), thread,
+// EAGLContext + impersonation annotations, monotonic timestamps and scalar
+// arguments. tools/cycada_replay re-drives a captured stream through the
+// real dispatch/persona machinery as load, and analyze::check_trace mines
+// it for classification errors (docs/TRACING.md).
 // The human timeline rides in the same file: TRACE_SCOPE / TRACE_INSTANT
 // (trace/trace.h) write span and instant records into the same per-thread
 // chunks, and chrome_trace_json() exports them for chrome://tracing.
@@ -14,9 +14,9 @@
 //   CytHeader   32 bytes   magic "CYTR", version, record size, start time
 //   CytRecord × N, 128 bytes each, fixed size (version 1)
 //   CytFooter   32 bytes   magic "RTYC", record count, FNV-1a checksum
-// Records are either defs (first sighting of a diplomat id: name, pattern,
-// batchable bit) or events (one crossing / marker / span). Defs are inline —
-// a trace is self-describing and needs no side table.
+// Records are either defs (first sighting of a diplomat id: name, pattern)
+// or events (one crossing / marker / span). Defs are inline — a trace is
+// self-describing and needs no side table.
 //
 // The recorder gives every producing thread its own chunk of records
 // (claimed from a preallocated pool under a mutex once per kRecordsPerChunk
@@ -56,19 +56,20 @@ inline constexpr std::uint32_t kCytMarkerId = 0xfffffffeu;
 inline constexpr std::uint32_t kCytSpanId = 0xfffffffdu;
 
 enum class CytRecordType : std::uint8_t {
-  kDef = 1,    // kind = DiplomatPattern, name/batchable valid
+  kDef = 1,    // kind = DiplomatPattern, name valid
   kEvent = 2,  // kind = CytEventKind
 };
 
 enum class CytEventKind : std::uint8_t {
   kCall = 1,         // plain single-call diplomat procedure
   kSkip = 2,         // data-dependent call answered on the iOS side
-  kMulti = 3,        // kMulti coalescer (aux = coalesced Android calls)
-  kBatchedCall = 4,  // replayed from the command buffer under a shared
-                     // crossing (recorded at flush time, so a fault-aborted
-                     // batch leaves plain kCall records instead)
-  kBatchFlush = 5,   // one crossing closing a batch (aux = batch size,
-                     // flags high nibble = BatchFlushReason)
+  kMulti = 3,        // the same procedure on a kMulti diplomat
+  // Kinds 4 and 5 are legacy: older captures wrote them for calls that
+  // shared one crossing and for the crossing that closed the group. No
+  // build writes them; readers take a kBatchedCall as a plain call and
+  // skip a kBatchFlush.
+  kBatchedCall = 4,
+  kBatchFlush = 5,
   kContextSet = 6,   // EAGLContext made current (context_id = new context)
   kImpersonate = 7,  // thread impersonation started (aux=1) / ended (aux=0)
   kSpan = 8,         // TRACE_SCOPE span (timestamp = exact start, aux =
@@ -76,19 +77,11 @@ enum class CytEventKind : std::uint8_t {
   kInstant = 9,      // TRACE_INSTANT point event (exact timestamp)
 };
 
-// Event flags (low nibble). The high nibble of kBatchFlush events carries
-// the BatchFlushReason.
+// Event flags. Defs carry none; bit 0 of a def's flags (the batchable bit
+// of older captures) is ignored on read.
 inline constexpr std::uint8_t kCytFlagImpersonating = 1u << 0;
 inline constexpr std::uint8_t kCytFlagVoidReturn = 1u << 1;
 inline constexpr std::uint8_t kCytFlagScalarArgs = 1u << 2;
-// Def flags.
-inline constexpr std::uint8_t kCytDefFlagBatchable = 1u << 0;
-
-inline std::uint8_t cyt_pack_flush_reason(std::uint8_t flags,
-                                          std::uint8_t reason) {
-  return static_cast<std::uint8_t>((flags & 0x0fu) | (reason << 4));
-}
-inline std::uint8_t cyt_flush_reason(std::uint8_t flags) { return flags >> 4; }
 
 struct CytHeader {
   char magic[4];
@@ -107,7 +100,7 @@ struct CytRecord {
   std::uint8_t flags;
   std::uint32_t id;   // DiplomatId; kCytMarkerId for marker events
   std::uint32_t tid;  // capture-local thread ordinal
-  std::uint32_t aux;  // kind-specific (duration ns / batch size / ...)
+  std::uint32_t aux;  // kind-specific (duration ns / impersonation edge)
   std::int64_t timestamp_ns;
   std::uint64_t context_id;  // current EAGLContext identity, 0 = none
   double args[kCytMaxArgs];
@@ -142,8 +135,7 @@ inline bool cyt_is_span(const CytRecord& record) {
   return record.id == kCytSpanId;
 }
 // Crossing and marker events: the stream replay, the miner and the corpus
-// reader walk. Spans are left out, so a span never closes a batchable run
-// the way a context or impersonation marker does.
+// reader walk. Spans are left out.
 inline bool cyt_is_stream_event(const CytRecord& record) {
   return record.type == static_cast<std::uint8_t>(CytRecordType::kEvent) &&
          !cyt_is_span(record);
@@ -163,7 +155,6 @@ inline std::string_view cyt_span_name(const CytRecord& record) {
 struct CytDef {
   std::string name;
   std::uint8_t pattern = 0;  // core::DiplomatPattern numbering
-  bool batchable = false;
 };
 
 struct ParsedTrace {
@@ -205,31 +196,17 @@ inline bool spans_enabled() {
   return g_cyt_spans_enabled.load(std::memory_order_relaxed);
 }
 
-// Scalar arguments staged by the GL dispatch layer for the next diplomat
-// event on this thread. Batched calls take a copy at record time so the
-// event written at flush carries the arguments of ITS call, not whatever
-// the thread staged since.
-struct CytStagedArgs {
-  double args[kCytMaxArgs] = {};
-  std::uint8_t count = 0;
-  bool void_return = false;
-  bool armed = false;  // set by capture_stage_args, cleared on consumption
-};
-
+// Stages the scalar arguments of the GL call being dispatched for the next
+// diplomat event on this thread.
 void capture_stage_args(const double* args, int count, bool void_return);
-// Consumes and returns this thread's staged args (armed=false when none).
-CytStagedArgs capture_take_staged();
 
-// Records one diplomat event. `explicit_args` overrides the thread's staged
-// args (batch flush); nullptr consumes the staging. Emits the diplomat's
-// def record inline on its first appearance in the capture. Callers that
-// already hold a fresh now_ns() pass it as `timestamp_ns` to spare the hot
-// path a second clock read; 0 reads the clock here.
+// Records one diplomat event, consuming the thread's staged args. Emits the
+// diplomat's def record inline on its first appearance in the capture.
+// Callers that already hold a fresh now_ns() pass it as `timestamp_ns` to
+// spare the hot path a second clock read; 0 reads the clock here.
 void capture_diplomat_event(CytEventKind kind, std::uint32_t id,
                             std::string_view name, std::uint8_t pattern,
-                            bool batchable, std::uint8_t persona,
-                            std::uint32_t aux, std::uint8_t reason = 0,
-                            const CytStagedArgs* explicit_args = nullptr,
+                            std::uint8_t persona, std::uint32_t aux,
                             std::int64_t timestamp_ns = 0);
 
 // Annotation markers. They update the thread-local state stamped onto every

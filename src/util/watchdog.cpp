@@ -35,8 +35,6 @@ const char* watchdog_domain_name(WatchdogDomain domain) {
   switch (domain) {
     case WatchdogDomain::kGpuPhase: return "gpu_phase";
     case WatchdogDomain::kPresent: return "present";
-    case WatchdogDomain::kBatch: return "batch";
-    case WatchdogDomain::kCrossing: return "crossing";
     case WatchdogDomain::kEgl: return "egl";
     case WatchdogDomain::kCompositor: return "compositor";
     case WatchdogDomain::kCount: break;

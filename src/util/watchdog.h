@@ -1,9 +1,9 @@
 // Process-wide hang supervision for the bridge's supervised domains.
 //
 // Every mechanism the reproduction already has for surviving *errors*
-// (bounded retry + shared-fallback EGL, batch abort, serial-raster
-// degrade) is blind to a path that simply never returns: a stalled
-// persona crossing, a fence wait against a frame that never retires, a
+// (bounded retry + shared-fallback EGL, resilient persona switches,
+// serial-raster degrade) is blind to a path that simply never returns: a
+// stalled bridge init, a fence wait against a frame that never retires, a
 // tile phase whose helper went to sleep. The watchdog closes that class:
 //
 //   WATCHDOG_SCOPE(WatchdogDomain::kGpuPhase, kWatchdogGpuPhaseBudgetMs);
@@ -22,7 +22,6 @@
 //
 //   rung(kGpuPhase)   > 0  -> pipeline rasterizes serial, helpers retract
 //   rung(kPresent)    > 0  -> present waits shrink, timeouts force-retire
-//   rung(kCrossing)   > 0  -> batch_record flushes + declines (plain calls)
 //   rung(kEgl)        > 0  -> bridge init goes straight to shared fallback
 //
 // Hysteresis climbs back: note_frame() is called once per presented
@@ -60,8 +59,6 @@ namespace cycada::util {
 enum class WatchdogDomain : int {
   kGpuPhase = 0,  // tile pipeline bin/raster phase (docs/PIPELINE.md)
   kPresent,       // present-fence waits (GpuDevice::wait_fence_for)
-  kBatch,         // batched-crossing replay flush (src/core/batch.cpp)
-  kCrossing,      // persona crossing open/close brackets
   kEgl,           // bridge init ladder (src/ios_gl/egl_bridge.cpp)
   kCompositor,    // SurfaceFlinger composition handoff
   kCount,
@@ -74,8 +71,6 @@ const char* watchdog_domain_name(WatchdogDomain domain);
 // CYCADA_WATCHDOG_BUDGET_MS overrides all of them at once for tests.
 inline constexpr std::int64_t kWatchdogGpuPhaseBudgetMs = 1000;
 inline constexpr std::int64_t kWatchdogPresentBudgetMs = 2000;
-inline constexpr std::int64_t kWatchdogBatchBudgetMs = 500;
-inline constexpr std::int64_t kWatchdogCrossingBudgetMs = 250;
 inline constexpr std::int64_t kWatchdogEglBudgetMs = 1000;
 inline constexpr std::int64_t kWatchdogCompositorBudgetMs = 2000;
 

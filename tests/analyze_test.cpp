@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch.h"
 #include "core/classification.h"
 #include "core/diplomat.h"
 #include "core/impersonation.h"
@@ -20,6 +19,7 @@
 #include "glport/gl_port.h"
 #include "glport/system_config.h"
 #include "ios_gl/eagl.h"
+#include "ios_gl/egl_bridge.h"
 #include "ios_gl/gles.h"
 #include "kernel/kernel.h"
 #include "kernel/libc.h"
@@ -48,9 +48,6 @@ class AnalyzeTest : public ::testing::Test {
     while (core::GraphicsTlsTracker::instance().in_graphics_diplomat()) {
       core::GraphicsTlsTracker::instance().exit_graphics_diplomat();
     }
-    // Seeded-misclassification fixtures install amendment overlays; a
-    // leaked overlay would fail the clean-tree lint/classify tests.
-    core::clear_classification_amendments();
   }
 };
 
@@ -204,6 +201,15 @@ TEST_F(AnalyzeTest, DetectsPersonaCrossingFromTileWorker) {
   }
   EXPECT_GT(crossings.value(), before);
 
+  // A multi diplomat crosses through the same procedure, so the same gate
+  // counts it: the diplomat itself plus its two persona switches.
+  const std::uint64_t before_multi = crossings.value();
+  {
+    util::ScopedThreadRole role(util::ThreadRole::kTileWorker);
+    (void)ios_gl::eglbridge::aegl_bridge_make_current(nullptr);
+  }
+  EXPECT_EQ(crossings.value(), before_multi + 3);
+
   Report report;
   check_pipeline_isolation(report);
   EXPECT_TRUE(report.has_rule("pipeline.worker-crossing"));
@@ -269,55 +275,6 @@ TEST_F(AnalyzeTest, DetectsClassificationMismatch) {
   EXPECT_TRUE(report.has_rule("diplomat.classification-mismatch") ||
               report.has_rule("diplomat.pattern-conflict") ||
               report.has_rule("diplomat.unimplemented-invoked"));
-}
-
-TEST_F(AnalyzeTest, BatchedWorkloadStaysClean) {
-  // A well-behaved batch — classifier-approved entries recorded under a
-  // scope and fully flushed — must produce no findings: the checker accepts
-  // preludes < domestic_calls for batchable entries (one library prelude
-  // per batch) and sees nothing pending at the quiescent point.
-  core::DiplomatEntry& entry =
-      make_entry("glEnable", core::DiplomatPattern::kDirect);
-  ASSERT_TRUE(entry.batchable);
-  {
-    core::BatchScope scope;
-    for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(core::batch_record(entry, {}, [] {}));
-    }
-  }
-  Report report;
-  check_diplomat_contracts(report);
-  if (!report.clean()) report.print(std::cerr);
-  EXPECT_TRUE(report.clean());
-}
-
-TEST_F(AnalyzeTest, DetectsIllegalBatchedCall) {
-  // Batched evidence on an entry the classifier never approved (and that is
-  // not a kMulti coalescer) means a call site smuggled a non-batchable
-  // diplomat into a command buffer.
-  core::DiplomatEntry& entry =
-      make_entry("test_never_batch", core::DiplomatPattern::kDirect);
-  ASSERT_FALSE(entry.batchable);
-  entry.calls.fetch_add(1);
-  entry.contract.domestic_calls.fetch_add(1);
-  entry.contract.batched_calls.fetch_add(1);
-
-  Report report;
-  check_diplomat_contracts(report);
-  EXPECT_TRUE(report.has_rule("batch.illegal-batched-call"));
-}
-
-TEST_F(AnalyzeTest, DetectsUnflushedBatchAtExit) {
-  core::DiplomatEntry& entry =
-      make_entry("glEnable", core::DiplomatPattern::kDirect);
-  core::BatchScope scope;
-  ASSERT_TRUE(core::batch_record(entry, {}, [] {}));
-  // A quiescent point with a call still queued: the foreign caller believes
-  // that GL call happened, but it never replayed.
-  Report report;
-  check_diplomat_contracts(report);
-  EXPECT_TRUE(report.has_rule("batch.unflushed-at-exit"));
-  // The scope destructor flushes it; a re-check comes back clean.
 }
 
 // --- Lock-order violations (seeded) -----------------------------------------
@@ -541,37 +498,6 @@ TEST_F(AnalyzeTest, LintFlagsBareAllowMarkerAndKeepsChecking) {
   EXPECT_TRUE(reasoned.clean());
 }
 
-TEST_F(AnalyzeTest, LintFlagsRefCaptureInBatchableDispatchSite) {
-  const std::string site =
-      "void glClearColor(GLclampf r, GLclampf g, GLclampf b, GLclampf a) {\n"
-      "  IOS_GL(glClearColor);\n"
-      "  dispatch(entry, [&](glcore::GlesEngine& gl) {\n"
-      "    gl.glClearColor(r, g, b, a);\n"
-      "  });\n"
-      "}\n";
-  Report report;
-  lint_source_file("src/ios_gl/rogue.cpp", site, report);
-  EXPECT_TRUE(report.has_rule("lint.batch-capture-by-ref"));
-
-  // The same shape on a non-batchable diplomat (glGetIntegerv is a
-  // readback) is the immediate path working as designed.
-  Report readback;
-  lint_source_file("src/ios_gl/fine.cpp",
-                   "void glGetIntegerv(GLenum pname, GLint* params) {\n"
-                   "  IOS_GL(glGetIntegerv);\n"
-                   "  dispatch(entry, [&](glcore::GlesEngine& gl) {\n"
-                   "    gl.glGetIntegerv(pname, params);\n"
-                   "  });\n"
-                   "}\n",
-                   readback);
-  EXPECT_TRUE(readback.clean());
-
-  // Outside ios_gl/ the rule never applies.
-  Report elsewhere;
-  lint_source_file("src/glcore/engine.cpp", site, elsewhere);
-  EXPECT_TRUE(elsewhere.clean());
-}
-
 TEST_F(AnalyzeTest, LintFlagsUnboundedWaitInSupervisedDomains) {
   // A bare .wait( in a watchdog-supervised directory can hang forever on a
   // stalled producer — the watchdog can flag the scope but nothing inside
@@ -635,74 +561,7 @@ TEST(ClassificationTest, FunctionsWithPatternRoundTrip) {
   EXPECT_EQ(total, 344);
 }
 
-TEST(ClassificationTest, EveryBatchableNameClassifiesDirect) {
-  int batchable = 0;
-  for (const core::DiplomatPattern pattern :
-       {core::DiplomatPattern::kDirect, core::DiplomatPattern::kIndirect,
-        core::DiplomatPattern::kDataDependent, core::DiplomatPattern::kMulti,
-        core::DiplomatPattern::kUnimplemented}) {
-    for (const std::string& name : core::functions_with_pattern(pattern)) {
-      if (!core::classify_ios_gl_batchable(name)) continue;
-      EXPECT_EQ(core::classify_ios_gl_function(name),
-                core::DiplomatPattern::kDirect)
-          << name;
-      ++batchable;
-    }
-  }
-  EXPECT_GT(batchable, 50);
-}
-
-// --- Classification amendments -----------------------------------------------
-
-TEST_F(AnalyzeTest, AmendmentParseAcceptsHeaderDirectivesAndComments) {
-  auto parsed = core::parse_classification_amendments(
-      std::string(core::kClassificationAmendmentsHeader) +
-      "\n# a comment\n"
-      "batchable glBlendColor  # corpus evidence\n"
-      "batchable glSampleCoverage\n");
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed->batchable,
-            (std::vector<std::string>{"glBlendColor", "glSampleCoverage"}));
-}
-
-TEST_F(AnalyzeTest, AmendmentParseRejectsBadInput) {
-  // Missing header.
-  EXPECT_FALSE(
-      core::parse_classification_amendments("batchable glBlendColor\n")
-          .is_ok());
-  // Empty file.
-  EXPECT_FALSE(core::parse_classification_amendments("").is_ok());
-  const std::string header(core::kClassificationAmendmentsHeader);
-  // Unknown directive.
-  EXPECT_FALSE(
-      core::parse_classification_amendments(header + "\nskip glEnable\n")
-          .is_ok());
-  // Trailing garbage after the name.
-  EXPECT_FALSE(core::parse_classification_amendments(
-                   header + "\nbatchable glEnable glDisable\n")
-                   .is_ok());
-  // Only direct diplomats may be amended: glGetString is data-dependent.
-  EXPECT_FALSE(
-      core::parse_classification_amendments(header +
-                                            "\nbatchable glGetString\n")
-          .is_ok());
-}
-
-TEST_F(AnalyzeTest, AmendmentOverlayWidensTheBatchableSet) {
-  // glBlendColor is direct but conservatively out of the hand table.
-  EXPECT_FALSE(core::classify_ios_gl_batchable("glBlendColor"));
-  core::set_classification_amendments({{"glBlendColor"}});
-  EXPECT_TRUE(core::classify_ios_gl_batchable("glBlendColor"));
-  EXPECT_TRUE(core::classification_amended("glBlendColor"));
-  // Hand-table entries are untouched, and the overlay cannot widen
-  // non-direct patterns (classify_ios_gl_batchable gates on the pattern).
-  EXPECT_TRUE(core::classify_ios_gl_batchable("glClearColor"));
-  EXPECT_FALSE(core::classification_amended("glClearColor"));
-  core::clear_classification_amendments();
-  EXPECT_FALSE(core::classify_ios_gl_batchable("glBlendColor"));
-}
-
-// --- Classification prover ---------------------------------------------------
+// --- Classification check ----------------------------------------------------
 
 std::string real_gles_source() {
   std::ifstream file(CYCADA_SOURCE_DIR "/src/ios_gl/gles.cpp");
@@ -761,16 +620,12 @@ TEST_F(AnalyzeTest, ClassifyScannerExtractsSiteFacts) {
 
   EXPECT_EQ(sites[0].name, "glEnable");
   EXPECT_EQ(sites[0].declared, core::DiplomatPattern::kDirect);
-  EXPECT_TRUE(sites[0].void_return);
-  EXPECT_FALSE(sites[0].pointer_args);
-  EXPECT_TRUE(sites[0].capture_by_value);
-  EXPECT_FALSE(sites[0].capture_by_ref);
+  EXPECT_FALSE(sites[0].has_skip);
   EXPECT_FALSE(sites[0].redirect);
 
   EXPECT_EQ(sites[1].name, "glGetIntegerv");
-  EXPECT_TRUE(sites[1].pointer_args);
-  EXPECT_TRUE(sites[1].capture_by_ref);
-  EXPECT_FALSE(sites[1].capture_by_value);
+  EXPECT_EQ(sites[1].line, 10);
+  EXPECT_FALSE(sites[1].redirect);
 
   EXPECT_EQ(sites[2].name, "glSetFenceAPPLE");
   EXPECT_EQ(sites[2].declared, core::DiplomatPattern::kIndirect);
@@ -817,122 +672,64 @@ TEST_F(AnalyzeTest, ClassifyFlagsSignatureMismatches) {
   EXPECT_TRUE(report.has_rule("classify.signature-mismatch"));
 }
 
-TEST_F(AnalyzeTest, ClassifyFlagsBatchableUnsafeSite) {
-  // glClearColor is classifier-batchable; a reference-capturing, non-void
-  // site contradicts everything batching assumes about it.
-  Report report;
-  check_classification(
-      "src/ios_gl/rogue.cpp",
-      "GLenum glClearColor(GLclampf r, GLclampf g, GLclampf b, GLclampf a) "
-      "{\n"
-      "  IOS_GL(glClearColor);\n"
-      "  dispatch(entry, [&](glcore::GlesEngine& gl) {\n"
-      "    gl.glClearColor(r, g, b, a);\n"
-      "  });\n"
-      "  return glcore::GL_NO_ERROR;\n"
-      "}\n",
-      {}, report);
-  EXPECT_TRUE(report.has_rule("classify.batchable-unsafe"));
-}
-
 TEST_F(AnalyzeTest, ClassifyFlagsCorpusContradictions) {
-  // A corpus whose defs/events disagree with this build's classifier:
-  // glClear recorded as batchable=false, a batched crossing on
-  // glBlendColor (classifier-rejected), and a non-void observed call on
-  // batchable glClearColor.
+  // A corpus whose defs disagree with this build's classifier: glClear
+  // recorded as indirect and glDeleteTextures (multi in Table 2) recorded
+  // as direct. glEnable is recorded right, and its legacy batched-call
+  // record is read as a plain call, not as a contradiction.
   const trace::ParsedTrace trace = synthetic_trace(
-      {{"glClear", static_cast<std::uint8_t>(core::DiplomatPattern::kDirect),
-        false},
-       {"glBlendColor",
-        static_cast<std::uint8_t>(core::DiplomatPattern::kDirect), false},
-       {"glClearColor",
-        static_cast<std::uint8_t>(core::DiplomatPattern::kDirect), true}},
-      {synthetic_event(1, trace::CytEventKind::kCall,
-                       trace::kCytFlagVoidReturn | trace::kCytFlagScalarArgs),
-       synthetic_event(2, trace::CytEventKind::kBatchedCall,
-                       trace::kCytFlagVoidReturn | trace::kCytFlagScalarArgs),
-       synthetic_event(3, trace::CytEventKind::kCall,
-                       trace::kCytFlagScalarArgs)});
+      {{"glClear",
+        static_cast<std::uint8_t>(core::DiplomatPattern::kIndirect)},
+       {"glDeleteTextures",
+        static_cast<std::uint8_t>(core::DiplomatPattern::kDirect)},
+       {"glEnable", static_cast<std::uint8_t>(core::DiplomatPattern::kDirect)}},
+      {synthetic_event(1, trace::CytEventKind::kCall, 0),
+       synthetic_event(2, trace::CytEventKind::kCall, 0),
+       synthetic_event(3, trace::CytEventKind::kBatchedCall,
+                       trace::kCytFlagVoidReturn | trace::kCytFlagScalarArgs)});
   Report report;
   check_classification("src/ios_gl/gles.cpp", real_gles_source(), {&trace},
                        report);
   const auto findings = report.by_checker("classify");
-  EXPECT_EQ(findings.size(), 3u);
+  EXPECT_EQ(findings.size(), 2u);
   for (const Finding& finding : findings) {
     EXPECT_EQ(finding.rule, "classify.corpus-contradiction") << finding.subject;
+    EXPECT_NE(finding.subject, "glEnable");
   }
 }
 
 TEST_F(AnalyzeTest, SeededMisclassificationCaughtByBothSources) {
-  // Seed a false batchable bit: amend glDrawArrays (direct, but its real
-  // site is the immediate [&] path — draws consume client-array pointers).
-  core::set_classification_amendments({{"glDrawArrays"}});
-
-  // Source A: the static scanner catches it against the real tree.
+  // Seed one misclassification into both sources: glDrawArrays (direct in
+  // Table 2) behaves like a data-dependent diplomat.
+  // Source A: a copy of the real dispatch sites whose glDrawArrays site
+  // answers on the iOS side.
+  std::string source = real_gles_source();
+  const std::string marker = std::string("IOS_") + "GL(glDrawArrays);";
+  const std::size_t site = source.find(marker);
+  ASSERT_NE(site, std::string::npos);
+  source.insert(site + marker.size(), "\n  diplomat_skip(entry);");
   Report static_report;
-  check_classification("src/ios_gl/gles.cpp", real_gles_source(), {},
-                       static_report);
+  check_classification("src/ios_gl/gles.cpp", source, {}, static_report);
   bool static_caught = false;
   for (const Finding& finding : static_report.by_checker("classify")) {
-    if (finding.rule == "classify.batchable-unsafe" &&
+    if (finding.rule == "classify.signature-mismatch" &&
         finding.message.find("glDrawArrays") != std::string::npos) {
       static_caught = true;
     }
   }
   EXPECT_TRUE(static_caught);
+  EXPECT_EQ(static_report.by_checker("classify").size(), 1u);
 
-  // The batch-capture source lint is a second, independent static catch.
-  Report lint_report;
-  lint_source_file("src/ios_gl/gles.cpp", real_gles_source(), lint_report);
-  EXPECT_TRUE(lint_report.has_rule("lint.batch-capture-by-ref"));
-
-  // Source B: a corpus recorded by an honest build (batchable=false, as
-  // the capture layer wrote it) contradicts the seeded classifier.
+  // Source B: a corpus recorded by a build that classified glDrawArrays as
+  // data-dependent contradicts this build's classifier.
   const trace::ParsedTrace trace = synthetic_trace(
       {{"glDrawArrays",
-        static_cast<std::uint8_t>(core::DiplomatPattern::kDirect), false}},
-      {synthetic_event(1, trace::CytEventKind::kCall,
-                       trace::kCytFlagVoidReturn)});
+        static_cast<std::uint8_t>(core::DiplomatPattern::kDataDependent)}},
+      {synthetic_event(1, trace::CytEventKind::kSkip, 0)});
   Report corpus_report;
   check_classification("src/ios_gl/gles.cpp", real_gles_source(), {&trace},
                        corpus_report);
   EXPECT_TRUE(corpus_report.has_rule("classify.corpus-contradiction"));
-
-  core::clear_classification_amendments();
-}
-
-TEST_F(AnalyzeTest, ClassifyProvesAmendmentsOverTheGoldenCorpus) {
-  // The committed golden corpus + the real dispatch sites must agree on
-  // the two deliberately-conservative diplomats and prove them by replay;
-  // glDetachShader stays below the confidence threshold.
-  auto passmark =
-      trace::read_cyt(CYCADA_SOURCE_DIR "/tests/data/golden_passmark.cyt");
-  ASSERT_TRUE(passmark.is_ok()) << passmark.status().to_string();
-
-  Report report;
-  const ClassifyAudit audit = check_classification(
-      "src/ios_gl/gles.cpp", real_gles_source(), {&*passmark}, report);
-  if (!report.clean()) report.print(std::cerr);
-  EXPECT_TRUE(report.clean());
-
-  std::vector<std::string> proposed;
-  for (const AmendmentProposal& proposal : audit.proposals) {
-    EXPECT_TRUE(proposal.replay_proved) << proposal.name;
-    EXPECT_GE(proposal.corpus_occurrences, 8u) << proposal.name;
-    proposed.push_back(proposal.name);
-  }
-  EXPECT_EQ(proposed,
-            (std::vector<std::string>{"glBlendColor", "glSampleCoverage"}));
-
-  // The prover's replay proof restores the pre-existing overlay.
-  EXPECT_FALSE(core::classify_ios_gl_batchable("glBlendColor"));
-
-  // The rendered file round-trips through the runtime loader's parser.
-  const std::string rendered =
-      render_classification_amendments(audit.proposals);
-  auto parsed = core::parse_classification_amendments(rendered);
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed->batchable, proposed);
 }
 
 // --- Session isolation (docs/SESSIONS.md) ----------------------------------

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -15,7 +16,6 @@
 #include "analyze/analyze.h"
 #include "android_gl/egl.h"
 #include "android_gl/vendor.h"
-#include "core/batch.h"
 #include "core/diplomat.h"
 #include "core/impersonation.h"
 #include "core/replay.h"
@@ -1158,18 +1158,17 @@ class RobustnessWatchdogTest : public ::testing::Test {
 TEST_F(RobustnessWatchdogTest, OverdueScopeEscalatesAndCleanFramesRecover) {
   util::Watchdog& watchdog = util::Watchdog::instance();
   watchdog.set_budget_override_ms(10);
-  const std::uint64_t overdue_before = counter("watchdog.batch.overdue");
+  const std::uint64_t overdue_before = counter("watchdog.egl.overdue");
   const std::uint64_t up_before = counter("watchdog.rung_up");
   {
-    WATCHDOG_SCOPE(util::WatchdogDomain::kBatch,
-                   util::kWatchdogBatchBudgetMs);
+    WATCHDOG_SCOPE(util::WatchdogDomain::kEgl, util::kWatchdogEglBudgetMs);
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
   }
   // Whether the monitor or the destructor noticed first, exactly one side
   // escalated (flagged_serial dedup): one overdue event, one rung.
-  EXPECT_EQ(watchdog.rung(util::WatchdogDomain::kBatch), 1);
-  EXPECT_TRUE(watchdog.degraded(util::WatchdogDomain::kBatch));
-  EXPECT_EQ(counter("watchdog.batch.overdue"), overdue_before + 1);
+  EXPECT_EQ(watchdog.rung(util::WatchdogDomain::kEgl), 1);
+  EXPECT_TRUE(watchdog.degraded(util::WatchdogDomain::kEgl));
+  EXPECT_EQ(counter("watchdog.egl.overdue"), overdue_before + 1);
   EXPECT_EQ(counter("watchdog.rung_up"), up_before + 1);
 
   const std::uint64_t down_before = counter("watchdog.rung_down");
@@ -1177,10 +1176,10 @@ TEST_F(RobustnessWatchdogTest, OverdueScopeEscalatesAndCleanFramesRecover) {
   // then recovery_frames() consecutive clean frames drop one rung.
   watchdog.note_frame();
   for (int i = 0; i < watchdog.recovery_frames(); ++i) {
-    EXPECT_EQ(watchdog.rung(util::WatchdogDomain::kBatch), 1) << "frame " << i;
+    EXPECT_EQ(watchdog.rung(util::WatchdogDomain::kEgl), 1) << "frame " << i;
     watchdog.note_frame();
   }
-  EXPECT_EQ(watchdog.rung(util::WatchdogDomain::kBatch), 0);
+  EXPECT_EQ(watchdog.rung(util::WatchdogDomain::kEgl), 0);
   EXPECT_EQ(counter("watchdog.rung_down"), down_before + 1);
 }
 
@@ -1207,11 +1206,10 @@ TEST_F(RobustnessWatchdogTest, DisabledWatchdogMakesScopesNoOps) {
   watchdog.set_budget_override_ms(5);
   watchdog.set_enabled(false);
   {
-    WATCHDOG_SCOPE(util::WatchdogDomain::kBatch,
-                   util::kWatchdogBatchBudgetMs);
+    WATCHDOG_SCOPE(util::WatchdogDomain::kEgl, util::kWatchdogEglBudgetMs);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_EQ(watchdog.rung(util::WatchdogDomain::kBatch), 0);
+  EXPECT_EQ(watchdog.rung(util::WatchdogDomain::kEgl), 0);
   watchdog.set_enabled(true);
 }
 
@@ -1330,80 +1328,6 @@ TEST_F(RobustnessLadderTest, OverduePresentFenceForcesRetireAndDropsFrame) {
   EXPECT_TRUE(dev.destroy_target(target).is_ok());
 }
 
-TEST_F(RobustnessLadderTest, StalledBatchCrossingFallsBackToPlainCalls) {
-  util::Watchdog& watchdog = util::Watchdog::instance();
-  core::DiplomatEntry& entry = core::DiplomatRegistry::instance().entry(
-      "glEnable", core::DiplomatPattern::kDirect);
-  ASSERT_TRUE(entry.batchable);
-
-  watchdog.note_stall(util::WatchdogDomain::kCrossing);
-  const std::uint64_t fallback_before = counter("watchdog.batch.fallback");
-  {
-    core::BatchScope scope;
-    // Degraded crossing: stop amortizing, run ordered plain calls.
-    EXPECT_FALSE(core::batch_record(entry, {}, [] {}));
-    EXPECT_EQ(core::pending_batched_calls(), 0u);
-  }
-  EXPECT_EQ(counter("watchdog.batch.fallback"), fallback_before + 1);
-
-  // Hysteresis clears the rung and batching resumes.
-  run_clean_frames();
-  EXPECT_EQ(watchdog.rung(util::WatchdogDomain::kCrossing), 0);
-  {
-    core::BatchScope scope;
-    EXPECT_TRUE(core::batch_record(entry, {}, [] {}));
-    core::flush_current_batch(core::BatchFlushReason::kExplicit);
-  }
-}
-
-// The PR's regression pin: a batch whose close both FAILS and STALLS must
-// still restore the caller's persona inside a watchdog-backed bound — one
-// stalled attempt, not kCrossingRetries of them serialized back to back.
-TEST_F(RobustnessLadderTest, ForcedCloseStaysBoundedUnderStall) {
-  util::Watchdog& watchdog = util::Watchdog::instance();
-  util::FaultPoint& fault =
-      util::FaultRegistry::instance().point("kernel.set_persona");
-  const kernel::Persona caller =
-      kernel::Kernel::instance().current_thread().persona();
-
-  // Open a real crossing cleanly first; only the close is hostile.
-  const std::uint64_t token = core::detail::batched_crossing_begin();
-  ASSERT_NE(token, 0u);
-
-  fault.reset_stats();
-  watchdog.set_budget_override_ms(10);
-  ASSERT_TRUE(util::FaultRegistry::instance().configure(
-      "kernel.set_persona=stall:80,kernel.set_persona=every:1"));
-  const std::uint64_t bounded_before = counter("watchdog.close.bounded");
-  const std::uint64_t forced_before = counter("dispatch.batch.close_forced");
-  EXPECT_FALSE(core::detail::batched_crossing_end(token, caller, 1));
-  fault.disarm();
-  watchdog.set_budget_override_ms(0);
-
-  // Exactly one stalled+failed attempt burned the whole budget; the
-  // deadline then cut the retry loop and the (suppressed, so neither
-  // failable nor delayable) forced close repaired the persona.
-  EXPECT_EQ(fault.fires(), 1u);
-  EXPECT_EQ(fault.stalls(), 1u);
-  EXPECT_EQ(counter("watchdog.close.bounded"), bounded_before + 1);
-  EXPECT_EQ(counter("dispatch.batch.close_forced"), forced_before + 1);
-  EXPECT_EQ(kernel::Kernel::instance().current_thread().persona(), caller);
-
-  // The token was cleared: a fresh crossing opens and closes normally.
-  const std::uint64_t next = core::detail::batched_crossing_begin();
-  ASSERT_NE(next, 0u);
-  EXPECT_TRUE(core::detail::batched_crossing_end(next, caller, 1));
-  EXPECT_EQ(kernel::Kernel::instance().current_thread().persona(), caller);
-
-  analyze::Report report;
-  analyze::check_fault_safety(report);
-  EXPECT_TRUE(report.clean()) << [&report] {
-    std::ostringstream os;
-    report.print(os);
-    return os.str();
-  }();
-}
-
 TEST_F(RobustnessLadderTest, EglRungSendsInitStraightToSharedFallback) {
   util::Watchdog& watchdog = util::Watchdog::instance();
   watchdog.note_stall(util::WatchdogDomain::kEgl);
@@ -1430,66 +1354,108 @@ TEST_F(RobustnessLadderTest, EglRungSendsInitStraightToSharedFallback) {
   ios_gl::EAGLContext::clear_current_context();
 }
 
-// --- Trace capture under fault injection -------------------------------------
+// --- A multi diplomat under persona faults ----------------------------------
 
-// A batch whose crossing cannot open aborts to the plain single-call
-// procedure (batch_test.cpp pins the atomicity). The capture layer must
-// record what actually HAPPENED — four plain kCall records, no batched or
-// flush records — and replaying that faulted trace with faults off must
-// drive the live counters to exactly the same per-diplomat counts the
-// aborted run produced.
-TEST(TraceCaptureFaultTest, AbortedBatchCapturesAsPlainCallsAndReplaysTrue) {
+// Captures one call of `call` and returns the parsed trace.
+trace::ParsedTrace capture_one(const std::string& name,
+                               const std::function<void()>& call) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "cyt_" + name + ".cyt";
+  trace::TraceRecorder& recorder = trace::TraceRecorder::instance();
+  EXPECT_TRUE(recorder.start(path).is_ok());
+  call();
+  EXPECT_TRUE(recorder.stop().is_ok());
+  auto parsed = trace::read_cyt(path);
+  EXPECT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  return parsed.is_ok() ? *std::move(parsed) : trace::ParsedTrace{};
+}
+
+std::uint64_t count_kind(const trace::ParsedTrace& parsed,
+                         trace::CytEventKind kind) {
+  std::uint64_t count = 0;
+  for (const trace::CytRecord& record : parsed.records) {
+    if (trace::cyt_is_stream_event(record) &&
+        record.kind == static_cast<std::uint8_t>(kind)) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// A multi diplomat is one ordinary crossing pair around its several
+// Android calls. Clean, it costs exactly two persona switches and leaves
+// one kMulti record. With every set_persona failing, the resilient
+// procedure forces both switches: the domestic work still runs once, in
+// the Android persona, and the caller gets its persona back. The capture
+// records what happened, and replaying it with faults off drives the same
+// per-diplomat count.
+TEST(TraceCaptureFaultTest, MultiDiplomatCrossesOnceAndRecoversUnderFaults) {
   glport::apply_system_config(glport::SystemConfig::kCycadaIos);
   util::FaultRegistry::instance().disarm_all();
   core::DiplomatEntry& entry = core::DiplomatRegistry::instance().entry(
-      "glEnable", core::DiplomatPattern::kDirect);
+      "robustness.multi", core::DiplomatPattern::kMulti);
   util::FaultPoint& fault =
       util::FaultRegistry::instance().point("kernel.set_persona");
+  trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
+  trace::Counter& switches = metrics.counter("persona.switches");
+  trace::Counter& forced_enter =
+      metrics.counter("degrade.diplomat_enter_forced");
+  trace::Counter& forced_restore =
+      metrics.counter("degrade.diplomat_restore_forced");
+  const kernel::Persona caller =
+      kernel::Kernel::instance().current_thread().persona();
+  core::DiplomatHooks hooks;
+  hooks.prelude = [] {};
+  hooks.postlude = [] {};
+  int domestic_runs = 0;
+  kernel::Persona domestic_persona = caller;
+  const auto multi = [&] {
+    core::diplomat_call(entry, hooks, [&] {
+      ++domestic_runs;
+      domestic_persona = kernel::Kernel::instance().current_thread().persona();
+    });
+  };
 
-  const std::string path =
-      std::string(::testing::TempDir()) + "cyt_fault_abort.cyt";
-  trace::TraceRecorder& recorder = trace::TraceRecorder::instance();
-  ASSERT_TRUE(recorder.start(path).is_ok());
-  const std::uint64_t live_before = entry.calls.load();
-  {
-    core::BatchScope scope;
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(core::batch_record(entry, {}, [] {}));
-    }
-    // Every set_persona now fails: the crossing cannot open and the whole
-    // batch falls back to single calls, under capture.
-    fault.disarm();
+  // No fault.
+  const std::uint64_t calls_before = entry.calls.load();
+  const std::uint64_t preludes_before = entry.contract.preludes.load();
+  const std::uint64_t postludes_before = entry.contract.postludes.load();
+  const std::uint64_t domestic_before = entry.contract.domestic_calls.load();
+  const std::uint64_t switches_before = switches.value();
+  const trace::ParsedTrace clean = capture_one("multi_clean", multi);
+  EXPECT_EQ(switches.value() - switches_before, 2u);
+  EXPECT_EQ(entry.calls.load() - calls_before, 1u);
+  EXPECT_EQ(entry.contract.preludes.load() - preludes_before, 1u);
+  EXPECT_EQ(entry.contract.postludes.load() - postludes_before, 1u);
+  EXPECT_EQ(entry.contract.domestic_calls.load() - domestic_before, 1u);
+  EXPECT_EQ(count_kind(clean, trace::CytEventKind::kMulti), 1u);
+  EXPECT_EQ(count_kind(clean, trace::CytEventKind::kCall), 0u);
+
+  // Every set_persona fails.
+  const std::uint64_t enter_before = forced_enter.value();
+  const std::uint64_t restore_before = forced_restore.value();
+  const std::uint64_t faulted_calls_before = entry.calls.load();
+  domestic_runs = 0;
+  const trace::ParsedTrace faulted = capture_one("multi_faulted", [&] {
     fault.arm_every(1);
-    core::flush_current_batch(core::BatchFlushReason::kExplicit);
+    multi();
     fault.disarm();
-  }
-  const std::uint64_t live_calls = entry.calls.load() - live_before;
-  ASSERT_TRUE(recorder.stop().is_ok());
-  EXPECT_EQ(live_calls, 4u);
+  });
+  EXPECT_EQ(domestic_runs, 1);
+  EXPECT_EQ(domestic_persona, kernel::Persona::kAndroid);
+  EXPECT_EQ(kernel::Kernel::instance().current_thread().persona(), caller);
+  EXPECT_EQ(forced_enter.value(), enter_before + 1);
+  EXPECT_EQ(forced_restore.value(), restore_before + 1);
+  EXPECT_EQ(entry.calls.load() - faulted_calls_before, 1u);
+  EXPECT_EQ(count_kind(faulted, trace::CytEventKind::kMulti), 1u);
 
-  auto parsed = trace::read_cyt(path);
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  std::uint64_t plain = 0, batched = 0, flushes = 0;
-  for (const trace::CytRecord& record : parsed->records) {
-    if (record.type != static_cast<std::uint8_t>(trace::CytRecordType::kEvent))
-      continue;
-    switch (static_cast<trace::CytEventKind>(record.kind)) {
-      case trace::CytEventKind::kCall: ++plain; break;
-      case trace::CytEventKind::kBatchedCall: ++batched; break;
-      case trace::CytEventKind::kBatchFlush: ++flushes; break;
-      default: break;
-    }
-  }
-  EXPECT_EQ(plain, 4u);
-  EXPECT_EQ(batched, 0u);
-  EXPECT_EQ(flushes, 0u);
-
-  // Replay with faults off: same per-diplomat counters as the live run.
+  // Replay with faults off: the same per-diplomat count as the live run.
   const std::uint64_t replay_before = entry.calls.load();
-  auto stats = core::replay_trace(*parsed, {});
+  auto stats = core::replay_trace(faulted, {});
   ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
-  EXPECT_EQ(entry.calls.load() - replay_before, live_calls);
-  EXPECT_EQ(core::trace_call_counts(*parsed).at("glEnable"), live_calls);
+  EXPECT_EQ(entry.calls.load() - replay_before, 1u);
+  EXPECT_EQ(core::trace_call_counts(faulted).at("robustness.multi"), 1u);
+  EXPECT_EQ(stats->persona_switches, core::trace_expected_crossings(faulted));
 }
 
 }  // namespace

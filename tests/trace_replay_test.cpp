@@ -2,8 +2,9 @@
 // miner (analyze::check_trace, docs/TRACING.md): byte-identical round
 // trips, rejection of truncated/corrupt/wrong-version files with errors
 // that name the defect, capture→replay count fidelity, every seeded mining
-// rule, span records riding along without changing what replay and the
-// miner see, and the committed golden corpora.
+// rule, legacy batch records read as plain calls, span records riding
+// along without changing what replay and the miner see, and the committed
+// golden corpora.
 #include "core/replay.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "analyze/analyze.h"
-#include "core/batch.h"
 #include "core/diplomat.h"
 #include "glport/system_config.h"
 #include "passmark/passmark.h"
@@ -52,11 +52,10 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 trace::CytRecord make_def(std::uint32_t id, const char* name,
-                          DiplomatPattern pattern, bool batchable) {
+                          DiplomatPattern pattern) {
   trace::CytRecord def = trace::cyt_zero_record();
   def.type = static_cast<std::uint8_t>(trace::CytRecordType::kDef);
   def.kind = static_cast<std::uint8_t>(pattern);
-  def.flags = batchable ? trace::kCytDefFlagBatchable : 0;
   def.id = id;
   std::strncpy(def.name, name, trace::kCytNameChars - 1);
   return def;
@@ -74,10 +73,6 @@ trace::CytRecord make_event(std::uint32_t id, trace::CytEventKind kind,
   event.aux = aux;
   return event;
 }
-
-// Flags of a recorded batch-eligible plain call.
-constexpr std::uint8_t kEligible =
-    trace::kCytFlagVoidReturn | trace::kCytFlagScalarArgs;
 
 Status write_trace(const std::string& path,
                    const std::vector<trace::CytRecord>& records) {
@@ -129,12 +124,11 @@ TEST_F(TraceReplayTest, RecorderFileRoundTripsByteIdentical) {
   const std::string path = tmp_path("roundtrip");
   DiplomatEntry& enable =
       DiplomatRegistry::instance().entry("glEnable", DiplomatPattern::kDirect);
+  DiplomatEntry& multi = DiplomatRegistry::instance().entry(
+      "trace_replay_test.multi", DiplomatPattern::kMulti);
   capture(path, [&] {
-    {
-      BatchScope scope;
-      for (int i = 0; i < 3; ++i) ASSERT_TRUE(batch_record(enable, {}, [] {}));
-    }
-    diplomat_call(enable, {}, [] {});
+    for (int i = 0; i < 3; ++i) diplomat_call(enable, {}, [] {});
+    diplomat_call(multi, {}, [] {});
   });
 
   auto parsed = trace::read_cyt(path);
@@ -150,8 +144,7 @@ TEST_F(TraceReplayTest, RecorderFileRoundTripsByteIdentical) {
 
 TEST_F(TraceReplayTest, TruncatedFilesAreRejectedWithClearErrors) {
   const std::string path = tmp_path("trunc_src");
-  ASSERT_TRUE(write_trace(path, {make_def(1, "fn", DiplomatPattern::kDirect,
-                                          false),
+  ASSERT_TRUE(write_trace(path, {make_def(1, "fn", DiplomatPattern::kDirect),
                                  make_event(1, trace::CytEventKind::kCall)})
                   .is_ok());
   const std::string bytes = read_file(path);
@@ -181,8 +174,7 @@ TEST_F(TraceReplayTest, TruncatedFilesAreRejectedWithClearErrors) {
 
 TEST_F(TraceReplayTest, CorruptRecordFailsTheChecksum) {
   const std::string path = tmp_path("corrupt");
-  ASSERT_TRUE(write_trace(path, {make_def(1, "fn", DiplomatPattern::kDirect,
-                                          false),
+  ASSERT_TRUE(write_trace(path, {make_def(1, "fn", DiplomatPattern::kDirect),
                                  make_event(1, trace::CytEventKind::kCall)})
                   .is_ok());
   std::string bytes = read_file(path);
@@ -197,8 +189,7 @@ TEST_F(TraceReplayTest, CorruptRecordFailsTheChecksum) {
 
 TEST_F(TraceReplayTest, WrongVersionAndMagicAreRejected) {
   const std::string path = tmp_path("version");
-  ASSERT_TRUE(write_trace(path, {make_def(1, "fn", DiplomatPattern::kDirect,
-                                          false)})
+  ASSERT_TRUE(write_trace(path, {make_def(1, "fn", DiplomatPattern::kDirect)})
                   .is_ok());
   std::string bytes = read_file(path);
 
@@ -235,12 +226,12 @@ TEST_F(TraceReplayTest, ReplayReproducesCapturedCallCountsExactly) {
       "glGetString", DiplomatPattern::kDataDependent);
   DiplomatEntry& plain = DiplomatRegistry::instance().entry(
       "trace_replay_test.plain", DiplomatPattern::kDirect);
+  DiplomatEntry& multi = DiplomatRegistry::instance().entry(
+      "trace_replay_test.multi", DiplomatPattern::kMulti);
   capture(path, [&] {
-    {
-      BatchScope scope;
-      for (int i = 0; i < 5; ++i) ASSERT_TRUE(batch_record(enable, {}, [] {}));
-    }
+    for (int i = 0; i < 5; ++i) diplomat_call(enable, {}, [] {});
     for (int i = 0; i < 2; ++i) diplomat_call(plain, {}, [] {});
+    diplomat_call(multi, {}, [] {});
     diplomat_skip(skip);
   });
 
@@ -250,6 +241,7 @@ TEST_F(TraceReplayTest, ReplayReproducesCapturedCallCountsExactly) {
       trace_call_counts(*parsed);
   EXPECT_EQ(per_pass.at("glEnable"), 5u);
   EXPECT_EQ(per_pass.at("trace_replay_test.plain"), 2u);
+  EXPECT_EQ(per_pass.at("trace_replay_test.multi"), 1u);
   EXPECT_EQ(per_pass.at("glGetString"), 1u);
 
   ReplayOptions options;
@@ -266,14 +258,12 @@ TEST_F(TraceReplayTest, ReplayReproducesCapturedCallCountsExactly) {
   }
   EXPECT_EQ(replayed.size(), per_pass.size());
 
-  // Crossings per call must track the recorded stream within 5%: the five
-  // batched calls share one crossing, the skip crosses nothing.
-  const double expected =
-      static_cast<double>(trace_expected_crossings(*parsed) * 6) /
-      static_cast<double>(stats->calls);
-  EXPECT_NEAR(stats->crossings_per_call(), expected, expected * 0.05);
+  // Every call crosses twice, the multi one included; the skip crosses
+  // nothing.
+  EXPECT_EQ(trace_expected_crossings(*parsed), 16u);
+  EXPECT_EQ(stats->persona_switches, 16u * 6);
+  EXPECT_EQ(stats->calls, 9u * 6);
   EXPECT_EQ(stats->skips, 6u);
-  EXPECT_EQ(stats->batched, 30u);
 }
 
 TEST_F(TraceReplayTest, ReplayRejectsDeflessIdsAndBadOptions) {
@@ -295,22 +285,17 @@ TEST_F(TraceReplayTest, MinerFlagsEverySeededViolation) {
   const std::string path = tmp_path("violations");
   std::vector<trace::CytRecord> records = {
       // kSkip on a direct diplomat: only data-dependent entries may skip.
-      make_def(1, "mine.direct", DiplomatPattern::kDirect, false),
+      make_def(1, "mine.direct", DiplomatPattern::kDirect),
       make_event(1, trace::CytEventKind::kSkip),
-      // Batched evidence on a non-batchable def.
-      make_event(1, trace::CytEventKind::kBatchedCall),
       // A coalesced multi crossing on a non-multi def.
       make_event(1, trace::CytEventKind::kMulti),
       // An invoked kUnimplemented diplomat.
-      make_def(2, "mine.unimpl", DiplomatPattern::kUnimplemented, false),
+      make_def(2, "mine.unimpl", DiplomatPattern::kUnimplemented),
       make_event(2, trace::CytEventKind::kCall),
       // An event with no def record at all.
       make_event(99, trace::CytEventKind::kCall),
-      // A flush that crossed personas carrying nothing.
-      make_def(3, "mine.opener", DiplomatPattern::kDirect, true),
-      make_event(3, trace::CytEventKind::kBatchFlush, 0, /*aux=*/0),
       // A Table 2 name recorded with the wrong pattern.
-      make_def(4, "glClear", DiplomatPattern::kIndirect, false),
+      make_def(4, "glClear", DiplomatPattern::kIndirect),
       make_event(4, trace::CytEventKind::kCall),
   };
   ASSERT_TRUE(write_trace(path, records).is_ok());
@@ -319,51 +304,56 @@ TEST_F(TraceReplayTest, MinerFlagsEverySeededViolation) {
 
   analyze::Report report;
   const analyze::TraceAudit audit = analyze::check_trace(*parsed, report);
-  EXPECT_EQ(audit.events, 7u);
+  EXPECT_EQ(audit.events, 5u);
   EXPECT_TRUE(report.has_rule("trace.illegal-skip"));
-  EXPECT_TRUE(report.has_rule("trace.illegal-batched-call"));
   EXPECT_TRUE(report.has_rule("trace.pattern-contradiction"));
   EXPECT_TRUE(report.has_rule("trace.unimplemented-invoked"));
   EXPECT_TRUE(report.has_rule("trace.def-missing"));
-  EXPECT_TRUE(report.has_rule("trace.empty-flush"));
   EXPECT_TRUE(report.has_rule("trace.classification-mismatch"));
+  EXPECT_EQ(report.findings().size(), 5u);
 }
 
-TEST_F(TraceReplayTest, MinerFindsUnbatchedRunsAndHonorsSuppression) {
-  const std::string path = tmp_path("candidates");
-  std::vector<trace::CytRecord> records = {
-      make_def(1, "mine.run", DiplomatPattern::kDirect, true),
-      make_def(2, "mine.already_batched", DiplomatPattern::kDirect, true),
-  };
-  // A run of five batch-eligible plain calls: a candidate.
-  for (int i = 0; i < 5; ++i) {
-    records.push_back(make_event(1, trace::CytEventKind::kCall, kEligible));
-  }
-  // This def DID batch elsewhere in the trace, so its run is not reported.
-  records.push_back(
-      make_event(2, trace::CytEventKind::kBatchedCall, kEligible));
-  records.push_back(make_event(2, trace::CytEventKind::kBatchFlush, 0, 1));
-  for (int i = 0; i < 5; ++i) {
-    records.push_back(make_event(2, trace::CytEventKind::kCall, kEligible));
-  }
-  ASSERT_TRUE(write_trace(path, records).is_ok());
+// Captures from older builds hold kBatchedCall records (calls that shared
+// one crossing) closed by a kBatchFlush, on defs whose flags carry a
+// batchable bit. This build reads such a batched call as a plain call that
+// costs its own crossing pair, skips the flush and ignores the bit.
+TEST_F(TraceReplayTest, LegacyBatchRecordsReadAsPlainCalls) {
+  const std::string path = tmp_path("legacy_batch");
+  trace::CytRecord def = make_def(1, "glEnable", DiplomatPattern::kDirect);
+  def.flags = 1u << 0;  // the legacy batchable bit
+  const std::uint8_t scalar_void =
+      trace::kCytFlagVoidReturn | trace::kCytFlagScalarArgs;
+  ASSERT_TRUE(
+      write_trace(path,
+                  {def,
+                   make_event(1, trace::CytEventKind::kBatchedCall,
+                              scalar_void),
+                   make_event(1, trace::CytEventKind::kBatchedCall,
+                              scalar_void),
+                   make_event(1, trace::CytEventKind::kBatchedCall,
+                              scalar_void),
+                   make_event(1, trace::CytEventKind::kBatchFlush, 0,
+                              /*aux=*/3),
+                   make_event(1, trace::CytEventKind::kCall, scalar_void)})
+          .is_ok());
   auto parsed = trace::read_cyt(path);
-  ASSERT_TRUE(parsed.is_ok());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(trace_call_counts(*parsed).at("glEnable"), 4u);
+  EXPECT_EQ(trace_expected_crossings(*parsed), 8u);
+
+  const std::map<std::string, std::uint64_t> before = registry_call_counts();
+  auto stats = replay_trace(*parsed, {});
+  ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+  EXPECT_EQ(stats->calls, 4u);
+  EXPECT_EQ(stats->persona_switches, 8u);
+  EXPECT_EQ(stats->persona_switches, trace_expected_crossings(*parsed));
+  EXPECT_EQ(delta(before, registry_call_counts()),
+            (std::map<std::string, std::uint64_t>{{"glEnable", 4}}));
 
   analyze::Report report;
   const analyze::TraceAudit audit = analyze::check_trace(*parsed, report);
-  EXPECT_TRUE(report.clean()) << report.findings().size();
-  ASSERT_EQ(audit.candidates.size(), 1u);
-  EXPECT_EQ(audit.candidates[0].name, "mine.run");
-  EXPECT_EQ(audit.candidates[0].longest_run, 5u);
-  EXPECT_TRUE(audit.candidates[0].classifier_batchable);
-
-  // Below the run-length floor nothing is reported.
-  analyze::TraceAuditOptions strict;
-  strict.min_run_length = 6;
-  analyze::Report quiet_report;
-  EXPECT_TRUE(
-      analyze::check_trace(*parsed, quiet_report, strict).candidates.empty());
+  EXPECT_TRUE(report.clean()) << report.findings().front().rule;
+  EXPECT_EQ(audit.calls, 4u);
 }
 
 TEST_F(TraceReplayTest, ReplayDivergenceComparesCountMaps) {
@@ -388,15 +378,15 @@ TEST_F(TraceReplayTest, GoldenPassmarkTraceMinesCleanAndReplaysFaithfully) {
   EXPECT_EQ(parsed->dropped, 0u);
   EXPECT_GT(parsed->records.size(), 50u);
 
-  // The miner must find no contract violations and at least one actionable
-  // batchability candidate (the generator plants an un-batched run).
+  // The miner must find no contract violations in the legacy batch
+  // records the file holds.
   analyze::Report report;
   const analyze::TraceAudit audit = analyze::check_trace(*parsed, report);
   EXPECT_TRUE(report.clean()) << report.findings().front().rule;
-  EXPECT_GE(audit.candidates.size(), 1u);
+  EXPECT_EQ(audit.calls, 162u);
 
-  // Max-rate replay reproduces the live per-diplomat counts exactly and
-  // crossings-per-call within 5% (the ISSUE acceptance bar).
+  // Max-rate replay reproduces the live per-diplomat counts exactly, and
+  // every call, the legacy batched ones included, crosses twice.
   ReplayOptions options;
   options.threads = 1;
   options.iterations = 1;
@@ -408,11 +398,9 @@ TEST_F(TraceReplayTest, GoldenPassmarkTraceMinesCleanAndReplaysFaithfully) {
   const std::map<std::string, std::uint64_t> expected =
       trace_call_counts(*parsed);
   EXPECT_EQ(replayed, expected);
-
-  const double expected_cpc =
-      static_cast<double>(trace_expected_crossings(*parsed)) /
-      static_cast<double>(stats->calls);
-  EXPECT_NEAR(stats->crossings_per_call(), expected_cpc, expected_cpc * 0.05);
+  EXPECT_EQ(stats->calls, 162u);
+  EXPECT_EQ(trace_expected_crossings(*parsed), 324u);
+  EXPECT_EQ(stats->persona_switches, 324u);
 }
 
 TEST_F(TraceReplayTest, GoldenCorporaRoundTripByteIdentical) {
@@ -446,8 +434,7 @@ void passmark_workload() {
 }
 
 struct Mined {
-  std::vector<std::string> findings;    // "rule subject"
-  std::vector<std::string> candidates;  // "name occurrences longest_run"
+  std::vector<std::string> findings;  // "rule subject"
   std::uint64_t events = 0;
   std::uint64_t calls = 0;
 };
@@ -458,11 +445,6 @@ Mined mine(const trace::ParsedTrace& trace) {
   Mined out;
   for (const analyze::Finding& finding : report.findings()) {
     out.findings.push_back(finding.rule + " " + finding.subject);
-  }
-  for (const analyze::BatchCandidate& candidate : audit.candidates) {
-    out.candidates.push_back(candidate.name + " " +
-                             std::to_string(candidate.occurrences) + " " +
-                             std::to_string(candidate.longest_run));
   }
   out.events = audit.events;
   out.calls = audit.calls;
@@ -520,13 +502,10 @@ TEST_F(TraceReplayTest, SpansLeaveReplayAndMiningUnchanged) {
   EXPECT_DOUBLE_EQ(stats[1].crossings_per_call(),
                    stats[0].crossings_per_call());
 
-  // Both mine to the same findings and batchable-run candidates: no span
-  // closes a run.
+  // Both mine to the same findings and totals.
   const Mined mined_plain = mine(*plain);
   const Mined mined_spans = mine(*spans);
-  EXPECT_FALSE(mined_plain.candidates.empty());
   EXPECT_EQ(mined_spans.findings, mined_plain.findings);
-  EXPECT_EQ(mined_spans.candidates, mined_plain.candidates);
   EXPECT_EQ(mined_spans.events, mined_plain.events);
   EXPECT_EQ(mined_spans.calls, mined_plain.calls);
 }

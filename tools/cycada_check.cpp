@@ -9,19 +9,15 @@
 //
 //   cycada_check [--root <source-dir>] [--trace <file.cyt>]...
 //   cycada_check --classify --root <source-dir> [--corpus <file.cyt>]...
-//                [--amend-out <path>]
 //
 // --trace switches to trace-mining mode (docs/TRACING.md): instead of
 // running the live workload, each named .cyt capture is loaded and judged
-// with analyze::check_trace. Contract violations are findings (gating);
-// batchability candidates are printed as advisory notes and never gate.
+// with analyze::check_trace. Contract violations are findings (gating).
 //
-// --classify runs the classification prover (docs/ANALYZER.md): the static
+// --classify runs the classification check (docs/ANALYZER.md): the static
 // scanner over the IOS_GL dispatch sites under --root and the --corpus
 // traces are cross-checked against src/core/classification.cpp; any
-// contradiction is a blocking finding, and surviving static+corpus
-// agreements become replay-proved amendment proposals, written to
-// --amend-out as a loadable CYCADA_CLASSIFY_AMEND file.
+// contradiction is a blocking finding.
 //
 // Exits 0 when every check is clean, 1 when there are findings (each
 // printed one per line), 2 on usage/workload errors.
@@ -111,7 +107,6 @@ int main(int argc, char** argv) {
   std::string root;
   std::vector<std::string> traces;
   std::vector<std::string> corpus_paths;
-  std::string amend_out;
   bool classify = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--root") == 0 && i + 1 < argc) {
@@ -122,19 +117,17 @@ int main(int argc, char** argv) {
       classify = true;
     } else if (std::strcmp(argv[i], "--corpus") == 0 && i + 1 < argc) {
       corpus_paths.push_back(argv[++i]);
-    } else if (std::strcmp(argv[i], "--amend-out") == 0 && i + 1 < argc) {
-      amend_out = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: cycada_check [--root <source-dir>] "
                    "[--trace <file.cyt>]...\n"
                    "       cycada_check --classify --root <source-dir> "
-                   "[--corpus <file.cyt>]... [--amend-out <path>]\n");
+                   "[--corpus <file.cyt>]...\n");
       return 2;
     }
   }
 
-  // Classification-prover mode (docs/ANALYZER.md).
+  // Classification-check mode (docs/ANALYZER.md).
   if (classify) {
     if (root.empty()) {
       std::fprintf(stderr, "cycada_check: --classify requires --root\n");
@@ -164,12 +157,6 @@ int main(int argc, char** argv) {
     std::vector<const trace::ParsedTrace*> corpus;
     for (const trace::ParsedTrace& trace : parsed) corpus.push_back(&trace);
 
-    // The replay proof drives real diplomat calls, so the simulated device
-    // must be up before check_classification runs.
-    if (!corpus.empty()) {
-      glport::apply_system_config(glport::SystemConfig::kCycadaIos);
-    }
-
     analyze::Report report;
     const analyze::ClassifyAudit audit = analyze::check_classification(
         gl_source, contents.str(), corpus, report);
@@ -177,31 +164,14 @@ int main(int argc, char** argv) {
         "cycada_check: classify: %zu dispatch site(s) in %s, %zu corpus "
         "trace(s)\n",
         audit.sites.size(), gl_source.c_str(), audit.corpus_traces);
-    for (const analyze::AmendmentProposal& proposal : audit.proposals) {
-      std::printf("note: amendment proposal batchable %s — %s\n",
-                  proposal.name.c_str(), proposal.why.c_str());
-    }
-    if (!amend_out.empty() && !audit.proposals.empty()) {
-      std::ofstream out(amend_out);
-      if (!out) {
-        std::fprintf(stderr, "cycada_check: cannot write %s\n",
-                     amend_out.c_str());
-        return 2;
-      }
-      out << analyze::render_classification_amendments(audit.proposals);
-      std::printf("cycada_check: wrote %zu amendment(s) to %s\n",
-                  audit.proposals.size(), amend_out.c_str());
-    }
     const int findings = report.print(std::cout);
-    std::printf("cycada_check: %d finding(s), %zu amendment proposal(s)\n",
-                findings, audit.proposals.size());
+    std::printf("cycada_check: %d finding(s)\n", findings);
     return findings == 0 ? 0 : 1;
   }
 
   // Trace-mining mode: judge captured streams, not the live workload.
   if (!traces.empty()) {
     analyze::Report report;
-    std::size_t candidates = 0;
     for (const std::string& path : traces) {
       auto trace = trace::read_cyt(path);
       if (!trace.is_ok()) {
@@ -216,23 +186,10 @@ int main(int argc, char** argv) {
           path.c_str(), static_cast<unsigned long long>(audit.events),
           static_cast<unsigned long long>(audit.calls),
           static_cast<unsigned long long>(trace->dropped));
-      for (const analyze::BatchCandidate& candidate : audit.candidates) {
-        // Advisory, deliberately not a Finding: leads, not violations.
-        std::printf(
-            "note: batchable-run candidate %s: %llu call(s), longest run "
-            "%llu — %s\n",
-            candidate.name.c_str(),
-            static_cast<unsigned long long>(candidate.occurrences),
-            static_cast<unsigned long long>(candidate.longest_run),
-            candidate.why.c_str());
-      }
-      candidates += audit.candidates.size();
     }
     const int findings = report.print(std::cout);
-    std::printf(
-        "cycada_check: %d finding(s), %zu batchability candidate(s) over "
-        "%zu trace(s)\n",
-        findings, candidates, traces.size());
+    std::printf("cycada_check: %d finding(s) over %zu trace(s)\n", findings,
+                traces.size());
     return findings == 0 ? 0 : 1;
   }
 

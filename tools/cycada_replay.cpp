@@ -5,7 +5,7 @@
 //                 [--verify]
 //
 // Boots the simulated Cycada device, loads the trace and replays it through
-// the real dispatch/batch/persona machinery on N threads × M iterations —
+// the real dispatch/persona machinery on N threads × M iterations —
 // max-rate by default, timestamp-faithful with --paced. The run emits the
 // same counters/histograms as the live benches (CYCADA_BENCH_JSON honored),
 // so a replayed PassMark capture is a first-class bench workload.
@@ -112,14 +112,10 @@ int main(int argc, char** argv) {
   std::printf(
       "  %d thread(s) x %d iteration(s), %d lane(s), %s\n", options.threads,
       options.iterations, stats->lanes, options.paced ? "paced" : "max-rate");
-  std::printf(
-      "  %llu call(s) (%llu batched, %llu flush(es), %llu skip(s)), "
-      "%llu crossing(s)\n",
-      static_cast<unsigned long long>(stats->calls),
-      static_cast<unsigned long long>(stats->batched),
-      static_cast<unsigned long long>(stats->flushes),
-      static_cast<unsigned long long>(stats->skips),
-      static_cast<unsigned long long>(stats->persona_switches));
+  std::printf("  %llu call(s) (%llu skip(s)), %llu crossing(s)\n",
+              static_cast<unsigned long long>(stats->calls),
+              static_cast<unsigned long long>(stats->skips),
+              static_cast<unsigned long long>(stats->persona_switches));
   std::printf(
       "  wall %.3f ms, %.0f calls/s, %.3f crossings/call, speedup x%.2f\n",
       wall_ms, calls_per_sec, stats->crossings_per_call(), speedup);
@@ -129,8 +125,6 @@ int main(int argc, char** argv) {
   // gates higher-is-better.
   trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
   metrics.counter("replay.calls").set(stats->calls);
-  metrics.counter("replay.batched").set(stats->batched);
-  metrics.counter("replay.flushes").set(stats->flushes);
   metrics.counter("replay.crossings").set(stats->persona_switches);
   metrics.counter("replay.threads").set(
       static_cast<std::uint64_t>(options.threads));

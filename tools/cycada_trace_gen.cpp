@@ -6,13 +6,13 @@
 //
 // Boots the simulated Cycada device and records a small, single-threaded
 // workload. The default PassMark shape: EAGL setup, shader compile/link,
-// batched state runs under a BatchScope, a draw + present per frame, a
-// data-dependent query (skip path) — and one deliberately UN-batched run of
-// scalar void state calls (some classifier-batchable, some conservatively
-// unbatched), so analyze::check_trace always has actionable batchability
-// candidates and the classification prover has amendment material on this
-// corpus. Single-threaded and fixed-sequence: replaying the capture at
-// N×M multiplies every per-diplomat count exactly.
+// runs of scalar state calls, a draw + present per frame and a
+// data-dependent query (skip path). Single-threaded and fixed-sequence:
+// replaying the capture at N×M multiplies every per-diplomat count exactly.
+// The committed tests/data/golden_passmark.cyt was recorded by an older
+// build whose state run shared crossings; it keeps those legacy
+// kBatchedCall/kBatchFlush records as the fixture for the legacy-read path,
+// where this build records the same run as plain kCall records.
 //
 // --workload sunspider instead drives the simulated WebKit browser over the
 // first --scripts SunSpider categories on the Cycada-iOS port (the Figure 5
@@ -24,7 +24,6 @@
 #include <cstring>
 #include <string>
 
-#include "core/batch.h"
 #include "glport/system_config.h"
 #include "ios_gl/eagl.h"
 #include "ios_gl/gles.h"
@@ -66,27 +65,21 @@ bool render_frame(EAGLContext::Ref context, int size, int frame) {
   glAttachShader(program, vs);
   glAttachShader(program, fs);
   glLinkProgram(program);
-  // Detach after link, iOS-app style. glDetachShader is conservatively
-  // unbatched, but two calls per frame stay BELOW the prover's confidence
-  // threshold — a deliberate below-the-bar candidate for the tests.
+  // Detach after link, iOS-app style.
   glDetachShader(program, vs);
   glDetachShader(program, fs);
   glUseProgram(program);
 
-  {
-    // The batched stretch: the PassMark-style same-direction state run the
-    // command buffer exists for (kBatchedCall records + one kBatchFlush).
-    core::BatchScope scope;
-    glViewport(0, 0, size, size);
-    glClearColor(0.1f, 0.2f, 0.3f, 1.f);
-    glEnable(glcore::GL_BLEND);
-    glBlendFunc(glcore::GL_SRC_ALPHA, glcore::GL_ONE_MINUS_SRC_ALPHA);
-    glDepthMask(glcore::GL_TRUE);
-    glCullFace(glcore::GL_BACK);
-    glFrontFace(glcore::GL_CCW);
-    glDisable(glcore::GL_BLEND);
-    glClear(glcore::GL_COLOR_BUFFER_BIT);
-  }
+  // A PassMark-style run of state setters before the draw.
+  glViewport(0, 0, size, size);
+  glClearColor(0.1f, 0.2f, 0.3f, 1.f);
+  glEnable(glcore::GL_BLEND);
+  glBlendFunc(glcore::GL_SRC_ALPHA, glcore::GL_ONE_MINUS_SRC_ALPHA);
+  glDepthMask(glcore::GL_TRUE);
+  glCullFace(glcore::GL_BACK);
+  glFrontFace(glcore::GL_CCW);
+  glDisable(glcore::GL_BLEND);
+  glClear(glcore::GL_COLOR_BUFFER_BIT);
 
   const float positions[] = {-0.9f, -0.8f, 0.9f, -0.8f, 0.f, 0.9f};
   glEnableVertexAttribArray(0);
@@ -94,14 +87,7 @@ bool render_frame(EAGLContext::Ref context, int size, int frame) {
                         positions);
   glDrawArrays(glcore::GL_TRIANGLES, 0, 3);
 
-  // The deliberately un-batched run: scalar void state calls the classifier
-  // marks batchable, crossing one by one with no BatchScope open. This is
-  // the trace miner's bread and butter — it must flag this run as a
-  // batchability candidate (tests/trace_replay_test.cpp pins that).
-  // glBlendColor / glSampleCoverage ride the same runs but are NOT in the
-  // hand-written batchable table: four per frame puts them over the
-  // prover's confidence threshold, so they graduate into replay-proved
-  // amendment proposals (cycada_check --classify).
+  // A second run of scalar void state calls after the draw.
   for (int i = 0; i < 4; ++i) {
     glLineWidth(1.0f + static_cast<float>((frame + i) % 3));
     glPolygonOffset(static_cast<float>(i), 0.5f);
