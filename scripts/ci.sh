@@ -2,10 +2,12 @@
 # The CI entry point (.github/workflows/ci.yml runs exactly this): tier-1
 # build + full test suite + the cycada_check contract analyzer, the tile
 # pipeline determinism/scaling leg, the trace capture/replay leg, the
-# zero-finding classification check over the golden corpus, the fleet leg,
-# a fault-injected cycada_check run that must degrade gracefully, chaos
-# passmark, a chaos soak that stalls every fault probe under a tight
-# watchdog budget, and a TSan leg over the concurrency-sensitive suites. Fast enough for every push; the full
+# zero-finding classification check over the golden corpus, the fleet legs
+# (8 replaying sessions; 16 sessions with frames in flight at once on a
+# 4-worker pool), a fault-injected cycada_check run that must degrade
+# gracefully, chaos passmark, a chaos soak that stalls every fault probe
+# under a tight watchdog budget, and a TSan leg over the
+# concurrency-sensitive suites. Fast enough for every push; the full
 # sanitizer matrix stays in scripts/check.sh (ci.yml also runs a focused
 # ASan+UBSan leg).
 #
@@ -117,6 +119,12 @@ run ./build/tools/cycada_check --classify --root "$(pwd)/src" \
 echo "==> cycada_fleet (8 sessions, golden PassMark replay, verified)"
 run ./build/tools/cycada_fleet --sessions 8 --frames 3 \
   --replay "$(pwd)/tests/data/golden_passmark.cyt" --verify
+# Sixteen sessions on a 4-worker pool, pinned so that runners whose default
+# resolves to fewer workers still run many sessions' frames concurrently on
+# shared workers; --verify gates the same per-session screen hashes.
+echo "==> cycada_fleet (16 sessions, 4 GPU workers, verified)"
+run env CYCADA_GPU_WORKERS=4 ./build/tools/cycada_fleet --sessions 16 \
+  --frames 8 --verify
 
 # --- Fault-injected analyzer run (docs/ROBUSTNESS.md) ------------------------
 # Persistent replica-mint failures: the workload must complete in degraded

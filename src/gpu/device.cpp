@@ -15,8 +15,9 @@ namespace cycada::gpu {
 
 GpuDevice& GpuDevice::instance() {
   // Per-session device facet: each session records and submits its own
-  // frames (the TileWorkerPool underneath stays process-global — one
-  // physical GPU's worth of workers). Default-session facets are immortal.
+  // frames, one in flight at a time (the TileWorkerPool underneath stays
+  // process-global — one physical GPU's worth of workers — and runs the
+  // sessions' frames side by side). Default-session facets are immortal.
   return core::Session::current().facet<GpuDevice>(+[] {
     GpuDevice* device = new GpuDevice();
     device->owner_ = core::Session::constructing_owner();
@@ -212,9 +213,9 @@ void GpuDevice::submit_clear(RenderTargetHandle target,
                                 clear_depth, depth_value});
   if (queue_.size() >= kKickBatchSize) {
     if (TileWorkerPool::instance().async_capable()) {
-      // Kick the partial batch to the pool if the in-flight slot is free;
-      // otherwise keep recording (the queue is the second buffer of the
-      // double-buffered pair).
+      // Kick the partial batch to the pool if this device has no frame in
+      // flight; otherwise keep recording (the queue is the second buffer of
+      // the double-buffered pair).
       if (!in_flight_) submit_frame_locked(lock);
     } else {
       flush_locked(lock);
@@ -397,8 +398,9 @@ void GpuDevice::submit_frame_locked(std::unique_lock<std::mutex>& lock) {
     flush_locked(lock);
     return;
   }
-  // Double buffering: at most one frame in flight; the record queue is the
-  // second buffer. A second submit while one is executing waits for retire.
+  // Double buffering: at most one frame of this device in flight; the
+  // record queue is the second buffer. A second submit while one is
+  // executing waits for retire, never for other devices' frames.
   drain_in_flight_locked(lock);
   ++stats_.flushes;
   if (queue_.empty()) {

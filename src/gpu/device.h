@@ -10,11 +10,12 @@
 // them into a FrameBatch of plain views and hands it to the tile worker
 // pool. With >= 2 workers the batch executes asynchronously — the app
 // thread records the next frame while the pool rasterizes the previous one,
-// with at most one frame in flight. Anything that reads or mutates memory a
-// batch could touch (views, readback, texture definition/upload/destroy,
-// target destroy, reset) drains the in-flight frame first. With one worker
-// (the default on small machines) every path executes inline and the device
-// behaves exactly as it did before the pipeline existed.
+// with at most one frame in flight per device; other devices' frames run
+// alongside it. Anything that reads or mutates memory a batch could touch
+// (views, readback, texture definition/upload/destroy, target destroy,
+// reset) drains the in-flight frame first. With one worker (the default on
+// small machines) every path executes inline and the device behaves
+// exactly as it did before the pipeline existed.
 #pragma once
 
 #include <condition_variable>
@@ -104,10 +105,10 @@ class GpuDevice {
   bool wait_fence_for(FenceHandle fence, std::int64_t budget_ms);
 
   // Closes the recording queue as one frame and executes it — async on the
-  // tile worker pool when it has >= 2 workers (at most one frame in flight;
-  // a second submit waits for the first to retire), inline otherwise. The
-  // present path calls this instead of flush(); pair it with submit_fence()
-  // to learn when the frame's buffers are safe to read.
+  // tile worker pool when it has >= 2 workers (one frame per device in
+  // flight; a second submit waits for the first to retire), inline
+  // otherwise. The present path calls this instead of flush(); pair it with
+  // submit_fence() to learn when the frame's buffers are safe to read.
   void submit_frame();
 
   // Executes all queued commands and waits for any in-flight frame.
@@ -131,7 +132,8 @@ class GpuDevice {
   // triggers execution of the batch (as real drivers kick command buffers),
   // so heavy rendering cost attributes to the submitting call rather than
   // accumulating entirely in glFlush/present. When the pool is async-capable
-  // and idle, the kick dispatches the partial batch asynchronously instead.
+  // and this device has no frame in flight, the kick dispatches the partial
+  // batch asynchronously instead.
   static constexpr std::size_t kKickBatchSize = 8;
 
  private:
@@ -200,7 +202,7 @@ class GpuDevice {
   std::unordered_map<RenderTargetHandle, Target> targets_;
   std::unordered_map<FenceHandle, bool> fences_;
   std::vector<Command> queue_;
-  bool in_flight_ = false;  // one async frame may be executing
+  bool in_flight_ = false;  // this device's one async frame, queued or running
   GpuStats stats_;
   // Post-clip triangle total since process start. Deliberately survives
   // reset()/reset_stats(): the pre-PR 8 counter lived on the long-lived

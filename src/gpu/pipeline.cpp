@@ -1,6 +1,7 @@
 #include "gpu/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 
@@ -73,7 +74,7 @@ struct TileWorkerPool::Phase {
   };
   std::vector<std::unique_ptr<Range>> ranges;
   std::atomic<int> participants{0};  // claimed participant slots
-  std::atomic<int> tiles_done{0};
+  int helpers = 0;  // pool workers inside the phase; guarded by the pool mutex
   std::atomic<std::uint64_t> fragments{0};
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::int64_t> busy_ns{0};  // summed per-tile raster time
@@ -112,7 +113,15 @@ struct TileWorkerPool::Phase {
     const std::int64_t elapsed = now_ns() - start;
     busy_ns.fetch_add(elapsed, std::memory_order_relaxed);
     tile_ns.record(elapsed);
-    tiles_done.fetch_add(1, std::memory_order_release);
+  }
+
+  bool has_unclaimed_tiles() const {
+    for (const auto& range : ranges) {
+      if (range->next.load(std::memory_order_relaxed) < range->end) {
+        return true;
+      }
+    }
+    return false;
   }
 
   // Claim-and-steal loop for one participant. `slot` < ranges.size() owns
@@ -161,12 +170,12 @@ int TileWorkerPool::worker_count() {
 }
 
 void TileWorkerPool::wait_idle_locked(std::unique_lock<std::mutex>& lock) {
-  // Progress wait, not idle parking: the in-flight frame always terminates
+  // Progress wait, not idle parking: every queued frame terminates
   // (run_phase's bounded polls and the kGpuPhase rung guarantee it), so the
   // slices exist to keep the wait supervised rather than indefinite.
   WATCHDOG_SCOPE(util::WatchdogDomain::kGpuPhase,
                  util::kWatchdogGpuPhaseBudgetMs);
-  while (!(pending_batch_ == nullptr && !executing_)) {
+  while (unretired_frames_ != 0) {
     idle_cv_.wait_for(lock, std::chrono::milliseconds(5));
   }
 }
@@ -182,12 +191,12 @@ void TileWorkerPool::set_worker_count(int n) {
 
 void TileWorkerPool::ensure_started_locked() {
   if (started_ || configured_workers_ <= 1) return;
-  // One consumer (async frames + phase coordinator) plus workers-1 helpers;
-  // a tile phase therefore runs on exactly `configured_workers_` threads.
+  // N identical workers. An async frame's phases run on its coordinating
+  // worker plus up to N-1 others; an inline flush's on the submitting
+  // thread plus up to N.
   stopping_ = false;
-  threads_.emplace_back([this] { consumer_main(); });
-  for (int i = 1; i < configured_workers_; ++i) {
-    threads_.emplace_back([this, i] { helper_main(i); });
+  for (int i = 0; i < configured_workers_; ++i) {
+    threads_.emplace_back([this] { worker_main(); });
   }
   started_ = true;
 }
@@ -220,93 +229,68 @@ bool TileWorkerPool::async_capable() {
 void TileWorkerPool::submit_async(
     std::unique_ptr<FrameBatch> batch,
     std::function<void(std::unique_ptr<FrameBatch>)> retire) {
-  std::unique_lock lock(mutex_);
-  ensure_started_locked();
-  // Capacity 1: the device guarantees it never submits while a frame is in
-  // flight (it waits for retire first), so this never blocks in practice.
-  wait_idle_locked(lock);
-  pending_batch_ = std::move(batch);
-  pending_retire_ = std::move(retire);
-  work_cv_.notify_all();
-}
-
-void TileWorkerPool::drain() {
-  std::unique_lock lock(mutex_);
-  wait_idle_locked(lock);
-}
-
-void TileWorkerPool::consumer_main() {
-  util::ScopedThreadRole role(util::ThreadRole::kTileWorker);
-  for (;;) {
-    std::unique_ptr<FrameBatch> batch;
-    std::function<void(std::unique_ptr<FrameBatch>)> retire;
-    {
-      std::unique_lock lock(mutex_);
-      // Idle parking, not a progress wait: nothing is owed to anyone until
-      // a batch is submitted, so no deadline applies.
-      work_cv_.wait(lock, [this] {  // cycada-lint: allow(idle parking)
-        return stopping_ || pending_batch_ != nullptr;
-      });
-      if (stopping_) return;
-      batch = std::move(pending_batch_);
-      retire = std::move(pending_retire_);
-      executing_ = true;
-    }
-    static trace::Counter& async_frames =
-        metrics().counter("pipeline.frames.async");
-    async_frames.add();
-    execute_frame(*batch);
-    retire(std::move(batch));
-    {
-      std::lock_guard lock(mutex_);
-      executing_ = false;
-    }
-    idle_cv_.notify_all();
+  {
+    std::lock_guard lock(mutex_);
+    ensure_started_locked();
+    frames_.push_back(QueuedFrame{std::move(batch), std::move(retire)});
+    ++unretired_frames_;
   }
+  work_cv_.notify_one();
 }
 
-void TileWorkerPool::helper_main(int /*slot*/) {
+TileWorkerPool::Phase* TileWorkerPool::next_open_phase_locked() {
+  for (std::size_t i = 0; i < phases_.size(); ++i) {
+    const std::size_t index = (next_phase_ + i) % phases_.size();
+    if (phases_[index]->has_unclaimed_tiles()) {
+      next_phase_ = index + 1;
+      return phases_[index];
+    }
+  }
+  return nullptr;
+}
+
+void TileWorkerPool::worker_main() {
   util::ScopedThreadRole role(util::ThreadRole::kTileWorker);
   static util::FaultPoint& worker_fault =
       util::FaultRegistry::instance().point("gpu.tile_worker");
+  static trace::Counter& async_frames =
+      metrics().counter("pipeline.frames.async");
+  std::unique_lock lock(mutex_);
   for (;;) {
     Phase* phase = nullptr;
-    std::uint64_t joined_generation = 0;
-    {
-      std::unique_lock lock(mutex_);
-      work_cv_.wait(lock, [this] {  // cycada-lint: allow(idle parking)
-        return stopping_ || active_phase_.load(std::memory_order_relaxed) !=
-                                nullptr;
-      });
-      if (stopping_) return;
-      phase = active_phase_.load(std::memory_order_relaxed);
-      if (phase == nullptr) continue;
-      joined_generation = phase_generation_;
-      // Check in under the lock: the coordinator clears active_phase_ under
-      // the same lock before waiting for helpers_in_phase_ to hit zero, so a
-      // checked-in helper always works on a live phase. The counter lives on
-      // the (immortal) pool, not the phase, so the final decrement never
-      // races the coordinator freeing the phase.
-      helpers_in_phase_.fetch_add(1, std::memory_order_relaxed);
+    // Idle parking, not a progress wait: nothing is owed to anyone until a
+    // phase is published or a frame is queued, so no deadline applies.
+    work_cv_.wait(lock, [&] {  // cycada-lint: allow(idle parking)
+      phase = next_open_phase_locked();
+      return stopping_ || phase != nullptr || !frames_.empty();
+    });
+    if (stopping_) return;
+    if (phase != nullptr) {
+      // Check in under the lock: the coordinator retracts its phase under
+      // the same lock before waiting for `helpers` to reach zero, so a
+      // checked-in helper always works on a live phase.
+      ++phase->helpers;
+      lock.unlock();
+      // A fault-injected worker abandons the phase without claiming a tile;
+      // the coordinator (fault-suppressed) completes the frame alone —
+      // degraded to single-threaded raster, never deadlocked.
+      if (!worker_fault.should_fail()) {
+        const int slot_index =
+            phase->participants.fetch_add(1, std::memory_order_relaxed);
+        phase->participate(static_cast<std::size_t>(slot_index));
+      }
+      lock.lock();
+      --phase->helpers;
+      continue;
     }
-    // A fault-injected worker abandons the phase without claiming a tile;
-    // the coordinator (fault-suppressed) completes the frame alone —
-    // degraded to single-threaded raster, never deadlocked.
-    if (!worker_fault.should_fail()) {
-      const int slot_index =
-          phase->participants.fetch_add(1, std::memory_order_relaxed);
-      phase->participate(static_cast<std::size_t>(slot_index));
-    }
-    helpers_in_phase_.fetch_sub(1, std::memory_order_acq_rel);
-    // Wait for the phase to be retracted so one phase is never joined twice.
-    // The generation guards against a new phase reusing the same address.
-    // Sliced: the coordinator always retracts once its poll drains the
-    // phase, so this terminates even if a notify is missed under stall.
-    std::unique_lock lock(mutex_);
-    while (!(stopping_ || phase_generation_ != joined_generation ||
-             active_phase_.load(std::memory_order_relaxed) == nullptr)) {
-      work_cv_.wait_for(lock, std::chrono::milliseconds(5));
-    }
+    QueuedFrame frame = std::move(frames_.front());
+    frames_.pop_front();
+    lock.unlock();
+    async_frames.add();
+    execute_frame(*frame.batch);
+    frame.retire(std::move(frame.batch));
+    lock.lock();
+    if (--unretired_frames_ == 0) idle_cv_.notify_all();
   }
 }
 
@@ -317,13 +301,12 @@ void TileWorkerPool::run_phase(Phase& phase) {
   // serial until clean frames climb back down.
   WATCHDOG_SCOPE(util::WatchdogDomain::kGpuPhase,
                  util::kWatchdogGpuPhaseBudgetMs);
-  const int tiles = phase.tile_count();
-  // Publish the phase, wake helpers, and participate as the coordinator.
+  // Publish the phase, wake idle workers, and participate as the
+  // coordinator.
   {
     std::lock_guard lock(mutex_);
     ensure_started_locked();  // sync flushes reach here without submit_async
-    phase_generation_++;
-    active_phase_.store(&phase, std::memory_order_relaxed);
+    phases_.push_back(&phase);
   }
   work_cv_.notify_all();
   {
@@ -334,32 +317,22 @@ void TileWorkerPool::run_phase(Phase& phase) {
         phase.participants.fetch_add(1, std::memory_order_relaxed);
     phase.participate(static_cast<std::size_t>(slot_index));
   }
-  // All tiles claimed; poll out stragglers mid-tile. A bounded poll (yield,
-  // then short sleeps) instead of an atomic wait keeps the coordinator
-  // responsive under a stalled helper — it burns 50us naps, never blocks
-  // indefinitely, and the enclosing watchdog scope times the whole drain.
-  for (int spin = 0;
-       phase.tiles_done.load(std::memory_order_acquire) < tiles; ++spin) {
+  // Every tile is claimed. Retract the phase so no worker joins it, then
+  // poll out the helpers still inside (mid-tile, in the steal epilogue, or
+  // asleep in a stall-injected fault probe before claiming a tile); once
+  // none is left, every tile is done. A bounded poll (yield, then short
+  // sleeps) instead of a blocking wait keeps the coordinator responsive
+  // under a stalled helper, and the enclosing watchdog scope times it.
+  std::unique_lock lock(mutex_);
+  phases_.erase(std::find(phases_.begin(), phases_.end(), &phase));
+  for (int spin = 0; phase.helpers != 0; ++spin) {
+    lock.unlock();
     if (spin < 64) {
       std::this_thread::yield();
     } else {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
-  }
-  // Retract the phase and poll out any helper still inside its epilogue
-  // (or asleep in a stall-injected fault probe before claiming a tile).
-  {
-    std::lock_guard lock(mutex_);
-    active_phase_.store(nullptr, std::memory_order_relaxed);
-  }
-  work_cv_.notify_all();
-  for (int spin = 0;
-       helpers_in_phase_.load(std::memory_order_acquire) != 0; ++spin) {
-    if (spin < 64) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+    lock.lock();
   }
 }
 

@@ -24,9 +24,9 @@
 // The analyzer's pipeline.worker-crossing rule enforces this.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -82,32 +82,37 @@ struct FrameBatch {
   FrameResult result;
 };
 
-// Executes `batch` to completion on the calling thread plus up to
-// `workers - 1` pool helpers. Deterministic for any worker count.
+// Executes `batch` to completion on the calling thread plus any idle pool
+// workers. Deterministic for any worker count.
 void execute_frame(FrameBatch& batch);
 
 // The fixed raster worker pool. Worker count comes from CYCADA_GPU_WORKERS
 // (clamped to [1, 16]) or set_worker_count(); the default is
 // min(4, hardware_concurrency). One worker means no threads are spawned and
 // every batch executes inline on the submitting thread.
+//
+// N >= 2 workers are N identical threads sharing a FIFO of queued frames
+// and a list of published tile phases. An idle worker first helps a
+// published phase that still has unclaimed tiles (round-robin across
+// phases), otherwise takes the next queued frame, coordinates its phases
+// and runs its retire callback. Each device keeps at most one frame of its
+// own in flight; frames of different devices run side by side.
 class TileWorkerPool {
  public:
   static TileWorkerPool& instance();
 
-  // (Re)configures the pool. Blocks until in-flight work retires. n < 1 is
+  // (Re)configures the pool. Blocks until queued frames retire. n < 1 is
   // clamped to 1.
   void set_worker_count(int n);
   int worker_count();
 
-  // Hands a batch to the consumer thread and returns immediately. Requires
-  // worker_count() >= 2 (the device falls back to execute_frame inline
-  // otherwise). `retire` runs on the consumer thread after execution.
+  // Queues a batch for the next idle worker and returns immediately.
+  // Requires worker_count() >= 2 (the device falls back to execute_frame
+  // inline otherwise). `retire` runs on that worker once the batch has
+  // executed, between frames, never during raster.
   void submit_async(std::unique_ptr<FrameBatch> batch,
                     std::function<void(std::unique_ptr<FrameBatch>)> retire);
-  bool async_capable();  // worker_count() >= 2 and pool healthy
-
-  // Waits until no async batch is queued or executing.
-  void drain();
+  bool async_capable();  // worker_count() >= 2
 
   // Test support: tears every thread down (drains first). The next use
   // respawns from the configured count.
@@ -116,40 +121,39 @@ class TileWorkerPool {
  private:
   friend void execute_frame(FrameBatch& batch);
   struct Phase;
+  struct QueuedFrame {
+    std::unique_ptr<FrameBatch> batch;
+    std::function<void(std::unique_ptr<FrameBatch>)> retire;
+  };
 
   TileWorkerPool() = default;
   void ensure_started_locked();
   void stop_threads_locked(std::unique_lock<std::mutex>& lock);
-  void helper_main(int slot);
-  void consumer_main();
+  void worker_main();
+  // The next published phase with unclaimed tiles, round-robin; null when
+  // there is none.
+  Phase* next_open_phase_locked();
 
-  // Runs one phase's tiles on the caller plus any idle helpers.
+  // Runs one phase's tiles on the caller plus any idle workers.
   void run_phase(Phase& phase);
 
-  // Deadline-sliced wait for the async slot to go idle (supervised by the
-  // kGpuPhase watchdog domain; the in-flight frame always terminates).
+  // Deadline-sliced wait until every submitted frame has retired
+  // (supervised by the kGpuPhase watchdog domain; a queued frame always
+  // terminates).
   void wait_idle_locked(std::unique_lock<std::mutex>& lock);
 
   std::mutex mutex_;
-  std::condition_variable work_cv_;   // helpers + consumer wait here
-  std::condition_variable idle_cv_;   // drain()/set_worker_count() wait here
+  std::condition_variable work_cv_;   // idle workers wait here
+  std::condition_variable idle_cv_;   // set_worker_count()/shutdown() wait here
   int configured_workers_ = 0;        // 0 = not yet resolved from env
   bool started_ = false;
   bool stopping_ = false;
-  std::vector<std::thread> threads_;  // [0] consumer, rest helpers
+  std::vector<std::thread> threads_;
 
-  // Async frame slot (capacity 1: one batch in flight, one recording).
-  std::unique_ptr<FrameBatch> pending_batch_;
-  std::function<void(std::unique_ptr<FrameBatch>)> pending_retire_;
-  bool executing_ = false;
-
-  // Current tile phase helpers can join (null when none). The generation is
-  // bumped per publish so helpers never confuse two phases at one address;
-  // the helper count lives here (not on the phase) so the final decrement
-  // cannot race phase destruction.
-  std::atomic<Phase*> active_phase_{nullptr};
-  std::uint64_t phase_generation_ = 0;
-  std::atomic<int> helpers_in_phase_{0};
+  std::deque<QueuedFrame> frames_;  // submitted, not yet taken by a worker
+  int unretired_frames_ = 0;        // submitted, not yet retired
+  std::vector<Phase*> phases_;      // published, not yet retracted
+  std::size_t next_phase_ = 0;      // round-robin cursor into phases_
 };
 
 }  // namespace cycada::gpu

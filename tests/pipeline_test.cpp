@@ -1,15 +1,19 @@
 // Tile-parallel frame pipeline tests (docs/PIPELINE.md). The load-bearing
 // property is determinism: the framebuffer produced at N workers must be
 // byte-identical to N=1 on the same scene, whatever order tiles complete or
-// get stolen in. The rest exercises the async lifecycle (drain on teardown
-// mid-flight) and the fault-degrade path (a failing worker pool falls back
-// to single-threaded raster instead of deadlocking).
+// get stolen in, and however many devices' phases share the pool at once.
+// The rest exercises the async lifecycle (drain on teardown mid-flight, one
+// device's stalled frame never holding another's) and the fault-degrade path
+// (a failing worker pool falls back to single-threaded raster instead of
+// deadlocking).
 #include "gpu/pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "gpu/device.h"
@@ -99,6 +103,7 @@ std::vector<std::uint32_t> render_scene(GpuDevice& dev, std::uint32_t seed,
 }
 
 TEST_F(PipelineTest, FramebufferIsByteIdenticalAcrossWorkerCounts) {
+  constexpr int kDevices = 4;
   for (const std::uint32_t seed : {1u, 7u, 42u}) {
     TileWorkerPool::instance().set_worker_count(1);
     const std::vector<std::uint32_t> serial = render_scene(dev(), seed);
@@ -107,6 +112,23 @@ TEST_F(PipelineTest, FramebufferIsByteIdenticalAcrossWorkerCounts) {
       const std::vector<std::uint32_t> tiled = render_scene(dev(), seed);
       ASSERT_EQ(serial, tiled)
           << "seed " << seed << " diverged at " << workers << " workers";
+
+      // The same scene from several devices at once: their frames and
+      // phases share the pool concurrently, and each must still match.
+      std::vector<std::vector<std::uint32_t>> concurrent(kDevices);
+      std::vector<std::thread> threads;
+      for (int d = 0; d < kDevices; ++d) {
+        threads.emplace_back([&concurrent, d, seed] {
+          GpuDevice device;
+          concurrent[d] = render_scene(device, seed);
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+      for (int d = 0; d < kDevices; ++d) {
+        ASSERT_EQ(serial, concurrent[d])
+            << "seed " << seed << " diverged on device " << d << " of "
+            << kDevices << " at " << workers << " workers";
+      }
     }
   }
 }
@@ -148,6 +170,42 @@ TEST_F(PipelineTest, AsyncFrameRetiresFenceAndSurvivesTeardownMidFlight) {
   EXPECT_EQ(pixels[100 * 256 + 128], 0xffffffffu);  // white triangle interior
   // The pool restarts transparently after a shutdown.
   (void)render_scene(dev(), 9);
+}
+
+TEST_F(PipelineTest, StalledFrameOnOneDeviceDoesNotHoldAnothersFrame) {
+  TileWorkerPool::instance().set_worker_count(2);
+  GpuDevice a;
+  GpuDevice b;
+  const RenderTargetHandle ta = a.create_target(64, 64, false);
+  const RenderTargetHandle tb = b.create_target(64, 64, false);
+  const Color red{1.f, 0.f, 0.f, 1.f};
+  util::FaultPoint& fault =
+      util::FaultRegistry::instance().point("gpu.tile_worker");
+
+  // A's frame stalls on the worker that takes it.
+  a.submit_clear(ta, std::nullopt, true, red, false, 1.f);
+  const FenceHandle fa = a.submit_fence();
+  const std::uint64_t stalls_before = fault.stalls();
+  fault.arm_stall(400, 1);
+  a.submit_frame();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fault.stalls() == stalls_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  fault.disarm_stall();
+  ASSERT_GT(fault.stalls(), stalls_before) << "a's frame never stalled";
+
+  // B's frame runs on the other worker meanwhile.
+  b.submit_clear(tb, std::nullopt, true, red, false, 1.f);
+  const FenceHandle fb = b.submit_fence();
+  b.submit_frame();
+  EXPECT_TRUE(b.wait_fence_for(fb, 200));
+  EXPECT_FALSE(a.fence_signaled(fa)) << "b's frame waited for a's to retire";
+
+  a.finish();
+  EXPECT_TRUE(a.fence_signaled(fa));
 }
 
 TEST_F(PipelineTest, FaultedWorkersDegradeToSerialWithoutDeadlock) {

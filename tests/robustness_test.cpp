@@ -1310,7 +1310,7 @@ TEST_F(RobustnessLadderTest, OverduePresentFenceForcesRetireAndDropsFrame) {
                    1.f);
   const gpu::FenceHandle fence = dev.submit_fence();
   fault.arm_stall(120, 1);  // the in-flight frame stalls well past the wait
-  dev.submit_frame();  // async: in_flight_ until the consumer retires it
+  dev.submit_frame();  // async: in_flight_ until a pool worker retires it
   const std::uint64_t timeouts_before = counter("watchdog.present.timeouts");
   // The bounded wait gives up instead of hanging the present path: the
   // caller scans out the stale front buffer and drops the frame.
