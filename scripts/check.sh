@@ -5,7 +5,7 @@
 #
 #   ./scripts/check.sh            # everything
 #   CYCADA_SKIP_SANITIZERS=1 ./scripts/check.sh   # tier-1 + cycada_check only
-#   CYCADA_RUN_BENCH=1 ./scripts/check.sh         # also refresh BENCH_pr3.json
+#   CYCADA_RUN_BENCH=1 ./scripts/check.sh         # also refresh BENCH_pr10.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

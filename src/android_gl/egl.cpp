@@ -1,6 +1,8 @@
 #include "android_gl/egl.h"
 
+#include <algorithm>
 #include <cstring>
+#include <mutex>
 
 #include "android_gl/ui_wrapper.h"
 #include "android_gl/vendor.h"
@@ -628,19 +630,26 @@ AndroidEgl* open_android_egl() {
   // The wrapper stays resident for its session's lifetime (matches how
   // libEGL stays resident for process lifetime). The pin lives in a session
   // facet so a destroyed session releases its wrapper copy instead of
-  // leaking it; pins from before a linker reset are stale but never
-  // dereferenced again. Teardown tier 1, same as the linker facet: every
-  // library-holding facet must drop its handles in the linker tier so
-  // library-instance destructors (which reach into the kernel and GPU
-  // facets) never run after tier-0 state is gone. The pin is created after
-  // the linker, so within the tier it is released first and the linker's
-  // own teardown unloads the copies.
+  // leaking it. Each copy is pinned once, however often the session opens
+  // it; a linker reset loads a new copy, so the pins grow by one per reset,
+  // and pins from before a reset are stale but never dereferenced again.
+  // Teardown tier 1, same as the linker facet: every library-holding facet
+  // must drop its handles in the linker tier so library-instance
+  // destructors (which reach into the kernel and GPU facets) never run
+  // after tier-0 state is gone. The pin is created after the linker, so
+  // within the tier it is released first and the linker's own teardown
+  // unloads the copies.
   struct EglPin {
+    std::mutex mutex;
     std::vector<linker::Handle> handles;
   };
-  core::Session::current()
-      .facet<EglPin>(+[] { return new EglPin(); }, /*teardown_order=*/1)
-      .handles.push_back(std::move(handle.value()));
+  EglPin& pin = core::Session::current().facet<EglPin>(
+      +[] { return new EglPin(); }, /*teardown_order=*/1);
+  std::lock_guard lock(pin.mutex);
+  if (std::find(pin.handles.begin(), pin.handles.end(), handle.value()) ==
+      pin.handles.end()) {
+    pin.handles.push_back(std::move(handle.value()));
+  }
   return egl;
 }
 

@@ -32,13 +32,10 @@
 #include "trace/metrics.h"
 #include "trace/trace.h"
 #include "util/clock.h"
-#include "util/epoch.h"
 #include "util/lock_order.h"
 #include "util/thread_role.h"
 
 namespace cycada::core {
-
-class Session;
 
 enum class DiplomatPattern : std::uint8_t {
   kDirect,         // straight invocation of one Android function
@@ -91,13 +88,13 @@ struct DiplomatContract {
   }
 };
 
-// Dense index of a registered diplomat in the published DispatchTable.
-// Resolved once per call site; indexing the snapshot array with it is
-// wait-free (docs/DISPATCH.md).
+// Dense index of a registered diplomat: ids count up from 0 in
+// registration order. Resolved once per call site; indexing the immortal id
+// segments with it is wait-free (docs/DISPATCH.md).
 using DiplomatId = std::uint32_t;
 inline constexpr DiplomatId kInvalidDiplomatId = 0xffffffffu;
 
-// One registered diplomat. Entries live for the registry's lifetime;
+// One registered diplomat. Entries live for the process lifetime;
 // call-site statics hold pointers to them (step 1's cached symbol).
 struct DiplomatEntry {
   std::string name;
@@ -112,10 +109,6 @@ struct DiplomatEntry {
   // data behind Figures 7-10, now with percentiles rather than only means.
   trace::Histogram latency;
   DiplomatContract contract;
-  // Owning session for entries created with register_session_local();
-  // nullptr for entries in the shared table. Entries are immortal either
-  // way — a cached pointer outlives even the owning session.
-  Session* owner = nullptr;
 
   void record_latency(std::int64_t ns) { latency.record(ns); }
   std::int64_t total_ns() const { return latency.sum(); }
@@ -138,58 +131,32 @@ struct DiplomatSnapshot {
   std::uint64_t pattern_conflicts;
 };
 
-// The immutable dispatch snapshot the registry publishes (docs/DISPATCH.md).
-// `entries[id]` is the dense array hot callers index after resolving a
-// DiplomatId once; `index` maps interned names (string_views into the
-// entries' own immortal name strings) to ids, sorted for ordered iteration,
-// while `buckets` hashes the same names for O(1) lookup.
-// A published table is never modified; a superseded table is epoch-retired
-// (util/epoch.h), so readers must pin an EpochReclaimer::Guard while they
-// dereference one. The wait-free by-id dispatch path does not read tables
-// at all — it indexes the registry's immortal segment array.
-struct DispatchTable {
-  std::vector<DiplomatEntry*> entries;
-  // Name-sorted view for ordered iteration (snapshot output, docs).
-  std::vector<std::pair<std::string_view, DiplomatId>> index;
-  // Open-addressed hash index (linear probing, power-of-two sized, at most
-  // half full) for O(1) name lookup; slots hold *positions* into `entries`
-  // (in the shared table positions and ids coincide; in a session's forked
-  // table a local entry can shadow a shared name, so its position and its
-  // id differ), kInvalidDiplomatId marks empty.
-  std::vector<std::uint32_t> buckets;
-  std::uint32_t bucket_mask = 0;
-
-  DiplomatEntry* find_entry(std::string_view name) const;
-  DiplomatId find(std::string_view name) const;
-};
-
+// The process-wide diplomat table (docs/DISPATCH.md). Nothing in it is ever
+// freed or moved: entries, the by-id segments and the name index's slots
+// live forever, so readers need no lock and nothing needs reclamation.
 class DiplomatRegistry {
  public:
+  // The most diplomats one process can register. Registering a new name
+  // past it aborts in every build type.
+  static constexpr std::size_t kCapacity = 16384;
+
   static DiplomatRegistry& instance();
 
   void reset();
   // Finds or creates the entry for `name`. The find path is lock-free: a
-  // per-thread one-entry cache, then a hash probe of the published table;
-  // only first-time registration takes the writer mutex.
+  // per-thread one-entry cache, then a probe of the name index; only
+  // first-time registration takes the writer mutex.
   DiplomatEntry& entry(std::string_view name, DiplomatPattern pattern);
+
+  // The entry registered under `name`, or nullptr. Lock-free; never
+  // registers.
+  DiplomatEntry* find(std::string_view name) const;
 
   // Resolve-once half of the fast-path protocol: returns the dense id for
   // `name` (registering it if needed); hot callers store the id and index
   // the immortal segment array per call via entry_by_id(), which stays
-  // wait-free and needs no epoch pin (only *tables* are reclaimed; entries
-  // and segments live forever, like the step-1 symbol cache they back).
+  // wait-free.
   DiplomatId resolve(std::string_view name, DiplomatPattern pattern);
-
-  // COW dispatch (docs/SESSIONS.md): registers an entry visible only to
-  // lookups made from the calling thread's session. The first local
-  // registration forks a private copy of the session's current table; every
-  // other session keeps reading the shared table untouched. A local entry
-  // shadows a shared entry of the same name within its session. Ids stay
-  // process-unique — locals descend from the top of the id space — so
-  // entry_by_id() works for every session's ids without a session check.
-  // From the default session (or an unbound thread) this is plain entry().
-  DiplomatEntry& register_session_local(std::string_view name,
-                                        DiplomatPattern pattern);
 
   DiplomatEntry& entry_by_id(DiplomatId id) const {
     const IdSegment* segment =
@@ -198,58 +165,47 @@ class DiplomatRegistry {
         std::memory_order_acquire);
   }
 
-  // The current published *shared* snapshot (what every session without a
-  // fork dispatches through). The caller must hold a
-  // util::EpochReclaimer::Guard for as long as it uses the reference:
-  // superseded tables are retired to the reclaimer and freed once every
-  // pinned epoch drains past them.
-  const DispatchTable& table() const {
-    return *table_.load(std::memory_order_acquire);
-  }
+  // Registered entries; at most kCapacity.
+  std::size_t size() const;
 
   // Per-function timing for Figures 7-10; off by default (adds two clock
   // reads per diplomat call when on).
   void set_profiling(bool enabled) { profiling_.store(enabled); }
   bool profiling() const { return profiling_.load(std::memory_order_relaxed); }
   void clear_stats();
+  // Every entry's statistics, sorted by name.
   std::vector<DiplomatSnapshot> snapshot() const;
 
  private:
-  DiplomatRegistry();
-  // Registration slow path: copy the live table, append, publish (RCU-style
-  // copy-and-publish; see docs/DISPATCH.md for the ordering contract).
+  DiplomatRegistry() = default;
+  // Registration slow path, under the writer mutex (see docs/DISPATCH.md
+  // for the publication order).
   DiplomatEntry& register_slow(std::string_view name, DiplomatPattern pattern);
-  // Allocates an immortal entry and slots it into the by-id segment array.
-  // Caller holds writer_mutex_.
-  DiplomatEntry* allocate_entry_locked(std::string_view name,
-                                       DiplomatPattern pattern, DiplomatId id);
 
   // By-id dispatch storage: a two-level array of immortal segments, grown
   // (never moved) under the writer mutex. Two dependent acquire loads per
-  // dispatch keep entry_by_id wait-free without pinning an epoch.
+  // dispatch keep entry_by_id wait-free.
   static constexpr std::size_t kSegmentShift = 8;
   static constexpr std::size_t kSegmentSize = std::size_t{1} << kSegmentShift;
-  static constexpr std::size_t kMaxSegments = 64;  // 16384 diplomats
+  static constexpr std::size_t kMaxSegments = kCapacity / kSegmentSize;
   struct IdSegment {
     std::array<std::atomic<DiplomatEntry*>, kSegmentSize> slots{};
   };
+  // Name index: open addressing with linear probing over twice the
+  // capacity, so it is at most half full and every probe ends at a null
+  // slot. A slot changes once, from null to its immortal entry.
+  static constexpr std::size_t kIndexSize = 2 * kCapacity;
 
   // Writer-side only: serializes registration and stats resets. The read
   // path never touches it — the Table 3 microbench asserts zero
   // kDiplomatRegistry acquisitions during steady-state dispatch.
   mutable util::OrderedMutex writer_mutex_{util::LockLevel::kDiplomatRegistry,
                                            "core.diplomat_registry"};
-  std::atomic<const DispatchTable*> table_{nullptr};
+  std::array<std::atomic<DiplomatEntry*>, kIndexSize> index_{};
   std::array<std::atomic<IdSegment*>, kMaxSegments> segments_{};
-  // Entry storage: append-only and immortal (call sites cache raw
-  // pointers/ids), guarded by writer_mutex_. Superseded DispatchTables, by
-  // contrast, go to the EpochReclaimer in register_slow().
+  // Entry storage in id order: append-only and immortal (call sites cache
+  // raw pointers/ids), guarded by writer_mutex_.
   std::vector<std::unique_ptr<DiplomatEntry>> owned_;
-  // Session-local ids descend from the top of the segment id space so
-  // shared ids (ascending, == table position) never renumber. The shared
-  // table keeps its dense id == position invariant forever.
-  DiplomatId next_session_local_id_ =
-      static_cast<DiplomatId>(kSegmentSize * kMaxSegments) - 1;
   std::atomic<bool> profiling_{false};
 };
 

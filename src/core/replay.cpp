@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -132,22 +134,48 @@ StatusOr<ReplayStats> replay_trace(const trace::ParsedTrace& trace,
     return Status::invalid_argument("replay: threads and iterations must be "
                                     "at least 1");
   }
-  // Resolve every referenced diplomat into the live registry up front, with
-  // the pattern the trace recorded.
-  std::map<std::uint32_t, DiplomatEntry*> entries;
-  DiplomatRegistry& registry = DiplomatRegistry::instance();
+  // A .cyt file is outside input: validate every referenced def before
+  // registering any of them, so a bad trace leaves the process-wide
+  // registry untouched.
+  std::map<std::uint32_t, const trace::CytDef*> defs;
   for (const trace::CytRecord& record : trace.records) {
     if (!trace::cyt_is_stream_event(record)) continue;
     if (record.id == trace::kCytMarkerId) continue;
-    if (entries.count(record.id) != 0) continue;
+    if (defs.count(record.id) != 0) continue;
     const trace::CytDef* def = trace.def(record.id);
     if (def == nullptr) {
       return Status::invalid_argument(
           "replay: trace references diplomat id " +
           std::to_string(record.id) + " with no def record");
     }
-    entries[record.id] = &registry.entry(
-        def->name, static_cast<DiplomatPattern>(def->pattern));
+    if (def->pattern >
+        static_cast<std::uint8_t>(DiplomatPattern::kUnimplemented)) {
+      return Status::invalid_argument(
+          "replay: def " + def->name + " has unknown pattern " +
+          std::to_string(def->pattern));
+    }
+    defs[record.id] = def;
+  }
+  DiplomatRegistry& registry = DiplomatRegistry::instance();
+  std::set<std::string_view> new_names;
+  for (const auto& [id, def] : defs) {
+    if (registry.find(def->name) == nullptr) new_names.insert(def->name);
+  }
+  const std::size_t free_slots =
+      DiplomatRegistry::kCapacity - registry.size();
+  if (new_names.size() > free_slots) {
+    return Status::invalid_argument(
+        "replay: trace names " + std::to_string(new_names.size()) +
+        " unregistered diplomats, registry has room for " +
+        std::to_string(free_slots));
+  }
+
+  // Resolve every referenced diplomat into the live registry up front, with
+  // the pattern the trace recorded.
+  std::map<std::uint32_t, DiplomatEntry*> entries;
+  for (const auto& [id, def] : defs) {
+    entries[id] = &registry.entry(def->name,
+                                  static_cast<DiplomatPattern>(def->pattern));
   }
 
   const std::vector<Lane> lanes = build_lanes(trace);

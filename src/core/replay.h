@@ -57,8 +57,11 @@ std::uint64_t trace_expected_crossings(const trace::ParsedTrace& trace);
 
 // Replays `trace` on options.threads threads × options.iterations passes.
 // Every replay thread registers with the iOS persona (the foreign-app
-// direction diplomats exist for). Returns aggregate stats; fails when the
-// trace references a def-less diplomat id (corrupt or hand-built trace).
+// direction diplomats exist for). Returns aggregate stats. Fails with
+// invalid_argument, before registering anything, when the trace references
+// a def-less diplomat id, a def whose pattern byte names no DiplomatPattern,
+// or more new diplomat names than the registry has room for (corrupt or
+// hand-built trace).
 StatusOr<ReplayStats> replay_trace(const trace::ParsedTrace& trace,
                                    const ReplayOptions& options);
 

@@ -3,12 +3,12 @@
 // virtualization with shared-kernel efficiencies is the grounding).
 //
 // A `Session` owns the per-app half of the bridge — kernel thread/persona
-// registry, linker images + replica views, graphics-TLS tracker, GPU device
-// frame state, surface registries, and (copy-on-write) any session-local
-// dispatch-table fork. Cross-cutting infrastructure (trace recorder, metrics, fault
-// registry, watchdog monitor, epoch reclaimer, tile worker pool) stays
-// process-global; what *degrades* — watchdog rung ladders, fault filters —
-// is per-session so one wedged app never stalls its neighbors.
+// registry, linker images + replica namespaces, graphics-TLS tracker, GPU
+// device frame state and surface registries. Cross-cutting infrastructure
+// (diplomat registry, trace recorder, metrics, fault registry, watchdog
+// monitor, tile worker pool) stays process-global; what *degrades* —
+// watchdog rung ladders, fault filters — is per-session so one wedged app
+// never stalls its neighbors.
 //
 // Per-session state hangs off the session as type-erased **facets**: the
 // first `Session::facet<Kernel>(...)` call on a session constructs that
@@ -252,9 +252,8 @@ class SessionRegistry {
   // Creates a live session. Fails only under fault injection
   // (session.create) or when CYCADA_SESSIONS caps the live count.
   StatusOr<Session*> create(std::string name);
-  // Destroys a live session: facets torn down in reverse creation order
-  // (retired per-session dispatch tables go to the epoch reclaimer). The
-  // caller must have unbound every thread from it. Destroying the default
+  // Destroys a live session: facets torn down in reverse creation order.
+  // The caller must have unbound every thread from it. Destroying the default
   // session is a no-op.
   void destroy(Session* session);
 

@@ -92,9 +92,9 @@ std::invoke_result_t<Fn, glcore::GlesEngine&> dispatch(
 }
 
 // The fast-path dispatch protocol (docs/DISPATCH.md): resolve the dense
-// DiplomatId once per call site, then index the published snapshot array on
-// every call — a wait-free acquire load plus an array index, no registry
-// mutex and no name lookup.
+// DiplomatId once per call site, then index the registry's immortal id
+// segments on every call — two acquire loads and an array index, no
+// registry mutex and no name lookup.
 #define IOS_GL(name)                                           \
   static const core::DiplomatId diplomat_id =                  \
       gl_diplomat_id(#name);                                   \

@@ -35,36 +35,6 @@ Linker& Linker::instance() {
       /*teardown_order=*/1);
 }
 
-Linker::Linker() {
-  view_.store(new LinkerView(), std::memory_order_release);
-}
-
-Linker::~Linker() {
-  // The final snapshot is epoch-retired like any superseded one, so a
-  // reader still pinned on it survives the session teardown; the loaded_
-  // map's shared_ptrs unload every remaining copy (replicas included).
-  const LinkerView* last = view_.exchange(nullptr, std::memory_order_acq_rel);
-  if (last != nullptr) util::EpochReclaimer::instance().retire(last);
-}
-
-void Linker::publish_locked() {
-  auto next = std::make_unique<LinkerView>();
-  for (const auto& [name, image] : images_) {
-    next->images.emplace(name, image.replica_aware);
-  }
-  for (const auto& [key, copy] : loaded_) {
-    if (copy != nullptr) next->loaded.emplace(key, copy);
-  }
-  next->load_counts = load_counts_;
-  next->replica_bypasses = replica_bypasses_;
-  // Publish first, retire second: a reader that pinned its epoch before
-  // this store may still be walking the old view, and the reclaimer will
-  // not free it until that pin drains (util/epoch.h).
-  const LinkerView* old = view_.load(std::memory_order_relaxed);
-  view_.store(next.release(), std::memory_order_release);
-  if (old != nullptr) util::EpochReclaimer::instance().retire(old);
-}
-
 void Linker::reset() {
   std::lock_guard lock(mutex_);
   loaded_.clear();
@@ -72,7 +42,6 @@ void Linker::reset() {
   load_counts_.clear();
   replica_bypasses_.clear();
   next_namespace_ = 1;
-  publish_locked();
 }
 
 Status Linker::register_image(LibraryImage image) {
@@ -83,14 +52,12 @@ Status Linker::register_image(LibraryImage image) {
   auto [it, inserted] = images_.emplace(image.name, std::move(image));
   (void)it;
   if (!inserted) return Status::already_exists("library already registered");
-  publish_locked();
   return Status::ok();
 }
 
 bool Linker::has_image(std::string_view name) const {
-  util::EpochReclaimer::Guard guard;
-  const LinkerView* snapshot = view();
-  return snapshot->images.find(name) != snapshot->images.end();
+  std::lock_guard lock(mutex_);
+  return images_.find(name) != images_.end();
 }
 
 StatusOr<Handle> Linker::dlopen(std::string_view name, NamespaceId ns) {
@@ -100,35 +67,6 @@ StatusOr<Handle> Linker::dlopen(std::string_view name, NamespaceId ns) {
       util::FaultRegistry::instance().point("linker.dlopen");
   if (fault.should_fail()) {
     return Status::resource_exhausted("injected fault: linker.dlopen");
-  }
-  // Lock-free fast path: the copy is already shared in `ns` and no bypass
-  // event needs recording. Re-opens of resident libraries on the GL call
-  // path (open_android_egl and friends) land here without the linker mutex.
-  // If the weak reference expired — the copy is being unloaded — fall
-  // through to the locked path, which sees the authoritative table.
-  {
-    util::EpochReclaimer::Guard guard;
-    const LinkerView* snapshot = view();
-    auto it = snapshot->loaded.find(
-        std::pair<NamespaceId, std::string_view>(ns, name));
-    if (it != snapshot->loaded.end()) {
-      if (Handle copy = it->second.lock()) {
-        bool bypass = false;
-        if (ns == kGlobalNamespace) {
-          auto image_it = snapshot->images.find(name);
-          if (image_it != snapshot->images.end() && image_it->second) {
-            for (const auto& [key, weak] : snapshot->loaded) {
-              if (key.first != kGlobalNamespace && key.second == name &&
-                  !weak.expired()) {
-                bypass = true;
-                break;
-              }
-            }
-          }
-        }
-        if (!bypass) return copy;
-      }
-    }
   }
   std::lock_guard lock(mutex_);
   if (ns == kGlobalNamespace) {
@@ -145,9 +83,7 @@ StatusOr<Handle> Linker::dlopen(std::string_view name, NamespaceId ns) {
       }
     }
   }
-  auto result = load_locked(name, ns);
-  publish_locked();
-  return result;
+  return load_locked(name, ns);
 }
 
 StatusOr<Handle> Linker::dlopen_shared_fallback(std::string_view name) {
@@ -156,7 +92,6 @@ StatusOr<Handle> Linker::dlopen_shared_fallback(std::string_view name) {
       trace::MetricsRegistry::instance().counter("degrade.linker_shared_open");
   std::lock_guard lock(mutex_);
   auto result = load_locked(name, kGlobalNamespace);
-  publish_locked();
   if (result.is_ok()) shared_opens.add();
   return result;
 }
@@ -179,7 +114,6 @@ StatusOr<Handle> Linker::dlforce(std::string_view name) {
   // dependency closure is re-instanced and every constructor runs again.
   const NamespaceId ns = next_namespace_++;
   auto result = load_locked(name, ns);
-  publish_locked();
   if (result.is_ok()) {
     replicas.add();
     load_ns.record(now_ns() - start_ns);
@@ -261,9 +195,6 @@ void* Linker::dlsym(const Handle& handle, std::string_view symbol) {
 Status Linker::dlclose(Handle handle) {
   if (handle == nullptr) return Status::invalid_argument("null handle");
   std::lock_guard lock(mutex_);
-  // The published views reference copies weakly, so they never contribute
-  // to use_count(): the "only the registry still holds it" test below keeps
-  // its exact pre-snapshot meaning.
   const auto key = std::make_pair(handle->namespace_id(), handle->name());
   auto it = loaded_.find(key);
   if (it == loaded_.end() || it->second.get() != handle.get()) {
@@ -293,42 +224,36 @@ Status Linker::dlclose(Handle handle) {
         loaded_.erase(cit);
       }
     }
-    publish_locked();
   }
   return Status::ok();
 }
 
 int Linker::load_count(std::string_view name) const {
-  util::EpochReclaimer::Guard guard;
-  const LinkerView* snapshot = view();
-  auto it = snapshot->load_counts.find(name);
-  return it == snapshot->load_counts.end() ? 0 : it->second;
+  std::lock_guard lock(mutex_);
+  auto it = load_counts_.find(name);
+  return it == load_counts_.end() ? 0 : it->second;
 }
 
 std::vector<Linker::LoadedCopy> Linker::loaded_copies() const {
-  util::EpochReclaimer::Guard guard;
-  const LinkerView* snapshot = view();
+  std::lock_guard lock(mutex_);
   std::vector<LoadedCopy> out;
-  out.reserve(snapshot->loaded.size());
-  for (const auto& [key, weak] : snapshot->loaded) {
-    if (auto copy = weak.lock()) {
-      out.push_back({key.second, key.first, std::move(copy)});
-    }
+  out.reserve(loaded_.size());
+  for (const auto& [key, copy] : loaded_) {
+    out.push_back({key.second, key.first, copy});
   }
   return out;
 }
 
 std::vector<std::string> Linker::replica_bypass_events() const {
-  util::EpochReclaimer::Guard guard;
-  return view()->replica_bypasses;
+  std::lock_guard lock(mutex_);
+  return replica_bypasses_;
 }
 
 int Linker::live_copy_count(std::string_view name) const {
-  util::EpochReclaimer::Guard guard;
-  const LinkerView* snapshot = view();
+  std::lock_guard lock(mutex_);
   int count = 0;
-  for (const auto& [key, weak] : snapshot->loaded) {
-    if (key.second == name && !weak.expired()) ++count;
+  for (const auto& [key, copy] : loaded_) {
+    if (key.second == name) ++count;
   }
   return count;
 }

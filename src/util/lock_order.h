@@ -31,7 +31,6 @@ enum class LockLevel : int {
   kKernelThreads = 40,     // kernel::Kernel::registry_mutex_
   kKernelKeys = 50,        // kernel::Kernel::keys_mutex_
   kThreadTls = 60,         // kernel::ThreadState::tls_mutex_
-  kEpoch = 62,             // util::EpochReclaimer::mutex_ (retired list)
   kFaultRegistry = 64,     // util::FaultRegistry::mutex_
   kWatchdog = 66,          // util::Watchdog::threads_mutex_ (slot registry)
   kSessionRegistry = 68,   // core::SessionRegistry::mutex_ (live sessions)

@@ -99,7 +99,7 @@ TEST_F(AnalyzeTest, LintRunsCleanOnTheRealTree) {
 
 TEST_F(AnalyzeTest, ContractCountersBalanceUnderConcurrentLockFreeDispatch) {
   // The registry's lock-free read path must not cost contract accuracy:
-  // many threads resolving entries by name (per-thread cache + snapshot
+  // many threads resolving entries by name (per-thread cache + name index
   // probe, no registry mutex) and dispatching with hooks and data-dependent
   // skips must leave every counter exactly balanced, so the checker stays
   // clean and the totals add up.

@@ -1,11 +1,11 @@
-// Lock-free dispatch tests (docs/DISPATCH.md): the snapshot/RCU diplomat
-// registry under concurrent readers and writers, the steady-state
+// Lock-free dispatch tests (docs/DISPATCH.md): the insert-only diplomat
+// name index under concurrent readers and writers, the steady-state
 // zero-lock guarantee the Table 3 microbench also asserts, and the
-// lock-free read paths of the TLS tracker and the linker view. Sized to
-// stay fast under TSan (scripts/check.sh builds this suite with
-// -DCYCADA_TSAN=ON).
+// lock-free read paths of the TLS tracker. Sized to stay fast under TSan
+// (scripts/check.sh builds this suite with -DCYCADA_TSAN=ON).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -14,8 +14,6 @@
 #include "core/diplomat.h"
 #include "core/impersonation.h"
 #include "kernel/kernel.h"
-#include "linker/linker.h"
-#include "util/epoch.h"
 #include "util/lock_order.h"
 
 namespace cycada {
@@ -31,7 +29,7 @@ constexpr const char* kNames[] = {"dispatch.a", "dispatch.b", "dispatch.c",
                                   "dispatch.g", "dispatch.h"};
 constexpr int kNameCount = 8;
 
-// --- Snapshot stability -----------------------------------------------------
+// --- Entry stability --------------------------------------------------------
 
 TEST(DispatchTest, EntriesAndIdsSurviveRepublication) {
   DiplomatRegistry& registry = DiplomatRegistry::instance();
@@ -42,9 +40,9 @@ TEST(DispatchTest, EntriesAndIdsSurviveRepublication) {
     ids[i] = before[i]->id;
     ASSERT_NE(ids[i], core::kInvalidDiplomatId);
   }
-  // Force many copy-and-publish cycles, then verify every cached pointer
-  // and id still resolves to the same entry (the paper's step-1 cache must
-  // never be invalidated by later registrations).
+  // Register many more names, then verify every cached pointer and id still
+  // resolves to the same entry (the paper's step-1 cache must never be
+  // invalidated by later registrations).
   for (int i = 0; i < 64; ++i) {
     (void)registry.entry("dispatch.churn." + std::to_string(i),
                          DiplomatPattern::kDirect);
@@ -54,16 +52,15 @@ TEST(DispatchTest, EntriesAndIdsSurviveRepublication) {
     EXPECT_EQ(&registry.entry_by_id(ids[i]), before[i]);
     EXPECT_EQ(registry.resolve(kNames[i], DiplomatPattern::kDirect), ids[i]);
   }
-  // Ids are dense indices into the published table. Direct table() access
-  // requires an epoch guard: tables retire on every publish now.
-  util::EpochReclaimer::Guard guard;
-  const core::DispatchTable& table = registry.table();
-  for (DiplomatId id = 0; id < table.entries.size(); ++id) {
-    EXPECT_EQ(table.entries[id]->id, id);
-    EXPECT_EQ(table.find(table.entries[id]->name), id);
+  // Every id resolves to the entry that carries it, the index finds that
+  // same entry by name, and a name never registered stays unknown.
+  for (int i = 0; i < 64; ++i) {
+    const std::string name = "dispatch.churn." + std::to_string(i);
+    const DiplomatId id = registry.resolve(name, DiplomatPattern::kDirect);
+    EXPECT_EQ(registry.entry_by_id(id).id, id);
+    EXPECT_EQ(registry.find(name), &registry.entry_by_id(id));
   }
-  EXPECT_EQ(table.find("dispatch.never-registered"),
-            core::kInvalidDiplomatId);
+  EXPECT_EQ(registry.find("dispatch.never-registered"), nullptr);
 }
 
 // --- Readers vs. a registering writer ---------------------------------------
@@ -120,6 +117,57 @@ TEST(DispatchTest, ConcurrentLookupsSurviveConcurrentRegistration) {
     const std::string name = "dispatch.writer." + std::to_string(i);
     EXPECT_EQ(registry.entry(name, DiplomatPattern::kIndirect).name, name);
   }
+}
+
+// --- Writers racing on one name ----------------------------------------------
+
+TEST(DispatchTest, ConcurrentRegistrationOfOneNameYieldsOneEntry) {
+  DiplomatRegistry& registry = DiplomatRegistry::instance();
+  constexpr int kThreads = 4;
+  constexpr int kRacedNames = 128;
+  std::atomic<bool> start{false};
+  std::vector<std::vector<DiplomatEntry*>> seen(
+      kThreads, std::vector<DiplomatEntry*>(kRacedNames, nullptr));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!start.load(std::memory_order_acquire)) {}
+      for (int k = 0; k < kRacedNames; ++k) {
+        seen[t][k] = &registry.entry("dispatch.race." + std::to_string(k),
+                                     DiplomatPattern::kDirect);
+      }
+    });
+  }
+  start.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+
+  std::vector<DiplomatId> ids;
+  for (int k = 0; k < kRacedNames; ++k) {
+    const std::string name = "dispatch.race." + std::to_string(k);
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t][k], seen[0][k]);
+    EXPECT_EQ(seen[0][k]->name, name);
+    EXPECT_EQ(registry.entry_by_id(seen[0][k]->id).name, name);
+    ids.push_back(seen[0][k]->id);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+}
+
+// --- Capacity ---------------------------------------------------------------
+
+TEST(DispatchDeathTest, RegistrationPastCapacityAborts) {
+  // Ids index a fixed segment array; filling the registry must end in a
+  // loud abort in every build type, never an out-of-bounds write.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        DiplomatRegistry& registry = DiplomatRegistry::instance();
+        for (std::size_t i = 0; i <= DiplomatRegistry::kCapacity; ++i) {
+          (void)registry.entry("dispatch.fill." + std::to_string(i),
+                               DiplomatPattern::kDirect);
+        }
+      },
+      "diplomat registry full");
 }
 
 // --- Steady-state lock-freedom ----------------------------------------------
@@ -211,41 +259,6 @@ TEST(DispatchTest, TlsTrackerMembershipIsCoherentUnderConcurrency) {
   EXPECT_FALSE(tracker.is_graphics_key(kStableKey + 1));
   tracker.reset();
   EXPECT_FALSE(tracker.is_graphics_key(kStableKey));
-}
-
-// --- Linker view fast path ---------------------------------------------------
-
-class TrivialLib : public linker::LibraryInstance {
- public:
-  void* symbol(std::string_view) override { return nullptr; }
-};
-
-TEST(DispatchTest, SharedCopyDlopenTakesNoLinkerMutex) {
-  linker::Linker& linker = linker::Linker::instance();
-  linker.reset();
-  ASSERT_TRUE(linker
-                  .register_image({"libdispatch_test.so", {}, [](auto&) {
-                                     return std::make_unique<TrivialLib>();
-                                   }})
-                  .is_ok());
-  auto first = linker.dlopen("libdispatch_test.so");
-  ASSERT_TRUE(first.is_ok());
-
-  util::LockOrderGraph& graph = util::LockOrderGraph::instance();
-  graph.set_recording(false);
-  graph.reset();
-  graph.set_recording(true);
-  for (int i = 0; i < 1000; ++i) {
-    auto again = linker.dlopen("libdispatch_test.so");
-    ASSERT_TRUE(again.is_ok());
-    EXPECT_EQ(*again, *first);  // shared copy, not a private reload
-    EXPECT_TRUE(linker.has_image("libdispatch_test.so"));
-    EXPECT_EQ(linker.live_copy_count("libdispatch_test.so"), 1);
-  }
-  EXPECT_EQ(graph.acquisitions(util::LockLevel::kLinker), 0u);
-  graph.set_recording(false);
-  graph.reset();
-  ASSERT_TRUE(linker.dlclose(*first).is_ok());
 }
 
 }  // namespace

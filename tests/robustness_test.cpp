@@ -32,7 +32,6 @@
 #include "linker/linker.h"
 #include "trace/metrics.h"
 #include "util/clock.h"
-#include "util/epoch.h"
 #include "util/faultpoint.h"
 #include "util/lock_order.h"
 #include "util/retry.h"
@@ -655,151 +654,6 @@ TEST(RobustnessRetryTest, RetriesUntilSuccessThenGivesUp) {
   });
   EXPECT_FALSE(status.is_ok());
   EXPECT_EQ(calls, 2);
-}
-
-// --- Epoch reclaimer: bounded retirement --------------------------------------
-
-TEST(RobustnessEpochTest, RetiredCountStaysBoundedOverManyCycles) {
-  util::EpochReclaimer& epoch = util::EpochReclaimer::instance();
-  (void)epoch.try_reclaim();
-  const std::uint64_t reclaimed_before = epoch.reclaimed_total();
-  std::size_t peak = 0;
-  bool shrank = false;
-  std::size_t previous = epoch.retired_count();
-  for (int i = 0; i < 2000; ++i) {
-    epoch.retire(new int(i));
-    const std::size_t now = epoch.retired_count();
-    peak = std::max(peak, now);
-    shrank |= now < previous;  // the count must be non-monotonic: it drains
-    previous = now;
-  }
-  (void)epoch.try_reclaim();
-  // Auto-reclaim at the threshold keeps the backlog bounded regardless of
-  // how many snapshots are republished — the "bounded memory" acceptance
-  // criterion for the retired-table path.
-  EXPECT_LE(peak, 2 * 64u);
-  EXPECT_TRUE(shrank);
-  EXPECT_GE(epoch.reclaimed_total() - reclaimed_before, 1900u);
-  EXPECT_LE(epoch.retired_count(), 64u);
-}
-
-class RobustnessChurnLib : public linker::LibraryInstance {
- public:
-  void* symbol(std::string_view) override { return nullptr; }
-};
-
-TEST(RobustnessEpochTest, SnapshotChurnStaysBoundedOverAThousandRepublishes) {
-  util::EpochReclaimer& epoch = util::EpochReclaimer::instance();
-  (void)epoch.try_reclaim();
-  std::size_t peak = 0;
-
-  // 1000 diplomat registrations: each copy-and-publish retires the
-  // superseded DispatchTable, which before this PR accumulated forever.
-  core::DiplomatRegistry& registry = core::DiplomatRegistry::instance();
-  for (int i = 0; i < 1000; ++i) {
-    (void)registry.entry("robustness.churn." + std::to_string(i),
-                         core::DiplomatPattern::kDirect);
-    peak = std::max(peak, epoch.retired_count());
-  }
-
-  // 500 dlopen/dlclose cycles: each load and each unload republishes the
-  // LinkerView and retires the old one.
-  linker::Linker& linker = linker::Linker::instance();
-  ASSERT_TRUE(linker
-                  .register_image({"librobustness_churn.so", {}, [](auto&) {
-                                     return std::make_unique<
-                                         RobustnessChurnLib>();
-                                   }})
-                  .is_ok());
-  for (int i = 0; i < 500; ++i) {
-    auto handle = linker.dlopen("librobustness_churn.so");
-    ASSERT_TRUE(handle.is_ok());
-    ASSERT_TRUE(linker.dlclose(std::move(*handle)).is_ok());
-    peak = std::max(peak, epoch.retired_count());
-  }
-
-  (void)epoch.try_reclaim();
-  // Bounded and non-monotonic: the backlog never exceeds a small multiple
-  // of the auto-reclaim threshold and drains at the end.
-  EXPECT_LE(peak, 2 * 64u);
-  EXPECT_LE(epoch.retired_count(), 64u);
-}
-
-TEST(RobustnessEpochTest, PinnedReaderBlocksReclaimUntilReleased) {
-  util::EpochReclaimer& epoch = util::EpochReclaimer::instance();
-  (void)epoch.try_reclaim();
-  ASSERT_EQ(epoch.retired_count(), 0u);
-
-  std::atomic<int> stage{0};
-  int* observed = new int(7);
-  std::thread reader([&stage, observed] {
-    util::EpochReclaimer::Guard guard;
-    stage.store(1, std::memory_order_release);
-    while (stage.load(std::memory_order_acquire) != 2) {
-      std::this_thread::yield();
-    }
-    // Still pinned: the object retired after we pinned must be alive.
-    EXPECT_EQ(*observed, 7);
-    stage.store(3, std::memory_order_release);
-    while (stage.load(std::memory_order_acquire) != 4) {
-      std::this_thread::yield();
-    }
-  });
-  while (stage.load(std::memory_order_acquire) != 1) {
-    std::this_thread::yield();
-  }
-  epoch.retire(observed);
-  EXPECT_EQ(epoch.try_reclaim(), 0u);  // reader pinned before retirement
-  EXPECT_EQ(epoch.retired_count(), 1u);
-  stage.store(2, std::memory_order_release);
-  while (stage.load(std::memory_order_acquire) != 3) {
-    std::this_thread::yield();
-  }
-  stage.store(4, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(epoch.try_reclaim(), 1u);  // unpinned: the backlog drains
-  EXPECT_EQ(epoch.retired_count(), 0u);
-}
-
-TEST(RobustnessEpochTest, CachedPinHoldsFloorUntilReleased) {
-  // The outermost Guard leaves its pin *published* on exit (the cached-pin
-  // fast path that keeps steady-state dispatch probes fence-free). The cost
-  // of that caching is deliberate and bounded: an idle thread's cached pin
-  // holds the reclamation floor only until release_cached_pin().
-  util::EpochReclaimer& epoch = util::EpochReclaimer::instance();
-  (void)epoch.try_reclaim();
-  ASSERT_EQ(epoch.retired_count(), 0u);
-
-  std::atomic<int> stage{0};
-  std::thread idler([&stage] {
-    { util::EpochReclaimer::Guard guard; }  // exits; the pin stays cached
-    stage.store(1, std::memory_order_release);
-    while (stage.load(std::memory_order_acquire) != 2) {
-      std::this_thread::yield();
-    }
-    util::EpochReclaimer::instance().release_cached_pin();
-    stage.store(3, std::memory_order_release);
-    while (stage.load(std::memory_order_acquire) != 4) {
-      std::this_thread::yield();
-    }
-  });
-  while (stage.load(std::memory_order_acquire) != 1) {
-    std::this_thread::yield();
-  }
-  // No guard is live anywhere, but the idler's cached pin still floors the
-  // epoch: the retirement that follows must not drain.
-  epoch.retire(new int(1));
-  EXPECT_EQ(epoch.try_reclaim(), 0u);
-  EXPECT_EQ(epoch.retired_count(), 1u);
-  stage.store(2, std::memory_order_release);
-  while (stage.load(std::memory_order_acquire) != 3) {
-    std::this_thread::yield();
-  }
-  // Released (thread still alive): the backlog drains without a join.
-  EXPECT_EQ(epoch.try_reclaim(), 1u);
-  EXPECT_EQ(epoch.retired_count(), 0u);
-  stage.store(4, std::memory_order_release);
-  idler.join();
 }
 
 // --- Replica pool: warm reuse, LRU eviction, live cap ------------------------

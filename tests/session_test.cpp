@@ -1,6 +1,6 @@
-// Session-scoped runtime tests (docs/SESSIONS.md): facet isolation, COW
-// dispatch shadowing, create/destroy churn hygiene, per-session fault
-// targeting, per-session watchdog ladders, and fleet-style neighbor
+// Session-scoped runtime tests (docs/SESSIONS.md): facet isolation,
+// create/destroy churn hygiene, the per-session EGL wrapper pin, per-session
+// fault targeting, per-session watchdog ladders, and fleet-style neighbor
 // isolation under injected chaos. The suite runs in the CI TSan leg — the
 // churn and isolation tests create real concurrency on purpose.
 #include "core/session.h"
@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/diplomat.h"
+#include "android_gl/vendor.h"
 #include "core/impersonation.h"
 #include "glport/gl_port.h"
 #include "glport/system_config.h"
@@ -22,7 +22,6 @@
 #include "linker/linker.h"
 #include "passmark/passmark.h"
 #include "util/clock.h"
-#include "util/epoch.h"
 #include "util/faultpoint.h"
 #include "util/watchdog.h"
 
@@ -111,92 +110,6 @@ TEST_F(SessionTest, ScopesNestAndRestore) {
   registry.destroy(*b);
 }
 
-// --- COW dispatch -----------------------------------------------------------
-
-TEST_F(SessionTest, SessionLocalDiplomatShadowsOnlyInSession) {
-  DiplomatRegistry& registry = DiplomatRegistry::instance();
-  SessionRegistry& sessions = SessionRegistry::instance();
-  auto session = sessions.create("cow");
-  ASSERT_TRUE(session.is_ok());
-
-  // A shared diplomat everyone sees.
-  DiplomatEntry& shared =
-      registry.entry("session_test.shared", DiplomatPattern::kDirect);
-  util::EpochReclaimer::Guard guard;  // pins the tables we dereference
-  const std::size_t shared_entries = registry.table().entries.size();
-
-  DiplomatEntry* local = nullptr;
-  {
-    SessionScope scope(**session);
-    local = &registry.register_session_local("session_test.local",
-                                             DiplomatPattern::kIndirect);
-    // Local ids come down from the top of the id space so shared ids stay
-    // dense positions.
-    EXPECT_GE(local->id, static_cast<DiplomatId>(1 << 13));
-    EXPECT_EQ(local->owner, *session);
-    // In-session lookup resolves the local entry; the shared one still
-    // resolves too (the fork holds a superset).
-    EXPECT_EQ(&registry.entry("session_test.local", DiplomatPattern::kDirect),
-              local);
-    EXPECT_EQ(&registry.entry("session_test.shared", DiplomatPattern::kDirect),
-              &shared);
-  }
-  // Outside the session the local registration is invisible in the shared
-  // (cross-session) table, which did not grow.
-  EXPECT_EQ(registry.table().find_entry("session_test.local"), nullptr);
-  EXPECT_EQ(registry.table().entries.size(), shared_entries);
-  EXPECT_EQ(registry.table().find_entry("session_test.shared"), &shared);
-
-  // Shadowing: a session-local registration of a *shared* name replaces it
-  // in the fork only.
-  DiplomatEntry* shadow = nullptr;
-  {
-    SessionScope scope(**session);
-    shadow = &registry.register_session_local("session_test.shared",
-                                              DiplomatPattern::kMulti);
-    EXPECT_NE(shadow, &shared);
-    EXPECT_EQ(&registry.entry("session_test.shared", DiplomatPattern::kMulti),
-              shadow);
-    EXPECT_EQ(shadow->pattern, DiplomatPattern::kMulti);
-    // Re-registering the same name in the same session is idempotent.
-    EXPECT_EQ(&registry.register_session_local("session_test.shared",
-                                               DiplomatPattern::kMulti),
-              shadow);
-  }
-  EXPECT_EQ(&registry.entry("session_test.shared", DiplomatPattern::kDirect),
-            &shared);
-
-  sessions.destroy(*session);
-  // After destruction nothing leaks into the shared view.
-  EXPECT_EQ(registry.table().find_entry("session_test.local"), nullptr);
-  EXPECT_EQ(registry.table().find_entry("session_test.shared"), &shared);
-}
-
-TEST_F(SessionTest, SupersededForkTablesDrainThroughTheEpochReclaimer) {
-  util::EpochReclaimer& epoch = util::EpochReclaimer::instance();
-  (void)epoch.try_reclaim();
-  const std::uint64_t reclaimed_before = epoch.reclaimed_total();
-
-  SessionRegistry& sessions = SessionRegistry::instance();
-  auto session = sessions.create("fork-churn");
-  ASSERT_TRUE(session.is_ok());
-  constexpr int kForks = 32;
-  {
-    SessionScope scope(**session);
-    for (int i = 0; i < kForks; ++i) {
-      DiplomatRegistry::instance().register_session_local(
-          "session_test.fork" + std::to_string(i), DiplomatPattern::kDirect);
-    }
-  }
-  sessions.destroy(*session);
-  (void)epoch.try_reclaim();
-  // Every superseded fork (and the final one, retired by the session's
-  // teardown) drains; the first fork's base is the live shared table and is
-  // never retired.
-  EXPECT_GE(epoch.reclaimed_total() - reclaimed_before,
-            static_cast<std::uint64_t>(kForks - 1));
-}
-
 // --- Lifecycle churn --------------------------------------------------------
 
 TEST_F(SessionTest, ChurnLeaksNothingIntoTheDefaultSession) {
@@ -249,6 +162,43 @@ TEST_F(SessionTest, ChurnLeaksNothingIntoTheDefaultSession) {
   default_kernel.remove_key_delete_hook(delete_hook);
 }
 
+TEST_F(SessionTest, EglWrapperIsPinnedOncePerCopy) {
+  // Every EAGL context's init and destroy open libEGL; the session must pin
+  // its copy once, not once per open, or the pins grow without bound.
+  SessionRegistry& registry = SessionRegistry::instance();
+  auto session = registry.create("egl-pin");
+  ASSERT_TRUE(session.is_ok());
+  {
+    SessionScope scope(**session);
+    kernel::Kernel::instance().register_current_thread(kernel::Persona::kIos);
+    GraphicsTlsTracker::instance().install();
+    const auto egl_uses = [] {
+      for (const auto& loaded : linker::Linker::instance().loaded_copies()) {
+        if (loaded.ns == linker::kGlobalNamespace &&
+            loaded.name == android_gl::kEglLib) {
+          return loaded.copy.use_count();
+        }
+      }
+      return 0L;
+    };
+    long first_uses = 0;
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      {
+        auto port = glport::make_ios_port();
+        ASSERT_TRUE(port->init(32, 32, 1).is_ok());
+      }
+      const long uses = egl_uses();
+      if (cycle == 0) {
+        first_uses = uses;
+        EXPECT_GT(first_uses, 0);
+      } else {
+        EXPECT_EQ(uses, first_uses) << "cycle " << cycle;
+      }
+    }
+  }
+  registry.destroy(*session);
+}
+
 TEST_F(SessionTest, ConcurrentChurnIsRaceFree) {
   SessionRegistry& registry = SessionRegistry::instance();
   const std::size_t live_before = registry.live_count();
@@ -274,9 +224,6 @@ TEST_F(SessionTest, ConcurrentChurnIsRaceFree) {
           (void)gmem::GrallocAllocator::instance().allocate(
               8, 8, PixelFormat::kRgba8888,
               gmem::kUsageCpuRead | gmem::kUsageCpuWrite);
-          DiplomatRegistry::instance().register_session_local(
-              "session_test.churn-t" + std::to_string(t),
-              DiplomatPattern::kDirect);
         }
         registry.destroy(*session);
       }

@@ -279,6 +279,41 @@ TEST_F(TraceReplayTest, ReplayRejectsDeflessIdsAndBadOptions) {
   EXPECT_FALSE(replay_trace(trace::ParsedTrace{}, bad).is_ok());
 }
 
+// Adds a def for `id` with a raw pattern byte, and one call referencing it,
+// to a hand-built trace.
+void add_def_and_call(trace::ParsedTrace& trace, std::uint32_t id,
+                      std::string name, std::uint8_t pattern) {
+  trace.defs[id] = trace::CytDef{std::move(name), pattern};
+  trace.records.push_back(make_event(id, trace::CytEventKind::kCall));
+}
+
+constexpr auto kDirectByte =
+    static_cast<std::uint8_t>(DiplomatPattern::kDirect);
+
+TEST_F(TraceReplayTest, ReplayRejectsAnUnknownPatternBeforeRegistering) {
+  trace::ParsedTrace trace;
+  add_def_and_call(trace, 1, "replay_test.valid", kDirectByte);
+  add_def_and_call(trace, 2, "replay_test.bad_pattern", 0x7f);
+  const std::size_t before = DiplomatRegistry::instance().snapshot().size();
+  auto result = replay_trace(trace, {});
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(DiplomatRegistry::instance().snapshot().size(), before);
+}
+
+TEST_F(TraceReplayTest, ReplayRejectsMoreNamesThanTheRegistryHolds) {
+  trace::ParsedTrace trace;
+  for (std::uint32_t id = 0; id <= DiplomatRegistry::kCapacity; ++id) {
+    add_def_and_call(trace, id, "replay_test.flood." + std::to_string(id),
+                     kDirectByte);
+  }
+  const std::size_t before = DiplomatRegistry::instance().snapshot().size();
+  auto result = replay_trace(trace, {});
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(DiplomatRegistry::instance().snapshot().size(), before);
+}
+
 // --- Trace mining ------------------------------------------------------------
 
 TEST_F(TraceReplayTest, MinerFlagsEverySeededViolation) {
