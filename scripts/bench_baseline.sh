@@ -8,10 +8,11 @@
 # replays it at 4 threads so replay throughput rides the same gate; the
 # fig6 worker-sweep leg (docs/PIPELINE.md) runs PassMark at 1/2/4/8 tile
 # workers so the per-stage pipeline histograms and the raster speedup ride
-# it too; the chaos-soak leg (docs/ROBUSTNESS.md) records the watchdog's
-# escalation/recovery counters and stall histograms under deterministic
-# fault injection (soak.* keys — informational in bench_compare.sh, since
-# they measure injected faults, not code speed); the fleet leg
+# it too; the chaos-soak leg (cycada_fleet --chaos-ms, docs/ROBUSTNESS.md)
+# records the watchdog's escalation/recovery counters and stall histograms
+# of one fault-injected session beside three clean neighbours (soak.* keys
+# — informational in bench_compare.sh, since they measure injected faults,
+# not code speed); the fleet leg
 # (docs/SESSIONS.md) drives 16 concurrent sessions through cycada_fleet so
 # multi-app throughput and frame-latency tails (fleet.frame_p99_ns) ride
 # the lower-is-better gate.
@@ -52,10 +53,10 @@ CYCADA_BENCH_JSON="${tmpdir}/replay.json" \
 echo "==> running fig6 worker sweep (1/2/4/8 tile workers)"
 CYCADA_BENCH_JSON="${tmpdir}/sweep.json" CYCADA_PASSMARK_SWEEP=1 \
   "./${BUILD}/bench/fig6_passmark" >/dev/null
-echo "==> running fig6 chaos soak (4s budget, seed 42)"
-CYCADA_BENCH_JSON="${tmpdir}/soak.json" CYCADA_PASSMARK_SOAK_MS=4000 \
-  CYCADA_WATCHDOG_BUDGET_MS=50 CYCADA_CHAOS_SEED=42 \
-  "./${BUILD}/bench/fig6_passmark" >/dev/null
+echo "==> running cycada_fleet chaos soak (4 sessions, 4s budget, seed 42)"
+CYCADA_BENCH_JSON="${tmpdir}/soak.json" CYCADA_GPU_WORKERS=4 \
+  CYCADA_WATCHDOG_BUDGET_MS=50 "./${BUILD}/tools/cycada_fleet" \
+  --sessions 4 --frames 3 --chaos-ms 4000 --verify >/dev/null
 echo "==> running cycada_fleet (16 sessions, 4 frames, verified)"
 CYCADA_BENCH_JSON="${tmpdir}/fleet.json" \
   "./${BUILD}/tools/cycada_fleet" --sessions 16 --frames 4 --verify \

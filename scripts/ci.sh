@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # The CI entry point (.github/workflows/ci.yml runs exactly this): tier-1
-# build + full test suite + the cycada_check contract analyzer, the tile
-# pipeline determinism/scaling leg, the trace capture/replay leg, the
-# zero-finding classification check over the golden corpus, the fleet legs
-# (8 replaying sessions; 16 sessions with frames in flight at once on a
-# 4-worker pool), a fault-injected cycada_check run that must degrade
-# gracefully, chaos passmark, a chaos soak that stalls every fault probe
-# under a tight watchdog budget, and a TSan leg over the
-# concurrency-sensitive suites. Fast enough for every push; the full
-# sanitizer matrix stays in scripts/check.sh (ci.yml also runs a focused
-# ASan+UBSan leg).
+# build + full test suite (which includes the tile pipeline's 1-vs-4-worker
+# screen determinism check) + the cycada_check contract analyzer, the tile
+# pipeline scaling gate, the trace capture/replay leg, the zero-finding
+# classification check over the golden corpus, the fleet legs (8 replaying
+# sessions; 16 sessions with frames in flight at once on a 4-worker pool),
+# a fault-injected cycada_check run that must degrade gracefully, chaos
+# passmark, a fleet chaos soak that stalls every fault probe in one session
+# under a tight watchdog budget while its neighbours keep rendering, and a
+# TSan leg over the concurrency-sensitive suites. Fast enough for every
+# push; the full sanitizer matrix stays in scripts/check.sh (ci.yml also
+# runs a focused ASan+UBSan leg).
 #
 #   ./scripts/ci.sh               # everything below
 #   CYCADA_SKIP_TSAN=1 ./scripts/ci.sh
@@ -29,22 +30,11 @@ run cmake --build build -j
 (cd build && run ctest --output-on-failure -j "$(nproc)")
 run ./build/tools/cycada_check --root "$(pwd)/src"
 
-# --- Tile pipeline determinism + scaling (docs/PIPELINE.md) ------------------
-# The tiled rasterizer must be deterministic: the full PassMark screen hash
-# at 4 workers must be byte-identical to the single-threaded run. The
-# scaling gate (>= 2.00x raster speedup at 4 workers) only means something
-# with real cores underneath, so it is conditioned on nproc.
-echo "==> fig6 framebuffer hashes at CYCADA_GPU_WORKERS=1 vs 4"
-hash_w1="$(CYCADA_PASSMARK_HASH=1 CYCADA_GPU_WORKERS=1 \
-  ./build/bench/fig6_passmark)"
-hash_w4="$(CYCADA_PASSMARK_HASH=1 CYCADA_GPU_WORKERS=4 \
-  ./build/bench/fig6_passmark)"
-if [[ "${hash_w1}" != "${hash_w4}" ]]; then
-  echo "ci.sh: FAIL — framebuffer hashes diverge across worker counts" >&2
-  diff <(printf '%s\n' "${hash_w1}") <(printf '%s\n' "${hash_w4}") >&2 || true
-  exit 1
-fi
-echo "    identical ($(printf '%s\n' "${hash_w1}" | grep -c '^hash ') hashes)"
+# --- Tile pipeline scaling (docs/PIPELINE.md) --------------------------------
+# Screen determinism across worker counts is a tier-1 test
+# (ConfigTest.PassMarkTestsRunCleanly). The scaling gate (>= 2.00x raster
+# speedup at 4 workers) only means something with real cores underneath,
+# so it is conditioned on nproc.
 if [[ "$(nproc)" -ge 4 ]]; then
   echo "==> fig6 worker sweep (>= 2.00x raster speedup at 4 workers)"
   sweep_json="$(CYCADA_PASSMARK_SWEEP=1 ./build/bench/fig6_passmark)"
@@ -142,16 +132,16 @@ echo "==> fig6_passmark under CYCADA_FAULT=all=prob:1000:42 (chaos mode)"
 run env CYCADA_FAULT='all=prob:1000:42' ./build/bench/fig6_passmark
 
 # --- Chaos soak (docs/ROBUSTNESS.md §recovery ladder) -------------------------
-# Fixed wall-clock budget with randomized stall + error faults on every
-# catalog probe and a tight watchdog budget. The harness itself asserts
-# liveness (no frame over its envelope), that the recovery ladder climbs
-# back to full-parallel once the faults clear, and that the analyzer finds
-# no persona/lock leaks afterwards. The seed is logged so any failure
-# reproduces bit-for-bit.
-SOAK_SEED="${CYCADA_CHAOS_SEED:-42}"
-echo "==> fig6_passmark chaos soak (8s budget, seed ${SOAK_SEED})"
-run env CYCADA_PASSMARK_SOAK_MS=8000 CYCADA_WATCHDOG_BUDGET_MS=50 \
-  CYCADA_CHAOS_SEED="${SOAK_SEED}" ./build/bench/fig6_passmark
+# Session fleet-0 takes seeded stall + error faults on every catalog probe
+# for a fixed wall-clock budget under a tight watchdog budget, while three
+# neighbour sessions keep rendering. The harness asserts that fleet-0's
+# recovery ladder climbs back to full-parallel once the faults clear and
+# that the analyzer finds no persona/lock leaks; --verify adds byte-correct
+# neighbour screens and no frame over its liveness envelope. Four workers
+# are pinned so frames go async on any runner.
+echo "==> cycada_fleet chaos soak (4 sessions, 8s budget, seed 42)"
+run env CYCADA_GPU_WORKERS=4 CYCADA_WATCHDOG_BUDGET_MS=50 \
+  ./build/tools/cycada_fleet --sessions 4 --frames 3 --chaos-ms 8000 --verify
 
 # --- TSan leg over the lock-free and fault-injection suites ------------------
 if [[ "${CYCADA_SKIP_TSAN:-0}" == "1" ]]; then

@@ -55,17 +55,6 @@ AndroidEgl::AndroidEgl() {
   tls_connection_key_ = kernel::libc::pthread_key_create();
   tls_context_key_ = kernel::libc::pthread_key_create();
   tls_error_key_ = kernel::libc::pthread_key_create();
-  // Per-session replica-pool policy: the hosting session may cap the live
-  // and warm replica pools (SessionConfig values of -1 keep the compiled
-  // defaults). Each session loads its own wrapper copy through its linker,
-  // so seeding at construction makes the limits naturally per-session.
-  const core::SessionConfig& config = core::Session::current().config();
-  if (config.max_live_replicas >= 0) {
-    max_live_replicas_ = config.max_live_replicas;
-  }
-  if (config.max_warm_replicas >= 0) {
-    max_warm_replicas_ = config.max_warm_replicas;
-  }
 }
 
 AndroidEgl::~AndroidEgl() {

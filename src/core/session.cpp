@@ -57,7 +57,6 @@ const char* session_layer_name(SessionLayer layer) {
     case SessionLayer::kSurface: return "surface";
     case SessionLayer::kGralloc: return "gralloc";
     case SessionLayer::kIoSurface: return "iosurface";
-    case SessionLayer::kDispatch: return "dispatch";
     case SessionLayer::kCount: break;
   }
   return "?";
@@ -190,10 +189,6 @@ StatusOr<Session*> SessionRegistry::create(std::string name) {
           "session cap reached (CYCADA_SESSIONS=" + std::to_string(cap) + ")");
     }
     session = new Session(next_id_++, std::move(name));
-    session->config_.max_warm_replicas =
-        env_int("CYCADA_SESSION_WARM_REPLICAS", -1);
-    session->config_.max_live_replicas =
-        env_int("CYCADA_SESSION_LIVE_REPLICAS", -1);
     sessions_.push_back(session);
   }
   created_.fetch_add(1, std::memory_order_relaxed);

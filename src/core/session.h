@@ -54,7 +54,6 @@ enum class SessionLayer : int {
   kSurface,
   kGralloc,
   kIoSurface,
-  kDispatch,
   kCount,
 };
 
@@ -85,15 +84,6 @@ struct WatchdogLadder {
       domain.stalled_since_frame.store(false, std::memory_order_relaxed);
     }
   }
-};
-
-// Knobs fixed at (or shortly after) session creation, read by per-session
-// facets when they construct. -1 = keep the subsystem's own default.
-// CYCADA_SESSION_WARM_REPLICAS / CYCADA_SESSION_LIVE_REPLICAS seed the
-// defaults for every created session (the default session keeps -1/-1).
-struct SessionConfig {
-  int max_warm_replicas = -1;  // AndroidEgl warm replica pool cap
-  int max_live_replicas = -1;  // AndroidEgl live replica cap (0 = unlimited)
 };
 
 namespace session_detail {
@@ -129,9 +119,6 @@ class Session {
   std::uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
   bool is_default() const { return id_ == 0; }
-
-  SessionConfig& config() { return config_; }
-  const SessionConfig& config() const { return config_; }
 
   WatchdogLadder* watchdog_ladder() const { return ladder_; }
 
@@ -201,7 +188,6 @@ class Session {
 
   const std::uint32_t id_;
   const std::string name_;
-  SessionConfig config_{};
   WatchdogLadder* ladder_ = nullptr;
   std::array<std::atomic<void*>, kMaxFacets> facets_{};
   // Recursive: a facet's constructor may itself resolve another facet of

@@ -409,7 +409,10 @@ void GpuDevice::submit_frame_locked(std::unique_lock<std::mutex>& lock) {
   }
   std::unique_ptr<FrameBatch> batch = resolve_batch_locked();
   in_flight_ = true;
-  pool.submit_async(std::move(batch),
+  // The frame runs under its app's session; a directly constructed device
+  // has no owner, so its frames run under the submitter's.
+  pool.submit_async(owner_ != nullptr ? *owner_ : core::Session::current(),
+                    std::move(batch),
                     [this](std::unique_ptr<FrameBatch> done) {
                       std::lock_guard retire_lock(mutex_);
                       apply_result_locked(done->result);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "core/session.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
 #include "util/clock.h"
@@ -60,6 +61,7 @@ bool views_overlap(const TextureView& texture, const TargetView& target) {
 // participants, each claiming from its own range with an atomic cursor and
 // stealing from the fullest other range when it runs dry.
 struct TileWorkerPool::Phase {
+  core::Session* session = nullptr;  // the coordinator's; helpers bind to it
   const std::vector<FrameStep>* steps = nullptr;
   TargetView target;
   int tiles_x = 0;
@@ -227,12 +229,13 @@ bool TileWorkerPool::async_capable() {
 }
 
 void TileWorkerPool::submit_async(
-    std::unique_ptr<FrameBatch> batch,
+    core::Session& session, std::unique_ptr<FrameBatch> batch,
     std::function<void(std::unique_ptr<FrameBatch>)> retire) {
   {
     std::lock_guard lock(mutex_);
     ensure_started_locked();
-    frames_.push_back(QueuedFrame{std::move(batch), std::move(retire)});
+    frames_.push_back(
+        QueuedFrame{&session, std::move(batch), std::move(retire)});
     ++unretired_frames_;
   }
   work_cv_.notify_one();
@@ -271,13 +274,18 @@ void TileWorkerPool::worker_main() {
       // checked-in helper always works on a live phase.
       ++phase->helpers;
       lock.unlock();
-      // A fault-injected worker abandons the phase without claiming a tile;
-      // the coordinator (fault-suppressed) completes the frame alone —
-      // degraded to single-threaded raster, never deadlocked.
-      if (!worker_fault.should_fail()) {
-        const int slot_index =
-            phase->participants.fetch_add(1, std::memory_order_relaxed);
-        phase->participate(static_cast<std::size_t>(slot_index));
+      {
+        // The coordinator's session outlives the phase: it waits for
+        // `helpers` to drain before it returns.
+        core::SessionScope scope(*phase->session);
+        // A fault-injected worker abandons the phase without claiming a
+        // tile; the coordinator (fault-suppressed) completes the frame
+        // alone — degraded to single-threaded raster, never deadlocked.
+        if (!worker_fault.should_fail()) {
+          const int slot_index =
+              phase->participants.fetch_add(1, std::memory_order_relaxed);
+          phase->participate(static_cast<std::size_t>(slot_index));
+        }
       }
       lock.lock();
       --phase->helpers;
@@ -287,8 +295,13 @@ void TileWorkerPool::worker_main() {
     frames_.pop_front();
     lock.unlock();
     async_frames.add();
-    execute_frame(*frame.batch);
-    frame.retire(std::move(frame.batch));
+    {
+      // The submitting device drains this frame before its session can be
+      // destroyed, and the scope's exit touches only the prior binding.
+      core::SessionScope scope(*frame.session);
+      execute_frame(*frame.batch);
+      frame.retire(std::move(frame.batch));
+    }
     lock.lock();
     if (--unretired_frames_ == 0) idle_cv_.notify_all();
   }
@@ -303,6 +316,7 @@ void TileWorkerPool::run_phase(Phase& phase) {
                  util::kWatchdogGpuPhaseBudgetMs);
   // Publish the phase, wake idle workers, and participate as the
   // coordinator.
+  phase.session = &core::Session::current();
   {
     std::lock_guard lock(mutex_);
     ensure_started_locked();  // sync flushes reach here without submit_async

@@ -21,7 +21,9 @@
 //
 // Pool threads run under util::ThreadRole::kTileWorker and execute only
 // pre-resolved raster work: no GL, no diplomats, no persona crossings.
-// The analyzer's pipeline.worker-crossing rule enforces this.
+// The analyzer's pipeline.worker-crossing rule enforces this. A worker
+// binds to the session whose frame or phase it runs, so that session's
+// watchdog ladder and fault filter apply; it still resolves no facets.
 #pragma once
 
 #include <condition_variable>
@@ -36,6 +38,10 @@
 
 #include "gpu/raster.h"
 #include "gpu/types.h"
+
+namespace cycada::core {
+class Session;
+}  // namespace cycada::core
 
 namespace cycada::gpu {
 
@@ -108,9 +114,10 @@ class TileWorkerPool {
 
   // Queues a batch for the next idle worker and returns immediately.
   // Requires worker_count() >= 2 (the device falls back to execute_frame
-  // inline otherwise). `retire` runs on that worker once the batch has
-  // executed, between frames, never during raster.
-  void submit_async(std::unique_ptr<FrameBatch> batch,
+  // inline otherwise). The worker runs the batch bound to `session`, the
+  // app that submitted it; `retire` runs on that worker, in that binding,
+  // once the batch has executed, between frames, never during raster.
+  void submit_async(core::Session& session, std::unique_ptr<FrameBatch> batch,
                     std::function<void(std::unique_ptr<FrameBatch>)> retire);
   bool async_capable();  // worker_count() >= 2
 
@@ -122,6 +129,7 @@ class TileWorkerPool {
   friend void execute_frame(FrameBatch& batch);
   struct Phase;
   struct QueuedFrame {
+    core::Session* session;
     std::unique_ptr<FrameBatch> batch;
     std::function<void(std::unique_ptr<FrameBatch>)> retire;
   };

@@ -8,10 +8,10 @@ namespace gl = cycada::glcore;
 
 const std::vector<TestSpec>& test_specs() {
   static const std::vector<TestSpec>* specs = new std::vector<TestSpec>{
-      {"Solid Vectors", false},       {"Transparent Vectors", false},
-      {"Complex Vectors", false},     {"Image Rendering", false},
-      {"Image Filters", false},       {"Simple 3D", true},
-      {"Complex 3D", true},
+      {"Solid Vectors", false, 8},   {"Transparent Vectors", false, 8},
+      {"Complex Vectors", false, 8}, {"Image Rendering", false, 8},
+      {"Image Filters", false, 6},   {"Simple 3D", true, 24},
+      {"Complex 3D", true, 4},
   };
   return *specs;
 }

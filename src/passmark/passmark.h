@@ -17,6 +17,9 @@ namespace cycada::passmark {
 struct TestSpec {
   std::string_view name;
   bool is_3d;
+  // Measured frames per Figure 6 run, after one warm-up frame. Simple 3D
+  // maximizes frame rate (present-bound); Complex 3D is GPU-bound.
+  int frames;
 };
 
 // The seven tests, in Figure 6 order.

@@ -17,12 +17,15 @@
 // it outlives its budget before the monitor noticed, so single-threaded
 // tests never race the monitor period.
 //
-// Rungs are consulted by the supervised sites themselves (the watchdog
-// never unwinds anyone's stack):
+// Two supervised sites read their rungs (the watchdog never unwinds
+// anyone's stack):
 //
 //   rung(kGpuPhase)   > 0  -> pipeline rasterizes serial, helpers retract
-//   rung(kPresent)    > 0  -> present waits shrink, timeouts force-retire
 //   rung(kEgl)        > 0  -> bridge init goes straight to shared fallback
+//
+// Nothing reads the kPresent or kCompositor rungs: their overruns are
+// counted and climb the ladder, but switch no mode (wait_fence_for
+// force-retires at its budget at every rung).
 //
 // Hysteresis climbs back: note_frame() is called once per presented
 // frame; after `recovery_frames()` consecutive frames in which a domain

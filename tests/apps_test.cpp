@@ -4,8 +4,10 @@
 
 #include "dispatch/dispatch.h"
 #include "glport/system_config.h"
+#include "gpu/pipeline.h"
 #include "passmark/passmark.h"
 #include "ios_gl/gles.h"
+#include "util/image.h"
 #include "webkit/browser.h"
 #include "webkit/raster.h"
 
@@ -66,18 +68,36 @@ TEST_P(ConfigTest, BrowserRunsScriptAndRendersResults) {
   EXPECT_GE(browser.frames_rendered(), 1);
 }
 
+// Every test renders cleanly in every configuration, and its screen after
+// Figure 6's frame count (128x128, one warm-up frame plus TestSpec::frames)
+// is byte-identical at 1 and 4 tile workers: the tiled rasterizer's
+// determinism gate (docs/PIPELINE.md).
 TEST_P(ConfigTest, PassMarkTestsRunCleanly) {
-  glport::apply_system_config(GetParam());
-  auto port = glport::make_gl_port(GetParam());
-  ASSERT_TRUE(port->init(96, 96, 1).is_ok());
-  passmark::PassMark passmark(*port);
+  gpu::TileWorkerPool& pool = gpu::TileWorkerPool::instance();
+  const int saved_workers = pool.worker_count();
+  const std::string_view config = glport::config_name(GetParam());
+  // A failed init returns an empty screen, which the checks below reject.
+  auto render = [&](const passmark::TestSpec& spec, int workers) {
+    pool.set_worker_count(workers);
+    auto port = glport::make_gl_port(GetParam());
+    if (!port->init(128, 128, 1).is_ok()) return Image();
+    passmark::PassMark passmark(*port);
+    auto primitives = passmark.run(spec.name, 1 + spec.frames);
+    EXPECT_TRUE(primitives.is_ok())
+        << spec.name << " on " << config << " at " << workers
+        << " worker(s): " << primitives.status().to_string();
+    EXPECT_GT(primitives.value_or(0), 0u) << spec.name;
+    return port->screen();
+  };
   for (const auto& spec : passmark::test_specs()) {
-    auto primitives = passmark.run(spec.name, 2);
-    ASSERT_TRUE(primitives.is_ok())
-        << spec.name << " on " << glport::config_name(GetParam()) << ": "
-        << primitives.status().to_string();
-    EXPECT_GT(*primitives, 0u) << spec.name;
+    const Image serial = render(spec, 1);
+    const Image parallel = render(spec, 4);
+    EXPECT_FALSE(serial.empty()) << spec.name << " on " << config;
+    EXPECT_EQ(Image::diff_count(serial, parallel), 0u)
+        << spec.name << " on " << config
+        << ": the screen differs between 1 and 4 tile workers";
   }
+  pool.set_worker_count(saved_workers);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, ConfigTest,

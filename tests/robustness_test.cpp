@@ -1068,6 +1068,8 @@ TEST_F(RobustnessWatchdogTest, DisabledWatchdogMakesScopesNoOps) {
 }
 
 // --- Recovery ladder: every rung fires under stall and climbs back -----------
+// The gpu_phase rung is tested per session in session_test.cpp
+// (SessionTest.StalledTilePhaseDegradesOnlyItsOwnSession).
 
 class RobustnessLadderTest : public ::testing::Test {
  protected:
@@ -1099,58 +1101,8 @@ class RobustnessLadderTest : public ::testing::Test {
     for (int i = 0; i < frames; ++i) watchdog.note_frame();
   }
 
-  // One small frame through the device: a clear plus one triangle.
-  static void render_frame() {
-    gpu::GpuDevice& dev = gpu::GpuDevice::instance();
-    const gpu::RenderTargetHandle target = dev.create_target(128, 128, false);
-    dev.submit_clear(target, std::nullopt, true, {0.f, 0.f, 0.f, 1.f}, false,
-                     1.f);
-    gpu::ShadedVertex a, b, c;
-    a.clip_pos = {-1.f, -1.f, 0.f, 1.f};
-    b.clip_pos = {1.f, -1.f, 0.f, 1.f};
-    c.clip_pos = {0.f, 1.f, 0.f, 1.f};
-    dev.submit_draw(target, gpu::RasterState{}, gpu::PrimitiveKind::kTriangles,
-                    {a, b, c});
-    dev.submit_frame();
-    dev.finish();
-    EXPECT_TRUE(dev.destroy_target(target).is_ok());
-  }
-
   int saved_workers_ = 1;
 };
-
-TEST_F(RobustnessLadderTest, StuckTilePhaseDegradesToSerialAndClimbsBack) {
-  util::Watchdog& watchdog = util::Watchdog::instance();
-  gpu::TileWorkerPool::instance().set_worker_count(2);
-  watchdog.set_budget_override_ms(20);
-  util::FaultPoint& fault =
-      util::FaultRegistry::instance().point("gpu.tile_worker");
-  fault.arm_stall(60, 1);  // every helper traversal sleeps past the budget
-  // A helper that joins a phase stalls it past the budget and the phase
-  // scope escalates. On a loaded single-core host the helper may miss a
-  // given (tiny) phase entirely, so drive frames until one sticks.
-  for (int frame = 0;
-       frame < 20 && !watchdog.degraded(util::WatchdogDomain::kGpuPhase);
-       ++frame) {
-    render_frame();
-  }
-  fault.disarm_stall();
-  ASSERT_TRUE(watchdog.degraded(util::WatchdogDomain::kGpuPhase))
-      << "no stalled phase escalated in 20 frames";
-
-  // While the rung is up, frames raster serial (and are counted as forced).
-  const std::uint64_t forced_before = counter("watchdog.serial_forced");
-  render_frame();
-  EXPECT_GT(counter("watchdog.serial_forced"), forced_before);
-
-  // Hysteresis climbs back to full-parallel: clean frames clear the rung
-  // and the next frame is not forced serial.
-  run_clean_frames();
-  EXPECT_EQ(watchdog.rung(util::WatchdogDomain::kGpuPhase), 0);
-  const std::uint64_t forced_recovered = counter("watchdog.serial_forced");
-  render_frame();
-  EXPECT_EQ(counter("watchdog.serial_forced"), forced_recovered);
-}
 
 TEST_F(RobustnessLadderTest, OverduePresentFenceForcesRetireAndDropsFrame) {
   util::Watchdog& watchdog = util::Watchdog::instance();

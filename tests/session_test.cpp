@@ -1,8 +1,9 @@
 // Session-scoped runtime tests (docs/SESSIONS.md): facet isolation,
 // create/destroy churn hygiene, the per-session EGL wrapper pin, per-session
-// fault targeting, per-session watchdog ladders, and fleet-style neighbor
-// isolation under injected chaos. The suite runs in the CI TSan leg — the
-// churn and isolation tests create real concurrency on purpose.
+// fault targeting, per-session watchdog ladders (tile workers included),
+// and fleet-style neighbor isolation under injected chaos. The suite runs
+// in the CI TSan leg — the churn and isolation tests create real
+// concurrency on purpose.
 #include "core/session.h"
 
 #include <gtest/gtest.h>
@@ -18,9 +19,11 @@
 #include "glport/system_config.h"
 #include "gmem/graphic_buffer.h"
 #include "gpu/device.h"
+#include "gpu/pipeline.h"
 #include "kernel/kernel.h"
 #include "linker/linker.h"
 #include "passmark/passmark.h"
+#include "trace/metrics.h"
 #include "util/clock.h"
 #include "util/faultpoint.h"
 #include "util/watchdog.h"
@@ -299,6 +302,89 @@ TEST_F(SessionTest, WatchdogLaddersAreSessionPrivate) {
   }
   registry.destroy(*a);
   registry.destroy(*b);
+}
+
+// Tile workers run a queued frame, and help with its tile phases, bound to
+// the session that submitted it: a session-filtered tile-worker probe
+// counts that session's async frames, and a stalled phase degrades that
+// session alone (its frames raster serial, the default session's rung
+// stays 0) until its clean frames climb the ladder back to full-parallel.
+TEST_F(SessionTest, StalledTilePhaseDegradesOnlyItsOwnSession) {
+  constexpr auto kGpuPhase = util::WatchdogDomain::kGpuPhase;
+  auto app = SessionRegistry::instance().create("stalled-raster");
+  ASSERT_TRUE(app.is_ok());
+  gpu::TileWorkerPool& pool = gpu::TileWorkerPool::instance();
+  const int saved_workers = pool.worker_count();
+  pool.set_worker_count(2);  // every frame goes async, on any host
+  util::Watchdog& watchdog = util::Watchdog::instance();
+  watchdog.reset();
+  watchdog.set_budget_override_ms(20);
+  trace::Counter& serial_forced =
+      trace::MetricsRegistry::instance().counter("watchdog.serial_forced");
+  util::FaultPoint& probe =
+      util::FaultRegistry::instance().point("gpu.tile_worker");
+  {
+    SessionScope scope(**app);
+    gpu::GpuDevice& device = gpu::GpuDevice::instance();
+    // A 128x128 frame is four tiles, a parallel phase; the triangle gives
+    // them enough work for a helper to join before the coordinator is done.
+    const gpu::RenderTargetHandle target =
+        device.create_target(128, 128, false);
+    auto render_frame = [&] {
+      device.submit_clear(target, std::nullopt, true, {0.f, 0.f, 0.f, 1.f},
+                          false, 1.f);
+      gpu::ShadedVertex a, b, c;
+      a.clip_pos = {-1.f, -1.f, 0.f, 1.f};
+      b.clip_pos = {1.f, -1.f, 0.f, 1.f};
+      c.clip_pos = {0.f, 1.f, 0.f, 1.f};
+      device.submit_draw(target, gpu::RasterState{},
+                         gpu::PrimitiveKind::kTriangles, {a, b, c});
+      device.submit_frame();
+      device.finish();
+    };
+
+    // A 0-ppm trigger counts traversals without firing. Filtered to this
+    // session, it counts the frame-level probe of each of its async frames.
+    util::FaultRegistry::set_session_filter((*app)->id());
+    probe.arm_probability(0, 1);
+    for (int frame = 0; frame < 10; ++frame) render_frame();
+    EXPECT_GE(probe.hits(), 10u);
+    probe.disarm();
+    util::FaultRegistry::set_session_filter(-1);
+
+    // A helper that joins a phase stalls it past the budget. A helper may
+    // miss a given (tiny) phase, so drive frames until one sticks.
+    probe.arm_stall(60, 1);
+    for (int frame = 0; frame < 20 && !watchdog.degraded(kGpuPhase);
+         ++frame) {
+      render_frame();
+    }
+    probe.disarm_stall();
+    EXPECT_TRUE(watchdog.degraded(kGpuPhase))
+        << "no stalled phase raised this session's rung in 20 frames";
+    {
+      SessionScope default_scope(Session::default_session());
+      EXPECT_EQ(watchdog.rung(kGpuPhase), 0)
+          << "the stall degraded the default session";
+    }
+    std::uint64_t forced = serial_forced.value();
+    render_frame();
+    EXPECT_GT(serial_forced.value(), forced);
+
+    // Clean frames clear the rung; the next frame is not forced serial.
+    const int frames =
+        1 + util::Watchdog::kMaxRung * watchdog.recovery_frames();
+    for (int i = 0; i < frames; ++i) watchdog.note_frame();
+    EXPECT_EQ(watchdog.rung(kGpuPhase), 0);
+    forced = serial_forced.value();
+    render_frame();
+    EXPECT_EQ(serial_forced.value(), forced);
+    EXPECT_TRUE(device.destroy_target(target).is_ok());
+  }
+  watchdog.set_budget_override_ms(0);
+  watchdog.reset();
+  pool.set_worker_count(saved_workers);
+  SessionRegistry::instance().destroy(*app);
 }
 
 // --- Fleet-style neighbor isolation under chaos -----------------------------
