@@ -3,11 +3,17 @@
 //
 // CYCADA_PASSMARK_SWEEP=1 instead runs the tile-parallel pipeline's worker
 // sweep (docs/PIPELINE.md, docs/BENCHMARKING.md): the Cycada iOS workload
-// at 1/2/4/8 tile workers on a 512x512 surface (an 8x8 tile grid), emitting
-// the per-stage pipeline metrics as bench JSON (BENCH_pr10.json via
+// at 1/2/4/8 tile workers on a 512x512 surface (an 8x8 tile grid), in five
+// interleaved rounds, emitting the median speedups and the per-stage
+// pipeline metrics as bench JSON (BENCH_pr10.json via
 // scripts/bench_baseline.sh).
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -38,58 +44,115 @@ double run_rate(SystemConfig config, const cycada::passmark::TestSpec& spec) {
          static_cast<double>(elapsed);
 }
 
+// CPU time the hypervisor ran something else while this machine's CPUs
+// wanted to run, summed over CPUs, in seconds ("steal" in /proc/stat); -1
+// where the kernel does not report it.
+double host_steal_s() {
+  std::ifstream stat("/proc/stat");
+  std::string cpu;
+  std::array<long long, 8> ticks{};
+  if (!(stat >> cpu) || cpu != "cpu") return -1.0;
+  for (long long& tick : ticks) {
+    if (!(stat >> tick)) return -1.0;
+  }
+  return static_cast<double>(ticks[7]) /
+         static_cast<double>(sysconf(_SC_CLK_TCK));
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
+// The seven-test Cycada iOS workload on 512x512 at `workers` tile workers,
+// in primitives per second; -1 on failure. apply_system_config() resets
+// the metrics registry, so the pipeline.* metrics afterwards are this
+// run's alone.
+double sweep_rate(int workers) {
+  cycada::glport::apply_system_config(SystemConfig::kCycadaIos);
+  cycada::gpu::TileWorkerPool::instance().set_worker_count(workers);
+  std::uint64_t primitives = 0;
+  const auto start = cycada::now_ns();
+  for (const auto& spec : cycada::passmark::test_specs()) {
+    auto port = cycada::glport::make_gl_port(SystemConfig::kCycadaIos);
+    if (!port->init(512, 512, 1).is_ok()) return -1;
+    cycada::passmark::PassMark passmark(*port);
+    if (!passmark.run(spec.name, 1).is_ok()) return -1;  // warm-up
+    const auto prims = passmark.run(spec.name, spec.frames);
+    if (!prims.is_ok()) return -1;
+    primitives += *prims;
+  }
+  const auto elapsed = cycada::now_ns() - start;
+  if (elapsed <= 0) return -1;
+  return static_cast<double>(primitives) * 1e9 / static_cast<double>(elapsed);
+}
+
 // CYCADA_PASSMARK_SWEEP: the tile-parallel pipeline scaling run. A 512x512
 // surface is an 8x8 grid of 64x64 tiles, enough work per raster phase for
-// eight workers to claim and steal. apply_system_config() resets the
-// metrics registry, so the config is applied once per worker count, the
-// whole seven-test workload runs under it, and the pipeline.* metrics are
-// snapshotted into a merged document under fig6.workersN.* names before the
-// next worker count wipes them.
+// eight workers to claim and steal. kSweepRounds interleaved rounds each
+// time 1/2/4/8 workers back to back, so a burst of host steal lands on one
+// round rather than on one worker count; every sample is printed with its
+// round's steal, and the emitted speedup per worker count is the median of
+// the rounds' speedups over their own 1-worker rate. The last round's
+// pipeline.* metrics are snapshotted under fig6.workersN.* names.
+constexpr int kSweepRounds = 5;
+constexpr int kSweepWorkers[] = {1, 2, 4, 8};
+
 int run_sweep_mode() {
   auto& metrics = cycada::trace::MetricsRegistry::instance();
-  auto& pool = cycada::gpu::TileWorkerPool::instance();
 
   std::printf(
-      "fig6 worker sweep: Cycada iOS PassMark on 512x512 (8x8 tiles)\n\n");
-  std::printf("%8s %14s %10s\n", "workers", "prims/sec", "speedup");
+      "fig6 worker sweep: Cycada iOS PassMark on 512x512 (8x8 tiles), "
+      "%d interleaved rounds\n\n",
+      kSweepRounds);
+  std::printf("%6s %8s %14s %10s %9s\n", "round", "workers", "prims/sec",
+              "speedup", "steal_s");
   cycada::trace::MetricsSnapshot merged;
-  std::vector<std::pair<int, double>> rates;
-  for (const int workers : {1, 2, 4, 8}) {
-    cycada::glport::apply_system_config(SystemConfig::kCycadaIos);
-    pool.set_worker_count(workers);
-    std::uint64_t primitives = 0;
-    const auto start = cycada::now_ns();
-    for (const auto& spec : cycada::passmark::test_specs()) {
-      auto port = cycada::glport::make_gl_port(SystemConfig::kCycadaIos);
-      if (!port->init(512, 512, 1).is_ok()) return 1;
-      cycada::passmark::PassMark passmark(*port);
-      if (!passmark.run(spec.name, 1).is_ok()) return 1;  // warm-up
-      const auto prims = passmark.run(spec.name, spec.frames);
-      if (!prims.is_ok()) return 1;
-      primitives += *prims;
+  std::map<int, std::vector<double>> rates;
+  std::map<int, std::vector<double>> speedups;
+  for (int round = 0; round < kSweepRounds; ++round) {
+    const double steal_at_start = host_steal_s();
+    std::vector<std::pair<int, double>> round_rates;
+    for (const int workers : kSweepWorkers) {
+      const double rate = sweep_rate(workers);
+      if (rate <= 0) return 1;
+      round_rates.emplace_back(workers, rate);
+      if (round + 1 < kSweepRounds) continue;
+      const std::string prefix =
+          "fig6.workers" + std::to_string(workers) + ".";
+      const cycada::trace::MetricsSnapshot snap = metrics.snapshot();
+      for (const auto& counter : snap.counters) {
+        if (counter.name.rfind("pipeline.", 0) != 0) continue;
+        merged.counters.push_back({prefix + counter.name, counter.value});
+      }
+      for (const auto& histogram : snap.histograms) {
+        if (histogram.name.rfind("pipeline.", 0) != 0) continue;
+        cycada::trace::HistogramSnapshot renamed = histogram;
+        renamed.name = prefix + histogram.name;
+        merged.histograms.push_back(std::move(renamed));
+      }
     }
-    const auto elapsed = cycada::now_ns() - start;
-    if (elapsed <= 0) return 1;
-    rates.emplace_back(workers, static_cast<double>(primitives) * 1e9 /
-                                    static_cast<double>(elapsed));
-
-    const std::string prefix = "fig6.workers" + std::to_string(workers) + ".";
-    const cycada::trace::MetricsSnapshot snap = metrics.snapshot();
-    for (const auto& counter : snap.counters) {
-      if (counter.name.rfind("pipeline.", 0) != 0) continue;
-      merged.counters.push_back({prefix + counter.name, counter.value});
-    }
-    for (const auto& histogram : snap.histograms) {
-      if (histogram.name.rfind("pipeline.", 0) != 0) continue;
-      cycada::trace::HistogramSnapshot renamed = histogram;
-      renamed.name = prefix + histogram.name;
-      merged.histograms.push_back(std::move(renamed));
+    const double steal_at_end = host_steal_s();
+    const double steal = steal_at_start >= 0 && steal_at_end >= 0
+                             ? steal_at_end - steal_at_start
+                             : -1.0;
+    const double base_rate = round_rates.front().second;
+    for (const auto& [workers, rate] : round_rates) {
+      const double speedup = rate / base_rate;
+      rates[workers].push_back(rate);
+      speedups[workers].push_back(speedup);
+      std::printf("%6d %8d %14.0f %9.2fx %9.2f\n", round + 1, workers, rate,
+                  speedup, steal);
     }
   }
 
-  const double base_rate = rates.front().second;
-  for (const auto& [workers, rate] : rates) {
-    const double speedup = base_rate > 0 ? rate / base_rate : 0;
+  std::printf("\n%8s %14s %10s   (medians over %d rounds)\n", "workers",
+              "prims/sec", "speedup", kSweepRounds);
+  for (const int workers : kSweepWorkers) {
+    const double rate = median(rates[workers]);
+    const double speedup = median(speedups[workers]);
     std::printf("%8d %14.0f %9.2fx\n", workers, rate, speedup);
     const std::string prefix = "fig6.sweep.workers" + std::to_string(workers);
     merged.counters.push_back(

@@ -32,21 +32,24 @@ run ./build/tools/cycada_check --root "$(pwd)/src"
 
 # --- Tile pipeline scaling (docs/PIPELINE.md) --------------------------------
 # Screen determinism across worker counts is a tier-1 test
-# (ConfigTest.PassMarkTestsRunCleanly). The scaling gate (>= 2.00x raster
-# speedup at 4 workers) only means something with real cores underneath,
-# so it is conditioned on nproc.
+# (ConfigTest.PassMarkTestsRunCleanly). The scaling gate (>= 2.00x median
+# raster speedup at 4 workers over the sweep's five interleaved rounds, each
+# round's speedup against its own 1-worker rate) only means something with
+# real cores underneath, so it is conditioned on nproc. The sweep prints
+# every round's samples with the host steal during that round.
 if [[ "$(nproc)" -ge 4 ]]; then
-  echo "==> fig6 worker sweep (>= 2.00x raster speedup at 4 workers)"
+  echo "==> fig6 worker sweep (>= 2.00x median raster speedup at 4 workers)"
   sweep_json="$(CYCADA_PASSMARK_SWEEP=1 ./build/bench/fig6_passmark)"
+  printf '%s\n' "${sweep_json}" | grep -v '^{'  # every sample, not the JSON
   speedup_x100="$(printf '%s' "${sweep_json}" \
     | grep -o '"fig6.sweep.workers4.raster_speedup_x100":[0-9]*' \
     | grep -o '[0-9]*$' || true)"
   if [[ -z "${speedup_x100}" || "${speedup_x100}" -lt 200 ]]; then
-    echo "ci.sh: FAIL — 4-worker raster speedup" \
+    echo "ci.sh: FAIL — median 4-worker raster speedup" \
          "$(printf '%s' "${speedup_x100:-?}")/100 < 2.00x" >&2
     exit 1
   fi
-  echo "    speedup ${speedup_x100}/100 at 4 workers"
+  echo "    median speedup ${speedup_x100}/100 at 4 workers"
 else
   echo "==> fig6 scaling gate skipped ($(nproc) core(s); needs >= 4)"
 fi

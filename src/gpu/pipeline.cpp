@@ -106,9 +106,8 @@ struct TileWorkerPool::Phase {
         clear_rect(target, step.scissor, step.clear_color, step.color,
                    step.clear_depth, step.depth_value, rect);
       } else {
-        local_fragments += raster_screen_prim(target, step.state,
-                                              prims[op.prim], step.texture,
-                                              rect);
+        local_fragments +=
+            raster_screen_prim(target, step.program, prims[op.prim], rect);
       }
     }
     fragments.fetch_add(local_fragments, std::memory_order_relaxed);
@@ -442,6 +441,7 @@ void execute_frame(FrameBatch& batch) {
         if (!current->serial) feedback.add();
         current->serial = true;
       }
+      step.program = prepare_draw(step.state, step.texture, step.vertices);
       const std::uint32_t first_prim =
           static_cast<std::uint32_t>(current->prims.size());
       batch.result.triangles +=

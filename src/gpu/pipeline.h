@@ -4,7 +4,8 @@
 // batch in two stages modeled on glSoftPipe's DrawEngine, whose stage
 // objects are "triggered in any thread without lock protection":
 //
-//   bin    — single-threaded: vertex post-processing (build_screen_prims)
+//   bin    — single-threaded: the fragment loop of each draw
+//            (prepare_draw), vertex post-processing (build_screen_prims)
 //            and binning of every primitive/clear into the 64x64 screen
 //            tiles its bounding box intersects, in command order.
 //   raster — tile-parallel: a fixed worker pool claims tiles from a
@@ -66,6 +67,7 @@ struct FrameStep {
   PrimitiveKind prim_kind = PrimitiveKind::kTriangles;
   std::vector<ShadedVertex> vertices;
   TextureView texture;
+  DrawProgram program;  // chosen by the bin stage (prepare_draw)
 
   // kFence
   FenceHandle fence = kNoHandle;

@@ -2,179 +2,498 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 namespace cycada::gpu {
 
 namespace {
 
 constexpr float kNearEpsilon = 1e-6f;
+constexpr int kSubpixelScale = 1 << kSubpixelBits;
+constexpr int kHalfSubpixel = kSubpixelScale / 2;  // a pixel center's offset
+// A triangle reaching past the guard band is clipped to half of it, so
+// clip-space rounding cannot carry a vertex back out.
+constexpr float kGuardClipPx = kGuardBandPx / 2;
+// A clipped triangle: 3 vertices plus at most one per clip plane (the near
+// plane and the four guard planes).
+constexpr int kMaxPolygon = 8;
+// The smallest interpolated 1/w a perspective pixel divides by, so float
+// rounding at a far edge never divides by zero or a negative.
+constexpr float kMinInvW = std::numeric_limits<float>::min();
+// Texel coordinates saturate here before conversion to int.
+constexpr float kTexelCoordLimit = 1 << 30;
 
-float blend_factor(BlendFactor factor, float src_component, float src_alpha,
-                   float /*dst_component*/, float dst_alpha) {
-  switch (factor) {
-    case BlendFactor::kZero: return 0.f;
-    case BlendFactor::kOne: return 1.f;
-    case BlendFactor::kSrcAlpha: return src_alpha;
-    case BlendFactor::kOneMinusSrcAlpha: return 1.f - src_alpha;
-    case BlendFactor::kDstAlpha: return dst_alpha;
-    case BlendFactor::kOneMinusDstAlpha: return 1.f - dst_alpha;
-    case BlendFactor::kSrcColor: return src_component;
-    case BlendFactor::kOneMinusSrcColor: return 1.f - src_component;
-  }
-  return 1.f;
+std::int64_t floor_div(std::int64_t n, std::int64_t d) {  // d > 0
+  const std::int64_t q = n / d;
+  return (n % d != 0 && n < 0) ? q - 1 : q;
 }
 
-bool depth_passes(DepthFunc func, float incoming, float stored) {
-  switch (func) {
-    case DepthFunc::kNever: return false;
-    case DepthFunc::kLess: return incoming < stored;
-    case DepthFunc::kEqual: return incoming == stored;
-    case DepthFunc::kLessEqual: return incoming <= stored;
-    case DepthFunc::kGreater: return incoming > stored;
-    case DepthFunc::kNotEqual: return incoming != stored;
-    case DepthFunc::kGreaterEqual: return incoming >= stored;
-    case DepthFunc::kAlways: return true;
+std::int64_t ceil_div(std::int64_t n, std::int64_t d) {  // d > 0
+  const std::int64_t q = n / d;
+  return (n % d != 0 && n > 0) ? q + 1 : q;
+}
+
+// Twice the signed area of a triangle's snapped vertices, in snapped units.
+std::int64_t snapped_area(const ScreenPrim& prim) {
+  return (std::int64_t{prim.sx[1]} - prim.sx[0]) *
+             (std::int64_t{prim.sy[2]} - prim.sy[0]) -
+         (std::int64_t{prim.sy[1]} - prim.sy[0]) *
+             (std::int64_t{prim.sx[2]} - prim.sx[0]);
+}
+
+}  // namespace
+
+// Per-triangle setup, built in the tile worker from the binned primitive.
+struct TriangleSetup {
+  // value(x, y) = row(y) + dx * (x - xref) for pixel (x, y)'s center.
+  struct Plane {
+    double at_row0 = 0.0;  // value at pixel (xref, 0)
+    double dy = 0.0;
+    float dx = 0.f;
+    float row(int y) const { return static_cast<float>(at_row0 + dy * y); }
+  };
+
+  // Edge k runs from vertex k to k + 1. A pixel center P, in snapped units,
+  // is covered when a * P.x + b * P.y + c >= 0 for all three; c carries the
+  // fill rule's -1 on edges that do not own their boundary.
+  std::int64_t a[3] = {}, b[3] = {}, c[3] = {};
+  int xref = 0;
+  bool perspective = false;  // attr planes hold f/w, w holds 1/w
+  Plane z, w;
+  Plane attr[6];           // r, g, b, a, u, v
+  float constant[6] = {};  // perspective: a flat attribute's value
+
+  // The covered pixels [lo, hi) of row y within [x0, x1); false if none.
+  bool span(int y, int x0, int x1, int& lo, int& hi) const {
+    const std::int64_t py =
+        (static_cast<std::int64_t>(y) << kSubpixelBits) + kHalfSubpixel;
+    std::int64_t first = x0;
+    std::int64_t end = x1;
+    for (int k = 0; k < 3; ++k) {
+      // At pixel x the edge reads slope * x + at0.
+      const std::int64_t slope = a[k] * kSubpixelScale;
+      const std::int64_t at0 = a[k] * kHalfSubpixel + b[k] * py + c[k];
+      if (slope > 0) {
+        first = std::max(first, ceil_div(-at0, slope));
+      } else if (slope < 0) {
+        end = std::min(end, floor_div(at0, -slope) + 1);
+      } else if (at0 < 0) {
+        return false;
+      }
+    }
+    if (first >= end) return false;
+    lo = static_cast<int>(first);
+    hi = static_cast<int>(end);
+    return true;
   }
+};
+
+namespace {
+
+// --- Fragment stage ----------------------------------------------------------
+
+enum DepthOutcome : std::uint8_t {
+  kDepthLess = 1,
+  kDepthEqual = 2,
+  kDepthGreater = 4,
+  kDepthUnordered = 8,  // a NaN on either side
+};
+
+std::uint8_t depth_pass_mask(DepthFunc func) {
+  switch (func) {
+    case DepthFunc::kNever: return 0;
+    case DepthFunc::kLess: return kDepthLess;
+    case DepthFunc::kEqual: return kDepthEqual;
+    case DepthFunc::kLessEqual: return kDepthLess | kDepthEqual;
+    case DepthFunc::kGreater: return kDepthGreater;
+    case DepthFunc::kNotEqual:
+      return kDepthLess | kDepthGreater | kDepthUnordered;
+    case DepthFunc::kGreaterEqual: return kDepthGreater | kDepthEqual;
+    case DepthFunc::kAlways: break;
+  }
+  return kDepthLess | kDepthEqual | kDepthGreater | kDepthUnordered;
+}
+
+inline bool depth_test(const DrawProgram& p, float z, float* slot) {
+  const float stored = *slot;
+  const unsigned outcome = z < stored    ? kDepthLess
+                           : z == stored ? kDepthEqual
+                           : z > stored  ? kDepthGreater
+                                         : kDepthUnordered;
+  if ((outcome & p.depth_pass) == 0) return false;
+  if (p.depth_write) *slot = z;
   return true;
 }
 
-int wrap_coord(int coord, int size, TextureWrap wrap) {
-  if (size <= 0) return 0;
+DrawProgram::BlendTerm blend_term(BlendFactor factor) {
+  switch (factor) {
+    case BlendFactor::kZero: return {};
+    case BlendFactor::kOne: return {1.f, 0.f, 0.f, 0.f};
+    case BlendFactor::kSrcAlpha: return {0.f, 1.f, 0.f, 0.f};
+    case BlendFactor::kOneMinusSrcAlpha: return {1.f, -1.f, 0.f, 0.f};
+    case BlendFactor::kDstAlpha: return {0.f, 0.f, 1.f, 0.f};
+    case BlendFactor::kOneMinusDstAlpha: return {1.f, 0.f, -1.f, 0.f};
+    case BlendFactor::kSrcColor: return {0.f, 0.f, 0.f, 1.f};
+    case BlendFactor::kOneMinusSrcColor: return {1.f, 0.f, 0.f, -1.f};
+  }
+  return {1.f, 0.f, 0.f, 0.f};
+}
+
+inline float blend_factor(const DrawProgram::BlendTerm& term, float s,
+                          float sa, float da) {
+  return term.constant + term.sa * sa + term.da * da + term.s * s;
+}
+
+// floor(v) as an int for any float; NaN and far-out values saturate.
+inline int floor_to_int(float v) {
+  v = v > -kTexelCoordLimit ? v : -kTexelCoordLimit;
+  v = v < kTexelCoordLimit ? v : kTexelCoordLimit;
+  const int truncated = static_cast<int>(v);
+  return static_cast<float>(truncated) > v ? truncated - 1 : truncated;
+}
+
+// Wraps a texel coordinate only when it is out of range.
+inline int wrap_texel(int coord, int size, TextureWrap wrap) {
+  if (static_cast<unsigned>(coord) < static_cast<unsigned>(size)) return coord;
   if (wrap == TextureWrap::kRepeat) {
     coord %= size;
-    if (coord < 0) coord += size;
-    return coord;
+    return coord < 0 ? coord + size : coord;
   }
-  return std::clamp(coord, 0, size - 1);
+  return coord < 0 ? 0 : size - 1;
 }
 
-// Emits one fragment: depth test, texturing, blending, write-back. Reads
-// and writes only the (x, y) pixel, so concurrent calls on disjoint pixel
+inline std::uint32_t texel(const DrawProgram& p, int x, int y) {
+  const TextureView& t = p.texture;
+  x = wrap_texel(x, t.width, p.wrap);
+  y = wrap_texel(y, t.height, p.wrap);
+  return t.texels[static_cast<std::size_t>(y) * t.stride_px + x];
+}
+
+inline std::uint32_t sample_nearest(const DrawProgram& p, Vec2 uv) {
+  return texel(p, floor_to_int(uv.x * p.texture.width),
+               floor_to_int(uv.y * p.texture.height));
+}
+
+inline Color sample_linear(const DrawProgram& p, Vec2 uv) {
+  const float fx = uv.x * p.texture.width - 0.5f;
+  const float fy = uv.y * p.texture.height - 0.5f;
+  const int x0 = floor_to_int(fx);
+  const int y0 = floor_to_int(fy);
+  const float tx = fx - static_cast<float>(x0);
+  const float ty = fy - static_cast<float>(y0);
+  const Color c00 = unpack_rgba8888(texel(p, x0, y0));
+  const Color c10 = unpack_rgba8888(texel(p, x0 + 1, y0));
+  const Color c01 = unpack_rgba8888(texel(p, x0, y0 + 1));
+  const Color c11 = unpack_rgba8888(texel(p, x0 + 1, y0 + 1));
+  const Color top = c00 * (1.f - tx) + c10 * tx;
+  const Color bottom = c01 * (1.f - tx) + c11 * tx;
+  return top * (1.f - ty) + bottom * ty;
+}
+
+// What a draw samples and how the texel meets the vertex color.
+enum class Tex : std::uint8_t {
+  kNone,
+  kNearestReplace,
+  kNearestModulate,
+  kLinearReplace,
+  kLinearModulate,
+};
+
+// How the fragment reaches the framebuffer.
+enum class Out : std::uint8_t {
+  kWrite,       // no blend, no color mask
+  kAlphaBlend,  // SrcAlpha / OneMinusSrcAlpha, no color mask
+  kGeneric,     // any blend factors and/or a color mask
+};
+
+constexpr bool reads_color(Tex tex) {
+  return tex == Tex::kNone || tex == Tex::kNearestModulate ||
+         tex == Tex::kLinearModulate;
+}
+
+constexpr bool reads_uv(Tex tex) { return tex != Tex::kNone; }
+
+// Texturing, blending and write-back of one fragment that passed its depth
+// test. Reads and writes only `pixel`, so concurrent calls on disjoint pixel
 // rects of the same target never race.
-bool shade_fragment(const TargetView& target, const RasterState& state, int x,
-                    int y, float z, Color color, Vec2 uv,
-                    TextureView texture) {
-  float* depth_slot = nullptr;
-  if (state.depth_test) {
-    if (target.depth == nullptr) return false;
-    depth_slot = &target.depth[static_cast<std::size_t>(y) * target.width + x];
-    if (!depth_passes(state.depth_func, z, *depth_slot)) return false;
-  }
-
-  Color out = color;
-  if (texture.texels != nullptr) {
-    const Color texel = sample_texture(texture, uv, state.filter, state.wrap);
-    out = state.tex_env == TexEnv::kReplace ? texel : texel * color;
-  }
-
-  std::uint32_t* pixel =
-      &target.color[static_cast<std::size_t>(y) * target.stride_px + x];
-  const bool masked = !state.color_mask[0] || !state.color_mask[1] ||
-                      !state.color_mask[2] || !state.color_mask[3];
-  if (state.blend || masked) {
-    const Color dst = unpack_rgba8888(*pixel);
-    const float sa = out.a;
-    const float da = dst.a;
-    const auto combine = [&](float s, float d) {
-      return s * blend_factor(state.blend_src, s, sa, d, da) +
-             d * blend_factor(state.blend_dst, s, sa, d, da);
-    };
-    if (state.blend) {
-      out = Color{combine(out.r, dst.r), combine(out.g, dst.g),
-                  combine(out.b, dst.b), combine(out.a, dst.a)};
+template <Tex kTex, Out kOut>
+inline void shade(const DrawProgram& p, std::uint32_t* pixel,
+                  const Color& color, Vec2 uv) {
+  if constexpr (kTex == Tex::kNearestReplace && kOut == Out::kWrite) {
+    // pack(unpack(t)) == t for every channel value: the texel word is the
+    // result.
+    *pixel = sample_nearest(p, uv);
+  } else {
+    Color src;
+    if constexpr (kTex == Tex::kNone) {
+      src = color;
+    } else if constexpr (kTex == Tex::kNearestReplace) {
+      src = unpack_rgba8888(sample_nearest(p, uv));
+    } else if constexpr (kTex == Tex::kNearestModulate) {
+      src = unpack_rgba8888(sample_nearest(p, uv)) * color;
+    } else if constexpr (kTex == Tex::kLinearReplace) {
+      src = sample_linear(p, uv);
+    } else {
+      src = sample_linear(p, uv) * color;
     }
-    if (masked) {
-      if (!state.color_mask[0]) out.r = dst.r;
-      if (!state.color_mask[1]) out.g = dst.g;
-      if (!state.color_mask[2]) out.b = dst.b;
-      if (!state.color_mask[3]) out.a = dst.a;
+    if constexpr (kOut == Out::kWrite) {
+      *pixel = pack_rgba8888(src);
+    } else if constexpr (kOut == Out::kAlphaBlend) {
+      const Color dst = unpack_rgba8888(*pixel);
+      const float sa = src.a;
+      const float ia = 1.f - sa;
+      *pixel = pack_rgba8888({src.r * sa + dst.r * ia, src.g * sa + dst.g * ia,
+                              src.b * sa + dst.b * ia,
+                              src.a * sa + dst.a * ia});
+    } else {
+      const Color dst = unpack_rgba8888(*pixel);
+      const float sa = src.a;
+      const float da = dst.a;
+      const auto combine = [&](float s, float d) {
+        return s * blend_factor(p.src, s, sa, da) +
+               d * blend_factor(p.dst, s, sa, da);
+      };
+      Color out{combine(src.r, dst.r), combine(src.g, dst.g),
+                combine(src.b, dst.b), combine(src.a, dst.a)};
+      if (p.keep_dst[0]) out.r = dst.r;
+      if (p.keep_dst[1]) out.g = dst.g;
+      if (p.keep_dst[2]) out.b = dst.b;
+      if (p.keep_dst[3]) out.a = dst.a;
+      *pixel = pack_rgba8888(out);
     }
   }
-  *pixel = pack_rgba8888(out);
-  if (depth_slot != nullptr && state.depth_write) *depth_slot = z;
+}
+
+// One fragment of a line or point, with its varyings already interpolated.
+template <bool kDepth, Tex kTex, Out kOut>
+bool shade_fragment(const DrawProgram& p, const TargetView& target, int x,
+                    int y, float z, Color color, Vec2 uv) {
+  if constexpr (kDepth) {
+    if (!depth_test(p, z,
+                    &target.depth[static_cast<std::size_t>(y) * target.width +
+                                  x])) {
+      return false;
+    }
+  }
+  shade<kTex, kOut>(
+      p, &target.color[static_cast<std::size_t>(y) * target.stride_px + x],
+      color, uv);
   return true;
 }
 
-std::uint64_t raster_triangle(const TargetView& target,
-                              const RasterState& state, const ScreenVertex& a,
-                              const ScreenVertex& b, const ScreenVertex& c,
-                              TextureView texture, const PixelRect& limit) {
-  const float area =
-      (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
-  if (area == 0.f) return 0;
-  if (state.cull == CullMode::kBack && area > 0.f) return 0;
-  if (state.cull == CullMode::kFront && area < 0.f) return 0;
+// The covered pixels [x0, x1) of row y of a triangle. Only the planes the
+// draw reads are evaluated, each as row base + dx * (x - xref).
+template <bool kDepth, Tex kTex, bool kPerspective, Out kOut>
+std::uint64_t shade_span(const DrawProgram& p, const TargetView& target,
+                         const TriangleSetup& s, int y, int x0, int x1) {
+  std::uint32_t* colors =
+      target.color + static_cast<std::size_t>(y) * target.stride_px;
+  float* depths = nullptr;
+  float z_row = 0.f;
+  if constexpr (kDepth) {
+    depths = target.depth + static_cast<std::size_t>(y) * target.width;
+    z_row = s.z.row(y);
+  }
+  constexpr int kFirst = reads_color(kTex) ? 0 : 4;
+  constexpr int kLast = reads_uv(kTex) ? 6 : 4;
+  float base[6] = {};
+  for (int k = kFirst; k < kLast; ++k) base[k] = s.attr[k].row(y);
+  const float w_row = kPerspective ? s.w.row(y) : 0.f;
 
-  const int x0 = std::max(limit.x0, static_cast<int>(
-                                        std::floor(std::min({a.x, b.x, c.x}))));
-  const int y0 = std::max(limit.y0, static_cast<int>(
-                                        std::floor(std::min({a.y, b.y, c.y}))));
-  const int x1 = std::min(limit.x1, static_cast<int>(
-                                        std::ceil(std::max({a.x, b.x, c.x}))));
-  const int y1 = std::min(limit.y1, static_cast<int>(
-                                        std::ceil(std::max({a.y, b.y, c.y}))));
-  if (x0 >= x1 || y0 >= y1) return 0;
-
-  const float inv_area = 1.f / area;
-  // Fill rule: a pixel center exactly on an edge belongs to only one of the
-  // two triangles sharing it. The directed shared edge has opposite
-  // orientation in the two triangles (consistent winding), so an
-  // orientation-sensitive predicate dedups coverage. `sign` normalizes the
-  // winding so the predicate sees a consistent orientation.
-  const float sign = area > 0.f ? 1.f : -1.f;
-  const auto edge_owns_boundary = [sign](float ex, float ey) {
-    ex *= sign;
-    ey *= sign;
-    return ey > 0.f || (ey == 0.f && ex > 0.f);
-  };
-  std::uint64_t fragments = 0;
-  for (int y = y0; y < y1; ++y) {
-    for (int x = x0; x < x1; ++x) {
-      const float px = static_cast<float>(x) + 0.5f;
-      const float py = static_cast<float>(y) + 0.5f;
-      // Barycentric weights via edge functions (sign-normalized by area so
-      // both windings rasterize).
-      float w0 = ((b.x - px) * (c.y - py) - (b.y - py) * (c.x - px)) * inv_area;
-      float w1 = ((c.x - px) * (a.y - py) - (c.y - py) * (a.x - px)) * inv_area;
-      float w2 = 1.f - w0 - w1;
-      if (w0 < 0.f || w1 < 0.f || w2 < 0.f) continue;
-      // Boundary tie-break (w_i == 0 means the center lies on the edge
-      // opposite vertex i: b->c, c->a, a->b respectively).
-      if (w0 == 0.f && !edge_owns_boundary(c.x - b.x, c.y - b.y)) continue;
-      if (w1 == 0.f && !edge_owns_boundary(a.x - c.x, a.y - c.y)) continue;
-      if (w2 == 0.f && !edge_owns_boundary(b.x - a.x, b.y - a.y)) continue;
-
-      const float z = w0 * a.z + w1 * b.z + w2 * c.z;
-      // Perspective-correct interpolation: weights scaled by 1/w.
-      const float iw = w0 * a.inv_w + w1 * b.inv_w + w2 * c.inv_w;
-      const float p0 = w0 * a.inv_w / iw;
-      const float p1 = w1 * b.inv_w / iw;
-      const float p2 = 1.f - p0 - p1;
-      const Color color = a.color * p0 + b.color * p1 + c.color * p2;
-      const Vec2 uv{a.texcoord.x * p0 + b.texcoord.x * p1 + c.texcoord.x * p2,
-                    a.texcoord.y * p0 + b.texcoord.y * p1 + c.texcoord.y * p2};
-      if (shade_fragment(target, state, x, y, z, color, uv, texture)) {
-        ++fragments;
+  std::uint64_t shaded = 0;
+  for (int x = x0; x < x1; ++x) {
+    const float dx = static_cast<float>(x - s.xref);
+    if constexpr (kDepth) {
+      if (!depth_test(p, z_row + s.z.dx * dx, depths + x)) continue;
+    }
+    float rcp = 1.f;
+    if constexpr (kPerspective) {
+      const float inv_w = w_row + s.w.dx * dx;
+      rcp = 1.f / (inv_w > kMinInvW ? inv_w : kMinInvW);
+    }
+    const auto at = [&](int k) {
+      const float value = base[k] + s.attr[k].dx * dx;
+      if constexpr (kPerspective) {
+        return s.constant[k] + value * rcp;
+      } else {
+        return value;
       }
+    };
+    Color color;
+    Vec2 uv;
+    if constexpr (reads_color(kTex)) color = {at(0), at(1), at(2), at(3)};
+    if constexpr (reads_uv(kTex)) uv = {at(4), at(5)};
+    shade<kTex, kOut>(p, colors + x, color, uv);
+    ++shaded;
+  }
+  return shaded;
+}
+
+template <bool kDepth, Tex kTex, Out kOut>
+void choose_loops(DrawProgram& p) {
+  p.affine_span = &shade_span<kDepth, kTex, false, kOut>;
+  p.perspective_span = &shade_span<kDepth, kTex, true, kOut>;
+  p.fragment = &shade_fragment<kDepth, kTex, kOut>;
+}
+
+template <bool kDepth, Tex kTex>
+void choose_loops(DrawProgram& p, Out out) {
+  switch (out) {
+    case Out::kWrite: return choose_loops<kDepth, kTex, Out::kWrite>(p);
+    case Out::kAlphaBlend:
+      return choose_loops<kDepth, kTex, Out::kAlphaBlend>(p);
+    case Out::kGeneric: return choose_loops<kDepth, kTex, Out::kGeneric>(p);
+  }
+}
+
+template <bool kDepth>
+void choose_loops(DrawProgram& p, Tex tex, Out out) {
+  switch (tex) {
+    case Tex::kNone: return choose_loops<kDepth, Tex::kNone>(p, out);
+    case Tex::kNearestReplace:
+      return choose_loops<kDepth, Tex::kNearestReplace>(p, out);
+    case Tex::kNearestModulate:
+      return choose_loops<kDepth, Tex::kNearestModulate>(p, out);
+    case Tex::kLinearReplace:
+      return choose_loops<kDepth, Tex::kLinearReplace>(p, out);
+    case Tex::kLinearModulate:
+      return choose_loops<kDepth, Tex::kLinearModulate>(p, out);
+  }
+}
+
+// --- Triangles ---------------------------------------------------------------
+
+void setup_triangle(const DrawProgram& p, const ScreenPrim& prim,
+                    TriangleSetup& s) {
+  for (int k = 0; k < 3; ++k) {
+    const int j = (k + 1) % 3;
+    const std::int64_t dx = std::int64_t{prim.sx[j]} - prim.sx[k];
+    const std::int64_t dy = std::int64_t{prim.sy[j]} - prim.sy[k];
+    // Fill rule: a center exactly on the edge belongs to this triangle when
+    // the positively oriented edge runs down the screen, or rightwards when
+    // horizontal. The neighbour across a shared edge sees it reversed.
+    const bool owns_boundary = dy > 0 || (dy == 0 && dx > 0);
+    s.a[k] = -dy;
+    s.b[k] = dx;
+    s.c[k] = dy * prim.sx[k] - dx * prim.sy[k] - (owns_boundary ? 0 : 1);
+  }
+  s.xref = prim.bbox.x0;
+
+  const ScreenVertex* v = prim.v;
+  const double x0 = static_cast<double>(prim.sx[0]) / kSubpixelScale;
+  const double y0 = static_cast<double>(prim.sy[0]) / kSubpixelScale;
+  const double dx1 = static_cast<double>(prim.sx[1] - prim.sx[0]) /
+                     kSubpixelScale;
+  const double dy1 = static_cast<double>(prim.sy[1] - prim.sy[0]) /
+                     kSubpixelScale;
+  const double dx2 = static_cast<double>(prim.sx[2] - prim.sx[0]) /
+                     kSubpixelScale;
+  const double dy2 = static_cast<double>(prim.sy[2] - prim.sy[0]) /
+                     kSubpixelScale;
+  // From the exact snapped area (> 0), so no rounding can flip a sliver.
+  const double inv_area = static_cast<double>(kSubpixelScale) *
+                          kSubpixelScale /
+                          static_cast<double>(snapped_area(prim));
+  // Offset from vertex 0 to pixel (xref, 0)'s center.
+  const double ox = s.xref + 0.5 - x0;
+  const double oy = 0.5 - y0;
+  const auto plane = [&](double f0, double f1, double f2) {
+    const double df1 = f1 - f0;
+    const double df2 = f2 - f0;
+    const double ddx = (df1 * dy2 - df2 * dy1) * inv_area;
+    const double ddy = (df2 * dx1 - df1 * dx2) * inv_area;
+    return TriangleSetup::Plane{f0 + ddx * ox + ddy * oy, ddy,
+                                static_cast<float>(ddx)};
+  };
+
+  if (p.depth_test) s.z = plane(v[0].z, v[1].z, v[2].z);
+
+  float f[3][6];  // r, g, b, a, u, v at each vertex
+  for (int i = 0; i < 3; ++i) {
+    f[i][0] = v[i].color.r;
+    f[i][1] = v[i].color.g;
+    f[i][2] = v[i].color.b;
+    f[i][3] = v[i].color.a;
+    f[i][4] = v[i].texcoord.x;
+    f[i][5] = v[i].texcoord.y;
+  }
+  const int first = p.uses_color ? 0 : 4;
+  const int last = p.uses_uv ? 6 : 4;
+  bool flat[6] = {};
+  bool varying = false;
+  for (int k = first; k < last; ++k) {
+    flat[k] = f[0][k] == f[1][k] && f[1][k] == f[2][k];
+    varying = varying || !flat[k];
+  }
+  s.perspective =
+      varying && !(v[0].inv_w == v[1].inv_w && v[1].inv_w == v[2].inv_w);
+  for (int k = first; k < last; ++k) {
+    if (!s.perspective) {
+      s.attr[k] = plane(f[0][k], f[1][k], f[2][k]);
+    } else if (flat[k]) {
+      s.constant[k] = f[0][k];
+    } else {
+      s.attr[k] = plane(double{f[0][k]} * v[0].inv_w,
+                        double{f[1][k]} * v[1].inv_w,
+                        double{f[2][k]} * v[2].inv_w);
+    }
+  }
+  if (s.perspective) s.w = plane(v[0].inv_w, v[1].inv_w, v[2].inv_w);
+}
+
+std::uint64_t raster_triangle(const TargetView& target, const DrawProgram& p,
+                              const ScreenPrim& prim, const PixelRect& limit) {
+  TriangleSetup s;
+  setup_triangle(p, prim, s);
+  const DrawProgram::SpanFn span =
+      s.perspective ? p.perspective_span : p.affine_span;
+  std::uint64_t fragments = 0;
+  for (int y = limit.y0; y < limit.y1; ++y) {
+    int lo = 0;
+    int hi = 0;
+    if (s.span(y, limit.x0, limit.x1, lo, hi)) {
+      fragments += span(p, target, s, y, lo, hi);
     }
   }
   return fragments;
 }
 
-// A line walks the same step sequence regardless of `limit`; fragments
-// whose pixel falls outside it are skipped, so the union over disjoint
-// tiles equals the full-target walk exactly.
-std::uint64_t raster_line(const TargetView& target, const RasterState& state,
+// --- Lines and points --------------------------------------------------------
+
+// Narrows the steps [first, last] of a walk start + delta * i / steps to
+// those that can round into [lo, hi) on this axis. A pixel and a step of
+// margin cover the walk's float rounding; the walk still checks each step.
+void narrow_steps(float start, float delta, int lo, int hi, int steps,
+                  int& first, int& last) {
+  if (delta == 0.f) return;
+  const double scale = static_cast<double>(steps) / delta;
+  double from = (lo - 1.5 - static_cast<double>(start)) * scale;
+  double to = (hi + 0.5 - static_cast<double>(start)) * scale;
+  if (from > to) std::swap(from, to);
+  from = std::clamp(from - 1.0, 0.0, static_cast<double>(steps));
+  to = std::clamp(to + 1.0, 0.0, static_cast<double>(steps));
+  first = std::max(first, static_cast<int>(std::floor(from)));
+  last = std::min(last, static_cast<int>(std::ceil(to)));
+}
+
+// A line walks the same step sequence whatever `limit` is; it evaluates only
+// the steps that can land inside it, and skips fragments whose pixel falls
+// outside, so the union over disjoint tiles equals the full-target walk.
+std::uint64_t raster_line(const TargetView& target, const DrawProgram& p,
                           const ScreenVertex& a, const ScreenVertex& b,
-                          TextureView texture, const PixelRect& limit) {
-  if (limit.empty()) return 0;
+                          const PixelRect& limit) {
   const float dx = b.x - a.x;
   const float dy = b.y - a.y;
   const int steps =
       std::max(1, static_cast<int>(std::ceil(std::max(std::fabs(dx),
                                                       std::fabs(dy)))));
+  int first = 0;
+  int last = steps;
+  narrow_steps(a.x, dx, limit.x0, limit.x1, steps, first, last);
+  narrow_steps(a.y, dy, limit.y0, limit.y1, steps, first, last);
   std::uint64_t fragments = 0;
-  for (int i = 0; i <= steps; ++i) {
+  for (int i = first; i <= last; ++i) {
     const float t = static_cast<float>(i) / steps;
     const int x = static_cast<int>(std::round(a.x + dx * t));
     const int y = static_cast<int>(std::round(a.y + dy * t));
@@ -185,43 +504,154 @@ std::uint64_t raster_line(const TargetView& target, const RasterState& state,
     const Color color = a.color * (1.f - t) + b.color * t;
     const Vec2 uv{a.texcoord.x + (b.texcoord.x - a.texcoord.x) * t,
                   a.texcoord.y + (b.texcoord.y - a.texcoord.y) * t};
-    if (shade_fragment(target, state, x, y, z, color, uv, texture)) {
-      ++fragments;
-    }
+    if (p.fragment(p, target, x, y, z, color, uv)) ++fragments;
   }
   return fragments;
 }
 
-std::uint64_t raster_point(const TargetView& target, const RasterState& state,
-                           const ScreenVertex& v, TextureView texture,
-                           const PixelRect& limit) {
-  if (limit.empty()) return 0;
-  const int half = std::max(0, static_cast<int>(state.point_size / 2.f));
+std::uint64_t raster_point(const TargetView& target, const DrawProgram& p,
+                           const ScreenVertex& v, const PixelRect& limit) {
   const int cx = static_cast<int>(std::round(v.x));
   const int cy = static_cast<int>(std::round(v.y));
   std::uint64_t fragments = 0;
-  for (int y = cy - half; y <= cy + half; ++y) {
-    for (int x = cx - half; x <= cx + half; ++x) {
+  for (int y = cy - p.point_half; y <= cy + p.point_half; ++y) {
+    for (int x = cx - p.point_half; x <= cx + p.point_half; ++x) {
       if (x < limit.x0 || x >= limit.x1 || y < limit.y0 || y >= limit.y1) {
         continue;
       }
-      if (shade_fragment(target, state, x, y, v.z, v.color, v.texcoord,
-                         texture)) {
-        ++fragments;
-      }
+      if (p.fragment(p, target, x, y, v.z, v.color, v.texcoord)) ++fragments;
     }
   }
   return fragments;
 }
 
-PixelRect triangle_bbox(const ScreenVertex& a, const ScreenVertex& b,
-                        const ScreenVertex& c, const PixelRect& clip) {
-  PixelRect box;
-  box.x0 = static_cast<int>(std::floor(std::min({a.x, b.x, c.x})));
-  box.y0 = static_cast<int>(std::floor(std::min({a.y, b.y, c.y})));
-  box.x1 = static_cast<int>(std::ceil(std::max({a.x, b.x, c.x})));
-  box.y1 = static_cast<int>(std::ceil(std::max({a.y, b.y, c.y})));
-  return intersect(box, clip);
+// --- Vertex post-processing --------------------------------------------------
+
+int point_half_size(const RasterState& state) {
+  return std::max(0, static_cast<int>(state.point_size / 2.f));
+}
+
+ShadedVertex lerp_vertex(const ShadedVertex& a, const ShadedVertex& b,
+                         float t) {
+  ShadedVertex mid;
+  mid.clip_pos = a.clip_pos + (b.clip_pos - a.clip_pos) * t;
+  mid.color = a.color + (b.color + a.color * -1.f) * t;
+  mid.texcoord = {a.texcoord.x + (b.texcoord.x - a.texcoord.x) * t,
+                  a.texcoord.y + (b.texcoord.y - a.texcoord.y) * t};
+  return mid;
+}
+
+// One Sutherland-Hodgman step: keeps the part of the polygon where
+// `distance` > 0. Writes at most n + 1 vertices to `out`.
+template <typename Distance>
+int clip_polygon(const ShadedVertex* in, int n, ShadedVertex* out,
+                 Distance distance) {
+  int count = 0;
+  for (int e = 0; e < n; ++e) {
+    const ShadedVertex& cur = in[e];
+    const ShadedVertex& nxt = in[(e + 1) % n];
+    const float d_cur = distance(cur);
+    const float d_nxt = distance(nxt);
+    if (d_cur > 0.f) out[count++] = cur;
+    if ((d_cur > 0.f) != (d_nxt > 0.f)) {
+      out[count++] = lerp_vertex(cur, nxt, d_cur / (d_cur - d_nxt));
+    }
+  }
+  return count;
+}
+
+bool within_guard_band(const ScreenVertex& v) {
+  return std::fabs(v.x) <= kGuardBandPx && std::fabs(v.y) <= kGuardBandPx;
+}
+
+bool finite_position(const ShadedVertex& v) {
+  return std::isfinite(v.clip_pos.x) && std::isfinite(v.clip_pos.y) &&
+         std::isfinite(v.clip_pos.z) && std::isfinite(v.clip_pos.w);
+}
+
+// Clips `poly` (w > 0 everywhere) in clip space to the window-space square
+// |x|, |y| <= kGuardClipPx. Returns the new vertex count; 0 when a position
+// is not finite.
+int clip_to_guard_band(ShadedVertex* poly, int n, const Viewport& vp) {
+  for (int i = 0; i < n; ++i) {
+    if (!finite_position(poly[i])) return 0;
+  }
+  // Window x = ndc_x * hx + cx and window y = cy - ndc_y * hy, so each
+  // bound is a plane ndc = k, i.e. clip = k * w.
+  const float hx = 0.5f * static_cast<float>(vp.width);
+  const float cx = static_cast<float>(vp.x) + hx;
+  const float hy = 0.5f * static_cast<float>(vp.height);
+  const float cy = static_cast<float>(vp.y) + hy;
+  ShadedVertex scratch[kMaxPolygon];
+  const auto pass = [&](auto distance) {
+    n = clip_polygon(poly, n, scratch, distance);
+    std::copy(scratch, scratch + n, poly);
+  };
+  if (hx > 0.f) {
+    const float lo = (-kGuardClipPx - cx) / hx;
+    const float hi = (kGuardClipPx - cx) / hx;
+    pass([lo](const ShadedVertex& v) {
+      return v.clip_pos.x - lo * v.clip_pos.w;
+    });
+    pass([hi](const ShadedVertex& v) {
+      return hi * v.clip_pos.w - v.clip_pos.x;
+    });
+  }
+  if (hy > 0.f) {
+    const float lo = (cy - kGuardClipPx) / hy;
+    const float hi = (cy + kGuardClipPx) / hy;
+    pass([lo](const ShadedVertex& v) {
+      return v.clip_pos.y - lo * v.clip_pos.w;
+    });
+    pass([hi](const ShadedVertex& v) {
+      return hi * v.clip_pos.w - v.clip_pos.y;
+    });
+  }
+  return n;
+}
+
+// |v| <= kGuardBandPx, so the product stays far inside int32.
+std::int32_t snap(float v) {
+  const double scaled = static_cast<double>(v) * kSubpixelScale;
+  return static_cast<std::int32_t>(scaled < 0 ? scaled - 0.5 : scaled + 0.5);
+}
+
+// Snaps, culls and orients one triangle and appends it with its pixel
+// bounding box (the pixel centers its snapped extent can cover, clipped).
+void emit_triangle(const ScreenVertex& a, const ScreenVertex& b,
+                   const ScreenVertex& c, CullMode cull, const PixelRect& clip,
+                   std::vector<ScreenPrim>& out) {
+  ScreenPrim prim;
+  prim.kind = PrimitiveKind::kTriangles;
+  prim.v[0] = a;
+  prim.v[1] = b;
+  prim.v[2] = c;
+  for (int k = 0; k < 3; ++k) {
+    prim.sx[k] = snap(prim.v[k].x);
+    prim.sy[k] = snap(prim.v[k].y);
+  }
+  const std::int64_t area = snapped_area(prim);
+  if (area == 0) return;
+  if (cull == CullMode::kBack && area > 0) return;
+  if (cull == CullMode::kFront && area < 0) return;
+  if (area < 0) {
+    std::swap(prim.v[1], prim.v[2]);
+    std::swap(prim.sx[1], prim.sx[2]);
+    std::swap(prim.sy[1], prim.sy[2]);
+  }
+  const auto [min_x, max_x] = std::minmax({prim.sx[0], prim.sx[1], prim.sx[2]});
+  const auto [min_y, max_y] = std::minmax({prim.sy[0], prim.sy[1], prim.sy[2]});
+  const auto first_center = [](std::int32_t v) {
+    return (v - kHalfSubpixel + kSubpixelScale - 1) >> kSubpixelBits;
+  };
+  const auto last_center = [](std::int32_t v) {
+    return (v - kHalfSubpixel) >> kSubpixelBits;
+  };
+  prim.bbox = intersect(PixelRect{first_center(min_x), first_center(min_y),
+                                  last_center(max_x) + 1,
+                                  last_center(max_y) + 1},
+                        clip);
+  if (!prim.bbox.empty()) out.push_back(prim);
 }
 
 }  // namespace
@@ -245,36 +675,57 @@ PixelRect clip_rect(const TargetView& target, const RasterState& state) {
   return b;
 }
 
-Color sample_texture(TextureView texture, Vec2 uv, TextureFilter filter,
-                     TextureWrap wrap) {
-  if (texture.texels == nullptr || texture.width <= 0 || texture.height <= 0) {
-    return {1.f, 1.f, 1.f, 1.f};
+DrawProgram prepare_draw(const RasterState& state, TextureView texture,
+                         std::span<const ShadedVertex> vertices) {
+  static constexpr std::uint32_t kWhiteTexel = 0xffffffffu;
+  DrawProgram p;
+  p.depth_test = state.depth_test;
+  p.depth_write = state.depth_write;
+  p.depth_pass = depth_pass_mask(state.depth_func);
+  p.point_half = point_half_size(state);
+
+  Tex tex = Tex::kNone;
+  if (texture.texels != nullptr) {
+    if (texture.width <= 0 || texture.height <= 0) {
+      texture = TextureView{&kWhiteTexel, 1, 1, 1};
+    }
+    // texel * 1.f == texel, so modulating by exact white is replace.
+    const bool white = std::all_of(
+        vertices.begin(), vertices.end(), [](const ShadedVertex& v) {
+          return v.color.r == 1.f && v.color.g == 1.f && v.color.b == 1.f &&
+                 v.color.a == 1.f;
+        });
+    const bool replace = state.tex_env == TexEnv::kReplace || white;
+    if (state.filter == TextureFilter::kNearest) {
+      tex = replace ? Tex::kNearestReplace : Tex::kNearestModulate;
+    } else {
+      tex = replace ? Tex::kLinearReplace : Tex::kLinearModulate;
+    }
+    p.texture = texture;
+    p.wrap = state.wrap;
   }
-  const auto texel_at = [&](int x, int y) {
-    x = wrap_coord(x, texture.width, wrap);
-    y = wrap_coord(y, texture.height, wrap);
-    return unpack_rgba8888(
-        texture.texels[static_cast<std::size_t>(y) * texture.stride_px + x]);
-  };
-  if (filter == TextureFilter::kNearest) {
-    const int x = static_cast<int>(std::floor(uv.x * texture.width));
-    const int y = static_cast<int>(std::floor(uv.y * texture.height));
-    return texel_at(x, y);
+  p.uses_color = reads_color(tex);
+  p.uses_uv = reads_uv(tex);
+
+  const bool masked = !state.color_mask[0] || !state.color_mask[1] ||
+                      !state.color_mask[2] || !state.color_mask[3];
+  Out out = Out::kWrite;
+  if (state.blend || masked) {
+    const bool alpha_blend = state.blend && !masked &&
+                             state.blend_src == BlendFactor::kSrcAlpha &&
+                             state.blend_dst == BlendFactor::kOneMinusSrcAlpha;
+    out = alpha_blend ? Out::kAlphaBlend : Out::kGeneric;
   }
-  // Bilinear.
-  const float fx = uv.x * texture.width - 0.5f;
-  const float fy = uv.y * texture.height - 0.5f;
-  const int x0 = static_cast<int>(std::floor(fx));
-  const int y0 = static_cast<int>(std::floor(fy));
-  const float tx = fx - x0;
-  const float ty = fy - y0;
-  const Color c00 = texel_at(x0, y0);
-  const Color c10 = texel_at(x0 + 1, y0);
-  const Color c01 = texel_at(x0, y0 + 1);
-  const Color c11 = texel_at(x0 + 1, y0 + 1);
-  const Color top = c00 * (1.f - tx) + c10 * tx;
-  const Color bottom = c01 * (1.f - tx) + c11 * tx;
-  return top * (1.f - ty) + bottom * ty;
+  p.src = blend_term(state.blend ? state.blend_src : BlendFactor::kOne);
+  p.dst = blend_term(state.blend ? state.blend_dst : BlendFactor::kZero);
+  for (int i = 0; i < 4; ++i) p.keep_dst[i] = !state.color_mask[i];
+
+  if (p.depth_test) {
+    choose_loops<true>(p, tex, out);
+  } else {
+    choose_loops<false>(p, tex, out);
+  }
+  return p;
 }
 
 std::uint64_t build_screen_prims(const TargetView& target,
@@ -303,38 +754,31 @@ std::uint64_t build_screen_prims(const TargetView& target,
   switch (kind) {
     case PrimitiveKind::kTriangles: {
       for (std::size_t i = 0; i + 2 < vertices.size(); i += 3) {
-        // Near-plane clip (w > epsilon) via Sutherland-Hodgman on w.
-        const ShadedVertex* tri[3] = {&vertices[i], &vertices[i + 1],
-                                      &vertices[i + 2]};
-        ShadedVertex clipped[4];
-        int clipped_count = 0;
-        for (int e = 0; e < 3 && clipped_count < 4; ++e) {
-          const ShadedVertex& cur = *tri[e];
-          const ShadedVertex& nxt = *tri[(e + 1) % 3];
-          const bool cur_in = cur.clip_pos.w > kNearEpsilon;
-          const bool nxt_in = nxt.clip_pos.w > kNearEpsilon;
-          if (cur_in) clipped[clipped_count++] = cur;
-          if (cur_in != nxt_in && clipped_count < 4) {
-            const float t = (kNearEpsilon - cur.clip_pos.w) /
-                            (nxt.clip_pos.w - cur.clip_pos.w);
-            ShadedVertex mid;
-            mid.clip_pos = cur.clip_pos + (nxt.clip_pos - cur.clip_pos) * t;
-            mid.color = cur.color + (nxt.color + cur.color * -1.f) * t;
-            mid.texcoord = {cur.texcoord.x + (nxt.texcoord.x - cur.texcoord.x) * t,
-                            cur.texcoord.y + (nxt.texcoord.y - cur.texcoord.y) * t};
-            clipped[clipped_count++] = mid;
+        // Near-plane clip (w > epsilon), then the guard band for the rare
+        // triangle that reaches past it; one polygon fans out.
+        ShadedVertex poly[kMaxPolygon];
+        const int clipped = clip_polygon(
+            &vertices[i], 3, poly, [](const ShadedVertex& v) {
+              return v.clip_pos.w - kNearEpsilon;
+            });
+        if (clipped < 3) continue;
+        int count = clipped;
+        ScreenVertex screen[kMaxPolygon];
+        bool inside = true;
+        for (int k = 0; k < count; ++k) {
+          screen[k] = to_screen(poly[k]);
+          inside = inside && within_guard_band(screen[k]);
+        }
+        if (!inside) {
+          count = clip_to_guard_band(poly, count, vp);
+          for (int k = 0; k < count; ++k) {
+            screen[k] = to_screen(poly[k]);
+            if (!within_guard_band(screen[k])) count = 0;
           }
         }
-        if (clipped_count < 3) continue;
-        const ScreenVertex s0 = to_screen(clipped[0]);
-        for (int k = 1; k + 1 < clipped_count; ++k) {
-          ScreenPrim prim;
-          prim.kind = PrimitiveKind::kTriangles;
-          prim.v[0] = s0;
-          prim.v[1] = to_screen(clipped[k]);
-          prim.v[2] = to_screen(clipped[k + 1]);
-          prim.bbox = triangle_bbox(prim.v[0], prim.v[1], prim.v[2], clip);
-          out.push_back(prim);
+        for (int k = 1; k + 1 < count; ++k) {
+          emit_triangle(screen[0], screen[k], screen[k + 1], state.cull, clip,
+                        out);
           ++triangles;
         }
       }
@@ -350,6 +794,9 @@ std::uint64_t build_screen_prims(const TargetView& target,
         prim.kind = PrimitiveKind::kLines;
         prim.v[0] = to_screen(vertices[i]);
         prim.v[1] = to_screen(vertices[i + 1]);
+        if (!within_guard_band(prim.v[0]) || !within_guard_band(prim.v[1])) {
+          continue;
+        }
         // Step rounding can land one pixel past the float extent; pad the
         // bbox so tile coverage never misses a plotted pixel (the walk's
         // own limit check rejects strays exactly).
@@ -368,12 +815,13 @@ std::uint64_t build_screen_prims(const TargetView& target,
       break;
     }
     case PrimitiveKind::kPoints: {
-      const int half = std::max(0, static_cast<int>(state.point_size / 2.f));
+      const int half = point_half_size(state);
       for (const ShadedVertex& v : vertices) {
         if (v.clip_pos.w <= kNearEpsilon) continue;
         ScreenPrim prim;
         prim.kind = PrimitiveKind::kPoints;
         prim.v[0] = to_screen(v);
+        if (!within_guard_band(prim.v[0])) continue;
         const int cx = static_cast<int>(std::round(prim.v[0].x));
         const int cy = static_cast<int>(std::round(prim.v[0].y));
         prim.bbox = intersect(PixelRect{cx - half, cy - half, cx + half + 1,
@@ -388,21 +836,22 @@ std::uint64_t build_screen_prims(const TargetView& target,
 }
 
 std::uint64_t raster_screen_prim(const TargetView& target,
-                                 const RasterState& state,
-                                 const ScreenPrim& prim, TextureView texture,
+                                 const DrawProgram& program,
+                                 const ScreenPrim& prim,
                                  const PixelRect& raw_limit) {
   // The bbox already carries viewport ∩ scissor ∩ target, so the effective
   // rect is the same whether `raw_limit` is one tile or the whole target.
   const PixelRect limit = intersect(raw_limit, prim.bbox);
   if (limit.empty()) return 0;
+  // Every fragment fails a depth test against no depth buffer.
+  if (program.depth_test && target.depth == nullptr) return 0;
   switch (prim.kind) {
     case PrimitiveKind::kTriangles:
-      return raster_triangle(target, state, prim.v[0], prim.v[1], prim.v[2],
-                             texture, limit);
+      return raster_triangle(target, program, prim, limit);
     case PrimitiveKind::kLines:
-      return raster_line(target, state, prim.v[0], prim.v[1], texture, limit);
+      return raster_line(target, program, prim.v[0], prim.v[1], limit);
     case PrimitiveKind::kPoints:
-      return raster_point(target, state, prim.v[0], texture, limit);
+      return raster_point(target, program, prim.v[0], limit);
   }
   return 0;
 }
@@ -433,12 +882,13 @@ std::uint64_t Rasterizer::draw(TargetView target, const RasterState& state,
                                PrimitiveKind kind,
                                std::span<const ShadedVertex> vertices,
                                TextureView texture) {
+  const DrawProgram program = prepare_draw(state, texture, vertices);
   std::vector<ScreenPrim> prims;
   triangles_ += build_screen_prims(target, state, kind, vertices, prims);
   const PixelRect full{0, 0, target.width, target.height};
   std::uint64_t fragments = 0;
   for (const ScreenPrim& prim : prims) {
-    fragments += raster_screen_prim(target, state, prim, texture, full);
+    fragments += raster_screen_prim(target, program, prim, full);
   }
   return fragments;
 }

@@ -2,16 +2,41 @@
 // raw color/depth buffer views; GpuDevice owns resource lookup and hands the
 // rasterizer plain spans.
 //
-// Since PR 8 the rasterizer is split into the two stages the tile pipeline
-// needs (docs/PIPELINE.md): build_screen_prims() runs the vertex
-// post-processing once per draw (near-plane clip, perspective divide,
-// viewport transform, bounding boxes) on the binning thread, and
-// raster_screen_prim() shades one primitive clamped to an arbitrary pixel
-// rect — a 64x64 tile in the parallel path, the whole target in the serial
-// one. Per-fragment results depend only on the fragment's own inputs, so
-// rasterizing a primitive tile-by-tile produces bytes identical to scanning
-// its full bounding box, which is what makes N-worker output byte-equal to
-// single-threaded output.
+// The rasterizer is split into the two stages the tile pipeline needs
+// (docs/PIPELINE.md). build_screen_prims() runs the vertex post-processing
+// once per draw on the binning thread: near-plane clip, perspective divide,
+// viewport transform, and for triangles the snap of each vertex to 1/256 px,
+// the guard-band clip, culling on the snapped area's sign, orientation to
+// positive area and the pixel bounding box. raster_screen_prim() shades one
+// primitive clamped to an arbitrary pixel rect — a 64x64 tile in the
+// parallel path, the whole target in the serial façade.
+//
+// Triangles are fixed point. Edge functions over the snapped vertices are
+// exact int64 values (the guard band keeps them far from overflow), and a
+// center exactly on an edge belongs to the one triangle whose positively
+// oriented edge runs down the screen (or rightwards when horizontal), so
+// triangles sharing an edge cover each pixel once. Each row's covered span
+// [lo, hi) comes from three integer divisions; no pixel outside the triangle
+// is evaluated. Attributes are plane equations built from the snapped
+// positions: z is linear in screen space; color and texcoords are affine
+// when the three 1/w are equal, otherwise perspective-correct through planes
+// of f/w and 1/w with one reciprocal per pixel; an attribute equal at all
+// three vertices is that exact value.
+//
+// Determinism: edge values are exact integers, and every per-pixel value is
+// a pure function of (x, y) and the primitive — a per-row base plus
+// dx * (x - xref), where xref is the primitive's own bounding-box corner,
+// never accumulated across pixels or from a tile's origin. So rasterizing a
+// primitive tile-by-tile produces bytes identical to scanning the whole
+// target, which is what makes N-worker output byte-equal to single-threaded
+// output.
+//
+// The fragment loop is chosen once per draw (prepare_draw, after
+// glSoftPipe's validateState/prepareToDraw): a span function specialized on
+// the depth test, the texture (none, nearest or linear; replace or
+// modulate), affine or perspective varyings and the output (plain write,
+// SrcAlpha/OneMinusSrcAlpha blend, or any blend and color mask). Lines and
+// points keep their step walks and shade through the same specialization.
 #pragma once
 
 #include <algorithm>
@@ -61,22 +86,69 @@ inline PixelRect intersect(const PixelRect& a, const PixelRect& b) {
                    std::min(a.x1, b.x1), std::min(a.y1, b.y1)};
 }
 
+// Triangle vertices snap to 1/2^kSubpixelBits px.
+inline constexpr int kSubpixelBits = 8;
+// Window coordinates a snapped triangle vertex may take, in px either side
+// of the origin. Triangles reaching past it are clipped in clip space
+// first, so edge products stay below 2^59.
+inline constexpr float kGuardBandPx = 1 << 20;
+
 // One post-transform primitive, ready to rasterize. `bbox` is the pixel
 // footprint already clamped to the draw's viewport/scissor clip bounds; the
-// binner intersects it with tile rects to decide coverage.
+// binner intersects it with tile rects to decide coverage. A triangle's
+// vertices are ordered to positive snapped area.
 struct ScreenPrim {
   PrimitiveKind kind = PrimitiveKind::kTriangles;
   ScreenVertex v[3];  // triangles use 3, lines 2, points 1
+  std::int32_t sx[3] = {}, sy[3] = {};  // triangles: snapped positions
   PixelRect bbox;
+};
+
+struct TriangleSetup;  // raster.cpp: edges and attribute planes
+
+// The fragment work of one draw, chosen once from its RasterState and
+// texture. Triangles run one of the two span loops per row; lines and points
+// call `fragment` per pixel.
+struct DrawProgram {
+  using SpanFn = std::uint64_t (*)(const DrawProgram&, const TargetView&,
+                                   const TriangleSetup&, int y, int x0,
+                                   int x1);
+  using FragmentFn = bool (*)(const DrawProgram&, const TargetView&, int x,
+                              int y, float z, Color color, Vec2 uv);
+  // A blend factor as constant + sa * src alpha + da * dst alpha + s * the
+  // source component, so no pixel loop switches on BlendFactor.
+  struct BlendTerm {
+    float constant = 0.f, sa = 0.f, da = 0.f, s = 0.f;
+  };
+
+  SpanFn affine_span = nullptr;
+  SpanFn perspective_span = nullptr;
+  FragmentFn fragment = nullptr;
+  TextureView texture;  // a 1x1 white texel stands in for an empty texture
+  TextureWrap wrap = TextureWrap::kRepeat;
+  bool depth_test = false;
+  bool depth_write = true;
+  std::uint8_t depth_pass = 0;  // outcomes of the depth compare that pass
+  bool uses_color = true;       // the loops read interpolated color
+  bool uses_uv = false;         // ... and texcoords
+  BlendTerm src, dst;           // kGeneric output only
+  bool keep_dst[4] = {};        // color-masked channels
+  int point_half = 0;
 };
 
 // The viewport ∩ scissor ∩ target rect a draw may touch.
 PixelRect clip_rect(const TargetView& target, const RasterState& state);
 
-// Vertex post-processing for one draw call: near-plane clipping (triangles
-// fan out via Sutherland-Hodgman on w), perspective divide, viewport
-// transform and per-primitive bounding boxes. Appends to `out`; returns the
-// number of triangles emitted (post-clip, for the device triangle counter).
+// Chooses the draw's fragment loops. A modulated texture under a vertex
+// color that is exactly white at every vertex runs as replace.
+DrawProgram prepare_draw(const RasterState& state, TextureView texture,
+                         std::span<const ShadedVertex> vertices);
+
+// Vertex post-processing for one draw call (see the header comment).
+// Appends to `out`; returns the number of triangles the near-plane and
+// guard-band clips emitted, culled and zero-area ones included (the device
+// triangle counter). Primitives with a non-finite window position are
+// dropped, and so are lines and points past the guard band.
 std::uint64_t build_screen_prims(const TargetView& target,
                                  const RasterState& state, PrimitiveKind kind,
                                  std::span<const ShadedVertex> vertices,
@@ -87,8 +159,8 @@ std::uint64_t build_screen_prims(const TargetView& target,
 // Pure function of its arguments — safe to call concurrently for disjoint
 // `limit` rects of the same target.
 std::uint64_t raster_screen_prim(const TargetView& target,
-                                 const RasterState& state,
-                                 const ScreenPrim& prim, TextureView texture,
+                                 const DrawProgram& program,
+                                 const ScreenPrim& prim,
                                  const PixelRect& limit);
 
 // Clears color and/or depth inside scissor ∩ `limit`.
@@ -97,8 +169,8 @@ void clear_rect(const TargetView& target,
                 Color color, bool clear_depth, float depth_value,
                 const PixelRect& limit);
 
-// Serial façade over the two stages (kept for direct users and as the
-// reference the tiled path must match byte-for-byte).
+// Serial façade over the two stages: the whole target as one limit, the
+// reference the tiled path must match byte-for-byte.
 class Rasterizer {
  public:
   // Draws vertices (grouped 3/2/1 per primitive by `kind`) under `state`.
@@ -117,9 +189,5 @@ class Rasterizer {
  private:
   std::uint64_t triangles_ = 0;
 };
-
-// Samples `texture` at normalized coordinates under filter/wrap settings.
-Color sample_texture(TextureView texture, Vec2 uv, TextureFilter filter,
-                     TextureWrap wrap);
 
 }  // namespace cycada::gpu

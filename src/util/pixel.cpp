@@ -13,23 +13,6 @@ const char* pixel_format_name(PixelFormat format) {
   return "UNKNOWN";
 }
 
-std::uint32_t pack_rgba8888(Color c) {
-  const auto to8 = [](float v) {
-    return static_cast<std::uint32_t>(clamp01(v) * 255.f + 0.5f);
-  };
-  return to8(c.r) | (to8(c.g) << 8) | (to8(c.b) << 16) | (to8(c.a) << 24);
-}
-
-Color unpack_rgba8888(std::uint32_t packed) {
-  constexpr float kInv = 1.f / 255.f;
-  return {
-      static_cast<float>(packed & 0xff) * kInv,
-      static_cast<float>((packed >> 8) & 0xff) * kInv,
-      static_cast<float>((packed >> 16) & 0xff) * kInv,
-      static_cast<float>((packed >> 24) & 0xff) * kInv,
-  };
-}
-
 std::uint16_t pack_rgb565(Color c) {
   const auto r = static_cast<std::uint16_t>(clamp01(c.r) * 31.f + 0.5f);
   const auto g = static_cast<std::uint16_t>(clamp01(c.g) * 63.f + 0.5f);

@@ -48,9 +48,26 @@ struct Color {
 };
 
 // Packs a float color to a 32-bit RGBA8888 value (R in the low byte,
-// matching GL_RGBA/GL_UNSIGNED_BYTE memory order on little-endian).
-std::uint32_t pack_rgba8888(Color c);
-Color unpack_rgba8888(std::uint32_t packed);
+// matching GL_RGBA/GL_UNSIGNED_BYTE memory order on little-endian). A NaN
+// channel packs as 0. Inline: the rasterizer packs and unpacks per pixel.
+inline std::uint32_t pack_rgba8888(Color c) {
+  const auto to8 = [](float v) {
+    v = v > 0.f ? v : 0.f;
+    v = v < 1.f ? v : 1.f;
+    return static_cast<std::uint32_t>(v * 255.f + 0.5f);
+  };
+  return to8(c.r) | (to8(c.g) << 8) | (to8(c.b) << 16) | (to8(c.a) << 24);
+}
+
+inline Color unpack_rgba8888(std::uint32_t packed) {
+  constexpr float kInv = 1.f / 255.f;
+  return {
+      static_cast<float>(packed & 0xff) * kInv,
+      static_cast<float>((packed >> 8) & 0xff) * kInv,
+      static_cast<float>((packed >> 16) & 0xff) * kInv,
+      static_cast<float>((packed >> 24) & 0xff) * kInv,
+  };
+}
 
 std::uint16_t pack_rgb565(Color c);
 Color unpack_rgb565(std::uint16_t packed);

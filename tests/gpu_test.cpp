@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace cycada::gpu {
@@ -207,6 +208,95 @@ TEST_F(GpuTest, PerspectiveDivideHalvesFarGeometry) {
   // spanning the target; w=2 halves each axis: roughly the full triangle.
   EXPECT_GT(stats.fragments_shaded, 1000u);
   EXPECT_LT(stats.fragments_shaded, 3000u);
+}
+
+// Two-triangle tile quads composed the way Browser::composite_and_present
+// builds them (corners stepped in float NDC, one draw per quad) cover every
+// pixel exactly once: no seam left at the clear color, and no pixel on a
+// shared edge shaded by both triangles.
+TEST_F(GpuTest, TileQuadsCoverEveryPixelExactlyOnce) {
+  struct Case {
+    int width, height, tile;
+  };
+  for (const Case c : {Case{320, 480, 64}, Case{192, 160, 64},
+                       Case{320, 480, 48}, Case{101, 77, 17},
+                       Case{333, 217, 64}, Case{512, 512, 64}}) {
+    dev().reset();
+    const auto target = dev().create_target(c.width, c.height, false);
+    dev().submit_clear(target, std::nullopt, true, {0, 0, 0, 1}, false, 1.f);
+    const Color white{1.f, 1.f, 1.f, 1.f};
+    const float sx = 2.f / static_cast<float>(c.width);
+    const float sy = 2.f / static_cast<float>(c.height);
+    const int cols = (c.width + c.tile - 1) / c.tile;
+    const int rows = (c.height + c.tile - 1) / c.tile;
+    for (int row = 0; row < rows; ++row) {
+      for (int col = 0; col < cols; ++col) {
+        const float x0 = -1.f + col * c.tile * sx;
+        const float x1 = x0 + c.tile * sx;
+        const float y0 = 1.f - row * c.tile * sy;
+        const float y1 = y0 - c.tile * sy;
+        dev().submit_draw(target, {}, PrimitiveKind::kTriangles,
+                          {vtx(x0, y0, 0, white), vtx(x1, y0, 0, white),
+                           vtx(x1, y1, 0, white), vtx(x0, y0, 0, white),
+                           vtx(x1, y1, 0, white), vtx(x0, y1, 0, white)});
+      }
+    }
+    const std::size_t count = static_cast<std::size_t>(c.width) * c.height;
+    std::vector<std::uint32_t> pixels(count);
+    ASSERT_TRUE(dev()
+                    .read_pixels(target, 0, 0, c.width, c.height,
+                                 pixels.data(), c.width)
+                    .is_ok());
+    const auto holes = std::count(pixels.begin(), pixels.end(), 0xff000000u);
+    EXPECT_EQ(holes, 0) << c.width << "x" << c.height << " with " << c.tile
+                        << "-px quads";
+    EXPECT_EQ(dev().stats().fragments_shaded, count)
+        << c.width << "x" << c.height << " with " << c.tile << "-px quads";
+  }
+}
+
+// The fragment loops' two exact shortcuts: nearest + replace writes the
+// texel word, and modulating by an exactly white vertex color is replace.
+// Both rest on pack(unpack(t)) == t and t * 1 == t for every channel value.
+TEST_F(GpuTest, TexelShortcutsAreExactForEveryChannelValue) {
+  const Color white{1.f, 1.f, 1.f, 1.f};
+  std::vector<std::uint32_t> texels(256);
+  for (std::uint32_t v = 0; v < 256; ++v) {
+    texels[v] = v | ((255 - v) << 8) | (((v * 7) & 0xff) << 16) |
+                (((v * 13 + 5) & 0xff) << 24);
+    const Color unpacked = unpack_rgba8888(texels[v]);
+    EXPECT_EQ(pack_rgba8888(unpacked), texels[v]) << v;
+    EXPECT_EQ(pack_rgba8888(unpacked * white), texels[v]) << v;
+  }
+  const auto texture = dev().create_texture();
+  ASSERT_TRUE(dev().define_texture(texture, 16, 16).is_ok());
+  ASSERT_TRUE(
+      dev().upload_texture(texture, 0, 0, 16, 16, texels.data(), 16).is_ok());
+  const auto render = [&](TexEnv env, bool blend) {
+    const auto target = dev().create_target(16, 16, false);
+    RasterState state;
+    state.texture = texture;
+    state.tex_env = env;
+    // One/Zero blending takes the general output path, which unpacks,
+    // combines and packs instead of writing the texel word.
+    state.blend = blend;
+    state.blend_src = BlendFactor::kOne;
+    state.blend_dst = BlendFactor::kZero;
+    dev().submit_draw(target, state, PrimitiveKind::kTriangles,
+                      {vtx(-1, 1, 0, white, {0.f, 0.f}),
+                       vtx(1, 1, 0, white, {1.f, 0.f}),
+                       vtx(1, -1, 0, white, {1.f, 1.f}),
+                       vtx(-1, 1, 0, white, {0.f, 0.f}),
+                       vtx(1, -1, 0, white, {1.f, 1.f}),
+                       vtx(-1, -1, 0, white, {0.f, 1.f})});
+    std::vector<std::uint32_t> pixels(256);
+    EXPECT_TRUE(
+        dev().read_pixels(target, 0, 0, 16, 16, pixels.data(), 16).is_ok());
+    return pixels;
+  };
+  EXPECT_EQ(render(TexEnv::kReplace, false), texels);
+  EXPECT_EQ(render(TexEnv::kModulate, false), texels);
+  EXPECT_EQ(render(TexEnv::kModulate, true), texels);
 }
 
 // Property sweep: clears of any size/scissor never write outside the rect.

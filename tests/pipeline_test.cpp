@@ -258,5 +258,167 @@ TEST_F(PipelineTest, FramebufferFeedbackForcesSerialPhase) {
             feedback_before);
 }
 
+
+// A seeded scene for the tiled-vs-façade comparison. It runs every
+// fragment loop the rasterizer chooses from — depth test off and on, five
+// texture modes (none; nearest or linear, each replace or modulate) and
+// three outputs (plain, SrcAlpha/OneMinusSrcAlpha, other factors or a
+// color mask) — as a perspective (w != 1) and an affine triangle, a line
+// and a point, with repeat and clamp wraps, texcoords past [0, 1], scissor,
+// and some exactly white vertex colors (modulate runs as replace).
+struct FacadeScene {
+  struct Op {
+    bool clear = false;
+    RasterState state;  // state.texture != kNoHandle: sample the texture
+    PrimitiveKind kind = PrimitiveKind::kTriangles;
+    std::vector<ShadedVertex> vertices;
+  };
+  static constexpr int kWidth = 200;
+  static constexpr int kHeight = 150;
+  static constexpr int kTexSize = 16;
+  std::vector<std::uint32_t> texels;
+  std::vector<Op> ops;
+};
+
+FacadeScene make_facade_scene(std::uint32_t seed) {
+  FacadeScene scene;
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> unit(0.f, 1.f);
+  std::uniform_real_distribution<float> ndc(-1.3f, 1.3f);
+  std::uniform_real_distribution<float> w_range(0.4f, 3.f);
+  std::uniform_real_distribution<float> tex(-1.5f, 2.5f);
+  scene.texels.resize(FacadeScene::kTexSize * FacadeScene::kTexSize);
+  for (std::uint32_t& texel : scene.texels) texel = rng() | 0x40000000u;
+
+  FacadeScene::Op clear;
+  clear.clear = true;
+  scene.ops.push_back(clear);
+  for (int combo = 0; combo < 30; ++combo) {
+    RasterState state;
+    state.depth_test = combo % 2 == 1;
+    state.depth_func =
+        combo % 4 == 3 ? DepthFunc::kGreaterEqual : DepthFunc::kLess;
+    const int tex_mode = (combo / 2) % 5;
+    if (tex_mode != 0) {
+      state.texture = 1;
+      state.filter =
+          tex_mode <= 2 ? TextureFilter::kNearest : TextureFilter::kLinear;
+      state.tex_env = tex_mode % 2 == 1 ? TexEnv::kReplace : TexEnv::kModulate;
+      state.wrap = combo % 3 == 0 ? TextureWrap::kClampToEdge
+                                  : TextureWrap::kRepeat;
+    }
+    if (combo / 10 == 1) {
+      state.blend = true;
+      state.blend_src = BlendFactor::kSrcAlpha;
+      state.blend_dst = BlendFactor::kOneMinusSrcAlpha;
+    } else if (combo / 10 == 2 && combo % 2 == 0) {
+      state.blend = true;
+      state.blend_src = BlendFactor::kDstAlpha;
+      state.blend_dst = BlendFactor::kOneMinusSrcColor;
+    } else if (combo / 10 == 2) {
+      state.color_mask[1] = false;
+    }
+    if (combo % 7 == 3) state.scissor = ScissorRect{20, 10, 130, 90};
+    const bool white = combo % 6 == 5;
+    const auto vertex = [&](float w) {
+      ShadedVertex v;
+      v.clip_pos = {ndc(rng) * w, ndc(rng) * w,
+                    (unit(rng) * 1.8f - 0.9f) * w, w};
+      v.color = white ? Color{1.f, 1.f, 1.f, 1.f}
+                      : Color{unit(rng), unit(rng), unit(rng),
+                              0.2f + 0.8f * unit(rng)};
+      v.texcoord = {tex(rng), tex(rng)};
+      return v;
+    };
+    const float w = w_range(rng);
+    FacadeScene::Op triangles{false, state, PrimitiveKind::kTriangles,
+                              {vertex(w_range(rng)), vertex(w_range(rng)),
+                               vertex(w_range(rng)), vertex(w), vertex(w),
+                               vertex(w)}};
+    FacadeScene::Op line{false, state, PrimitiveKind::kLines,
+                         {vertex(w_range(rng)), vertex(w_range(rng))}};
+    FacadeScene::Op point{false, state, PrimitiveKind::kPoints,
+                          {vertex(w), vertex(w)}};
+    point.state.point_size = 3.f;
+    scene.ops.push_back(std::move(triangles));
+    scene.ops.push_back(std::move(line));
+    scene.ops.push_back(std::move(point));
+  }
+  return scene;
+}
+
+// The scene through the device (binned into 64x64 tiles, rastered by the
+// pool) at the current worker count.
+std::vector<std::uint32_t> render_tiled(GpuDevice& dev,
+                                        const FacadeScene& scene) {
+  const RenderTargetHandle target =
+      dev.create_target(FacadeScene::kWidth, FacadeScene::kHeight, true);
+  const TextureHandle texture = dev.create_texture();
+  EXPECT_TRUE(dev.define_texture(texture, FacadeScene::kTexSize,
+                                 FacadeScene::kTexSize)
+                  .is_ok());
+  EXPECT_TRUE(dev.upload_texture(texture, 0, 0, FacadeScene::kTexSize,
+                                 FacadeScene::kTexSize, scene.texels.data(),
+                                 FacadeScene::kTexSize)
+                  .is_ok());
+  for (const FacadeScene::Op& op : scene.ops) {
+    if (op.clear) {
+      dev.submit_clear(target, std::nullopt, true, {0.1f, 0.2f, 0.3f, 0.6f},
+                       true, 1.f);
+      continue;
+    }
+    RasterState state = op.state;
+    if (state.texture != kNoHandle) state.texture = texture;
+    dev.submit_draw(target, state, op.kind, op.vertices);
+  }
+  dev.submit_frame();
+  std::vector<std::uint32_t> pixels(FacadeScene::kWidth *
+                                    FacadeScene::kHeight);
+  EXPECT_TRUE(dev.read_pixels(target, 0, 0, FacadeScene::kWidth,
+                              FacadeScene::kHeight, pixels.data(),
+                              FacadeScene::kWidth)
+                  .is_ok());
+  EXPECT_TRUE(dev.destroy_target(target).is_ok());
+  EXPECT_TRUE(dev.destroy_texture(texture).is_ok());
+  return pixels;
+}
+
+// The same scene through the serial façade: the whole target as one limit.
+std::vector<std::uint32_t> render_facade(const FacadeScene& scene) {
+  std::vector<std::uint32_t> color(FacadeScene::kWidth * FacadeScene::kHeight);
+  std::vector<float> depth(color.size());
+  const TargetView target{color.data(), depth.data(), FacadeScene::kWidth,
+                          FacadeScene::kHeight, FacadeScene::kWidth};
+  const TextureView texture{scene.texels.data(), FacadeScene::kTexSize,
+                            FacadeScene::kTexSize, FacadeScene::kTexSize};
+  Rasterizer rasterizer;
+  for (const FacadeScene::Op& op : scene.ops) {
+    if (op.clear) {
+      rasterizer.clear(target, std::nullopt, true, {0.1f, 0.2f, 0.3f, 0.6f},
+                       true, 1.f);
+      continue;
+    }
+    rasterizer.draw(target, op.state, op.kind, op.vertices,
+                    op.state.texture != kNoHandle ? texture : TextureView{});
+  }
+  return color;
+}
+
+// Tiles evaluate every attribute as a function of the pixel alone, so the
+// tiled device output equals the façade scanning the whole target at once:
+// a value accumulated from a tile's origin would differ here even though
+// the tile rects (and so the N-vs-1 comparison above) do not change with N.
+TEST_F(PipelineTest, TiledOutputEqualsWholeTargetFacade) {
+  for (const std::uint32_t seed : {5u, 23u, 99u, 512u, 4096u, 77777u}) {
+    const FacadeScene scene = make_facade_scene(seed);
+    const std::vector<std::uint32_t> reference = render_facade(scene);
+    for (const int workers : {1, 4}) {
+      TileWorkerPool::instance().set_worker_count(workers);
+      EXPECT_EQ(reference, render_tiled(dev(), scene))
+          << "seed " << seed << " at " << workers << " workers";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cycada::gpu

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -74,7 +75,34 @@ TEST_P(ScissorContainmentTest, RandomTrianglesStayInsideScissor) {
     }
     dev.submit_draw(target, state, gpu::PrimitiveKind::kTriangles, tri);
   }
+  // Vertices with w in [1e-5, 1e-3] land up to ~3e6 px away, far past the
+  // rasterizer's guard band: those triangles are clipped in clip space and
+  // must still stay inside the scissor.
+  for (int i = 0; i < 8; ++i) {
+    std::vector<gpu::ShadedVertex> tri(3);
+    for (std::size_t k = 0; k < tri.size(); ++k) {
+      const float w = k <= static_cast<std::size_t>(i % 3)
+                          ? rng.next_float(1e-5f, 1e-3f)
+                          : 1.f;
+      tri[k].clip_pos = {rng.next_float(-2.f, 2.f), rng.next_float(-2.f, 2.f),
+                         rng.next_float(-1.f, 1.f) * w, w};
+      tri[k].color = {1.f, 1.f, 1.f, rng.next_float(0.2f, 1.f)};
+    }
+    dev.submit_draw(target, state, gpu::PrimitiveKind::kTriangles, tri);
+  }
   dev.flush();
+  const gpu::GpuStats before_nan = dev.stats();
+
+  // A triangle with a NaN position is dropped: no triangle, no fragment.
+  std::vector<gpu::ShadedVertex> nan_tri(3);
+  nan_tri[0].clip_pos = {std::numeric_limits<float>::quiet_NaN(), 0.f, 0.f,
+                         1.f};
+  nan_tri[1].clip_pos = {1.f, -1.f, 0.f, 1.f};
+  nan_tri[2].clip_pos = {1.f, 1.f, 0.f, 1.f};
+  dev.submit_draw(target, state, gpu::PrimitiveKind::kTriangles, nan_tri);
+  dev.flush();
+  EXPECT_EQ(dev.stats().triangles, before_nan.triangles);
+  EXPECT_EQ(dev.stats().fragments_shaded, before_nan.fragments_shaded);
 
   std::vector<std::uint32_t> pixels(size * size);
   ASSERT_TRUE(
