@@ -96,10 +96,10 @@ run ./build/tools/cycada_check --trace "${tracedir}/passmark.cyt" \
   --trace "$(pwd)/tests/data/golden_sunspider.cyt"
 
 # --- Classification check (docs/ANALYZER.md) --------------------------------
-# The static dispatch-site scanner and the committed golden corpus must
+# The rows of the iOS GLES table and the committed golden corpus must
 # agree with classification.cpp (zero findings, blocking).
 echo "==> cycada_check --classify (classification check)"
-run ./build/tools/cycada_check --classify --root "$(pwd)/src" \
+run ./build/tools/cycada_check --classify \
   --corpus "$(pwd)/tests/data/golden_passmark.cyt" \
   --corpus "$(pwd)/tests/data/golden_sunspider.cyt"
 

@@ -16,9 +16,11 @@
 #include <optional>
 #include <ostream>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/classification.h"
 #include "core/diplomat.h"
 #include "kernel/kernel.h"
 #include "trace/cyt.h"
@@ -219,47 +221,20 @@ bool lint_source_tree(const std::string& root, Report& report);
 // --- Classification check (docs/ANALYZER.md) --------------------------------
 //
 // Checks the hand-written Table 2 classification (src/core/classification.cpp)
-// against two independent evidence sources: the compiled static scanner over
-// the IOS_GL dispatch sites (source A) and a .cyt trace corpus (source B).
-// Contradictions are blocking findings.
-
-// Static facts one IOS_GL dispatch site yields without running anything.
-struct ClassifySiteFacts {
-  std::string name;
-  int line = 0;  // line of the IOS_GL(...) marker
-  core::DiplomatPattern declared{};  // this build's classifier verdict
-  bool has_skip = false;  // diplomat_skip at the site (iOS-side answer)
-  bool redirect = false;  // the engine call name differs from the site's
-                          // (input re-arranging, e.g. glSetFenceAPPLE ->
-                          // glSetFenceNV)
-};
-
-struct ClassifyAudit {
-  std::vector<ClassifySiteFacts> sites;
-  std::size_t corpus_traces = 0;
-};
-
-// Scans one ios_gl source file for IOS_GL dispatch sites and extracts the
-// per-site facts. Purely textual, like the source lint: the scanner relies
-// on the site idiom (the IOS_GL macro, dispatch lambdas, column-0 closing
-// braces), not on parsing C++.
-std::vector<ClassifySiteFacts> scan_ios_gl_sites(const std::string& path,
-                                                 const std::string& contents);
-
-// Cross-checks the static facts and the trace corpus against the
-// classifier. Rules (checker "classify"):
-//   classify.signature-mismatch    a site's static shape contradicts its
-//                                  declared pattern (a dispatch site on a
-//                                  kUnimplemented name, a diplomat_skip on
-//                                  a non-data-dependent site, an engine
-//                                  redirect under kDirect, a site outside
-//                                  the Table 2 universe)
+// against two independent evidence sources: the rows of the callable iOS
+// GLES table (ios_gl::dispatch_sites(), source A) and a .cyt trace corpus
+// (source B). Contradictions are blocking findings. Rules (checker
+// "classify"):
+//   classify.signature-mismatch    a row contradicts its declared pattern:
+//                                  a row outside the Table 2 universe, a
+//                                  row on a kUnimplemented name, or a
+//                                  forwarding row whose engine call has
+//                                  another name under kDirect
 //   classify.corpus-contradiction  a corpus def records a pattern that
 //                                  disagrees with this build's classifier
-// Returns the audit (per-site facts and the corpus size).
-ClassifyAudit check_classification(
-    const std::string& gl_source_path, const std::string& contents,
-    const std::vector<const trace::ParsedTrace*>& corpus, Report& report);
+void check_classification(std::span<const core::DispatchSite> sites,
+                          const std::vector<const trace::ParsedTrace*>& corpus,
+                          Report& report);
 
 // --- Convenience ------------------------------------------------------------
 

@@ -1,6 +1,5 @@
 // Diplomat contract checker: turns the DiplomatContract counters the
 // diplomat procedure accumulates (src/core/diplomat.h) into findings.
-#include <set>
 #include <string>
 
 #include "analyze/analyze.h"
@@ -11,26 +10,6 @@
 namespace cycada::analyze {
 
 namespace {
-
-// The Table 2 function universe, for the classification cross-check.
-// Names outside the universe (bridge internals, test diplomats) carry no
-// authoritative classification and are skipped.
-const std::set<std::string>& table2_universe() {
-  static const std::set<std::string>* universe = [] {
-    auto* set = new std::set<std::string>();
-    using core::DiplomatPattern;
-    for (auto pattern :
-         {DiplomatPattern::kDirect, DiplomatPattern::kIndirect,
-          DiplomatPattern::kDataDependent, DiplomatPattern::kMulti,
-          DiplomatPattern::kUnimplemented}) {
-      for (std::string& name : core::functions_with_pattern(pattern)) {
-        set->insert(std::move(name));
-      }
-    }
-    return set;
-  }();
-  return *universe;
-}
 
 bool has_activity(const core::DiplomatSnapshot& s) {
   return s.calls != 0 || s.preludes != 0 || s.postludes != 0 ||
@@ -90,7 +69,7 @@ void check_diplomat_contracts(Report& report) {
                      " registration(s) under a different pattern than \"" +
                      std::string(pattern_name(s.pattern)) + "\"");
     }
-    if (s.calls != 0 && table2_universe().contains(s.name)) {
+    if (s.calls != 0 && core::in_table2_universe(s.name)) {
       const DiplomatPattern expected = core::classify_ios_gl_function(s.name);
       if (expected != s.pattern) {
         report.add("diplomat", "diplomat.classification-mismatch", s.name,

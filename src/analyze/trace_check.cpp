@@ -23,25 +23,6 @@ DiplomatPattern def_pattern(const trace::CytDef& def) {
   return static_cast<DiplomatPattern>(def.pattern);
 }
 
-// The Table 2 function universe: names whose classification is
-// authoritative. Bridge internals, bench diplomats and test entries fall
-// outside it and carry whatever pattern their registrar chose.
-const std::set<std::string>& table2_universe() {
-  static const std::set<std::string>* universe = [] {
-    auto* set = new std::set<std::string>();
-    for (auto pattern :
-         {DiplomatPattern::kDirect, DiplomatPattern::kIndirect,
-          DiplomatPattern::kDataDependent, DiplomatPattern::kMulti,
-          DiplomatPattern::kUnimplemented}) {
-      for (std::string& name : core::functions_with_pattern(pattern)) {
-        set->insert(std::move(name));
-      }
-    }
-    return set;
-  }();
-  return *universe;
-}
-
 }  // namespace
 
 TraceAudit check_trace(const trace::ParsedTrace& trace, Report& report) {
@@ -73,7 +54,7 @@ TraceAudit check_trace(const trace::ParsedTrace& trace, Report& report) {
     // One-time cross-check of the recorded classification against this
     // build's classifier (Table 2 drift between capture and analysis).
     if (checked_defs.insert(record.id).second &&
-        table2_universe().count(def->name) != 0) {
+        core::in_table2_universe(def->name)) {
       const DiplomatPattern expected =
           core::classify_ios_gl_function(def->name);
       if (expected != pattern) {

@@ -1,5 +1,7 @@
 #include "core/classification.h"
 
+#include <algorithm>
+
 #include "glcore/api_registry.h"
 
 namespace cycada::core {
@@ -50,6 +52,16 @@ bool contains(const std::string_view (&list)[N], std::string_view name) {
   return false;
 }
 
+void count_name(std::string_view name, Table2Counts& counts) {
+  switch (classify_ios_gl_function(name)) {
+    case DiplomatPattern::kDirect: ++counts.direct; break;
+    case DiplomatPattern::kIndirect: ++counts.indirect; break;
+    case DiplomatPattern::kDataDependent: ++counts.data_dependent; break;
+    case DiplomatPattern::kMulti: ++counts.multi; break;
+    case DiplomatPattern::kUnimplemented: ++counts.unimplemented; break;
+  }
+}
+
 }  // namespace
 
 DiplomatPattern classify_ios_gl_function(std::string_view name) {
@@ -60,17 +72,24 @@ DiplomatPattern classify_ios_gl_function(std::string_view name) {
   return DiplomatPattern::kDirect;
 }
 
+bool in_table2_universe(std::string_view name) {
+  // ios_function_universe() is sorted and duplicate-free.
+  static const std::vector<std::string>* universe =
+      new std::vector<std::string>(glcore::ios_function_universe());
+  return std::binary_search(universe->begin(), universe->end(), name);
+}
+
 Table2Counts count_table2() {
   Table2Counts counts;
   for (const std::string& name : glcore::ios_function_universe()) {
-    switch (classify_ios_gl_function(name)) {
-      case DiplomatPattern::kDirect: ++counts.direct; break;
-      case DiplomatPattern::kIndirect: ++counts.indirect; break;
-      case DiplomatPattern::kDataDependent: ++counts.data_dependent; break;
-      case DiplomatPattern::kMulti: ++counts.multi; break;
-      case DiplomatPattern::kUnimplemented: ++counts.unimplemented; break;
-    }
+    count_name(name, counts);
   }
+  return counts;
+}
+
+Table2Counts count_table2(std::span<const DispatchSite> sites) {
+  Table2Counts counts;
+  for (const DispatchSite& site : sites) count_name(site.name, counts);
   return counts;
 }
 

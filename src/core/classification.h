@@ -2,6 +2,7 @@
 // which usage pattern supports each iOS GLES entry point on Android.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,19 @@ namespace cycada::core {
 // The pattern Cycada uses for an iOS GLES function (name from the iOS
 // function universe; unknown names classify as direct).
 DiplomatPattern classify_ios_gl_function(std::string_view name);
+
+// True for the 344 names of the iOS function universe, the names whose
+// classification is authoritative. Bridge internals, bench diplomats and
+// test entries fall outside it.
+bool in_table2_universe(std::string_view name);
+
+// One row of the callable iOS GLES surface (src/ios_gl/gles_table.h, listed
+// by ios_gl::dispatch_sites()). A forwarding row names the engine call it
+// forwards to; a custom row has a hand-written body and names none.
+struct DispatchSite {
+  const char* name;
+  const char* engine_name;  // null for a custom row
+};
 
 struct Table2Counts {
   int direct = 0;
@@ -27,6 +41,8 @@ struct Table2Counts {
 
 // Classifies the whole universe (the numbers of Table 2).
 Table2Counts count_table2();
+// Classifies the callable names only: one count per dispatch site.
+Table2Counts count_table2(std::span<const DispatchSite> sites);
 
 // All function names using a given pattern (for docs/benches).
 std::vector<std::string> functions_with_pattern(DiplomatPattern pattern);

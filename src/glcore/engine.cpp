@@ -475,6 +475,17 @@ void GlesEngine::glTexParameteri(GLenum target, GLenum pname, GLint param) {
 }
 
 namespace {
+// Bytes per texel of an upload format/type, 0 when uploads reject it.
+int texel_bytes(GLenum format, GLenum type) {
+  if (type == GL_UNSIGNED_BYTE) {
+    if (format == GL_RGBA) return 4;
+    if (format == GL_RGB) return 3;
+    if (format == GL_ALPHA || format == GL_LUMINANCE) return 1;
+  }
+  if (format == GL_RGB && type == GL_UNSIGNED_SHORT_5_6_5) return 2;
+  return 0;
+}
+
 // Converts an uploaded pixel rectangle to the RGBA8888 working format.
 // Returns false for unsupported format/type combinations.
 bool convert_pixels(GLenum format, GLenum type, int width, int height,
@@ -516,6 +527,23 @@ bool convert_pixels(GLenum format, GLenum type, int width, int height,
 }
 }  // namespace
 
+const void* gather_apple_unpack_rows(int row_bytes, GLenum format, GLenum type,
+                                     int width, int height, const void* pixels,
+                                     std::vector<std::uint8_t>& tight) {
+  const std::size_t row = static_cast<std::size_t>(width > 0 ? width : 0) *
+                          texel_bytes(format, type);
+  if (row_bytes <= 0 || pixels == nullptr || row == 0 || height <= 0) {
+    return pixels;
+  }
+  const auto* src = static_cast<const std::uint8_t*>(pixels);
+  tight.resize(row * height);
+  for (int y = 0; y < height; ++y) {
+    std::memcpy(tight.data() + row * y,
+                src + static_cast<std::size_t>(row_bytes) * y, row);
+  }
+  return tight.data();
+}
+
 void GlesEngine::glTexImage2D(GLenum target, GLint level, GLint internal_format,
                               GLsizei width, GLsizei height, GLint border,
                               GLenum format, GLenum type, const void* pixels) {
@@ -548,8 +576,12 @@ void GlesEngine::glTexImage2D(GLenum target, GLint level, GLint internal_format,
   texture->width = width;
   texture->height = height;
   if (pixels != nullptr && width > 0 && height > 0) {
+    std::vector<std::uint8_t> gathered;
+    const void* rows =
+        gather_apple_unpack_rows(ctx->unpack_row_bytes_apple, format, type,
+                                 width, height, pixels, gathered);
     std::vector<std::uint32_t> converted;
-    if (!convert_pixels(format, type, width, height, pixels, converted)) {
+    if (!convert_pixels(format, type, width, height, rows, converted)) {
       record_error(GL_INVALID_ENUM);
       return;
     }
@@ -572,8 +604,12 @@ void GlesEngine::glTexSubImage2D(GLenum target, GLint level, GLint x, GLint y,
     record_error(GL_INVALID_OPERATION);
     return;
   }
+  std::vector<std::uint8_t> gathered;
+  const void* rows =
+      gather_apple_unpack_rows(ctx->unpack_row_bytes_apple, format, type,
+                               width, height, pixels, gathered);
   std::vector<std::uint32_t> converted;
-  if (!convert_pixels(format, type, width, height, pixels, converted)) {
+  if (!convert_pixels(format, type, width, height, rows, converted)) {
     record_error(GL_INVALID_ENUM);
     return;
   }

@@ -273,4 +273,13 @@ class GlesEngine {
   std::unordered_map<ContextId, GlContext*> context_index_;
 };
 
+// APPLE_row_bytes unpacking (paper §4.1): the rows of a `width` x `height`
+// upload start `row_bytes` apart. Copies them into tight rows in `tight` and
+// returns its data; returns `pixels` itself when `row_bytes` is 0, `pixels`
+// is null or the format/type is not one texture uploads accept. Used by the
+// Apple engine and, for Android, by the Cycada side of the diplomat.
+const void* gather_apple_unpack_rows(int row_bytes, GLenum format, GLenum type,
+                                     int width, int height, const void* pixels,
+                                     std::vector<std::uint8_t>& tight);
+
 }  // namespace cycada::glcore

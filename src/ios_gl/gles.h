@@ -7,8 +7,13 @@
 // GLES calls made by a thread that did not create the current EAGLContext
 // transparently migrate the context's TLS binding in and out per call
 // (thread impersonation, paper §7.1).
+//
+// The entry points are the rows of gles_table.h.
 #pragma once
 
+#include <span>
+
+#include "core/classification.h"
 #include "glcore/gl_types.h"
 
 namespace cycada::ios_gl {
@@ -25,165 +30,17 @@ using glcore::GLsizeiptr;
 using glcore::GLubyte;
 using glcore::GLuint;
 
-// --- Common state -----------------------------------------------------------
-void glClear(GLbitfield mask);
-void glClearColor(GLclampf r, GLclampf g, GLclampf b, GLclampf a);
-void glClearDepthf(GLclampf depth);
-void glEnable(GLenum cap);
-void glDisable(GLenum cap);
-void glBlendFunc(GLenum sfactor, GLenum dfactor);
-void glDepthFunc(GLenum func);
-void glDepthMask(GLboolean flag);
-void glCullFace(GLenum mode);
-void glViewport(GLint x, GLint y, GLsizei width, GLsizei height);
-void glScissor(GLint x, GLint y, GLsizei width, GLsizei height);
-void glFlush();
-void glFinish();
-GLenum glGetError();
-// Data-dependent: understands Apple's non-standard parameter name.
-const GLubyte* glGetString(GLenum name);
-void glGetIntegerv(GLenum pname, GLint* params);
-// Data-dependent: accepts the APPLE_row_bytes parameters.
-void glPixelStorei(GLenum pname, GLint param);
-// Data-dependent: honors APPLE_row_bytes packing manually.
-void glReadPixels(GLint x, GLint y, GLsizei width, GLsizei height,
-                  GLenum format, GLenum type, void* pixels);
-void glPointSize(GLfloat size);
-void glGetFloatv(GLenum pname, GLfloat* params);
-void glColorMask(GLboolean r, GLboolean g, GLboolean b, GLboolean a);
-void glFrontFace(GLenum mode);
-void glLineWidth(GLfloat width);
-void glDepthRangef(GLclampf near_val, GLclampf far_val);
-void glBlendEquation(GLenum mode);
-void glHint(GLenum target, GLenum mode);
-void glStencilFunc(GLenum func, GLint ref, GLuint mask);
-void glStencilMask(GLuint mask);
-void glStencilOp(GLenum sfail, GLenum dpfail, GLenum dppass);
-void glPolygonOffset(GLfloat factor, GLfloat units);
-void glBlendColor(GLclampf r, GLclampf g, GLclampf b, GLclampf a);
-void glSampleCoverage(GLclampf value, GLboolean invert);
-
-// --- Textures ---------------------------------------------------------------
-void glGenTextures(GLsizei n, GLuint* out);
-// Multi diplomat: also severs IOSurface associations (paper §6.1).
-void glDeleteTextures(GLsizei n, const GLuint* names);
-void glBindTexture(GLenum target, GLuint name);
-void glActiveTexture(GLenum unit);
-void glTexParameteri(GLenum target, GLenum pname, GLint param);
-// Data-dependent: honors APPLE_row_bytes unpacking manually.
-void glTexImage2D(GLenum target, GLint level, GLint internal_format,
-                  GLsizei width, GLsizei height, GLint border, GLenum format,
-                  GLenum type, const void* pixels);
-void glTexSubImage2D(GLenum target, GLint level, GLint x, GLint y,
-                     GLsizei width, GLsizei height, GLenum format, GLenum type,
-                     const void* pixels);
-GLboolean glIsTexture(GLuint name);
-void glCopyTexImage2D(GLenum target, GLint level, GLenum internal_format,
-                      GLint x, GLint y, GLsizei width, GLsizei height,
-                      GLint border);
-void glCopyTexSubImage2D(GLenum target, GLint level, GLint xoffset,
-                         GLint yoffset, GLint x, GLint y, GLsizei width,
-                         GLsizei height);
-void glGenerateMipmap(GLenum target);
-
-// --- Buffers ----------------------------------------------------------------
-void glGenBuffers(GLsizei n, GLuint* out);
-void glDeleteBuffers(GLsizei n, const GLuint* names);
-void glBindBuffer(GLenum target, GLuint name);
-void glBufferData(GLenum target, GLsizeiptr size, const void* data,
-                  GLenum usage);
-void glBufferSubData(GLenum target, GLintptr offset, GLsizeiptr size,
-                     const void* data);
-GLboolean glIsBuffer(GLuint name);
-void glGetBufferParameteriv(GLenum target, GLenum pname, GLint* params);
-
-// --- Framebuffers / renderbuffers --------------------------------------------
-void glGenFramebuffers(GLsizei n, GLuint* out);
-void glDeleteFramebuffers(GLsizei n, const GLuint* names);
-void glBindFramebuffer(GLenum target, GLuint name);
-void glGenRenderbuffers(GLsizei n, GLuint* out);
-void glDeleteRenderbuffers(GLsizei n, const GLuint* names);
-void glBindRenderbuffer(GLenum target, GLuint name);
-// Multi diplomat: interacts with EAGL drawable management (paper §5).
-void glRenderbufferStorage(GLenum target, GLenum internal_format,
-                           GLsizei width, GLsizei height);
-void glFramebufferRenderbuffer(GLenum target, GLenum attachment,
-                               GLenum rb_target, GLuint renderbuffer);
-void glFramebufferTexture2D(GLenum target, GLenum attachment,
-                            GLenum tex_target, GLuint texture, GLint level);
-GLenum glCheckFramebufferStatus(GLenum target);
-void glGetRenderbufferParameteriv(GLenum target, GLenum pname, GLint* out);
-
-// --- Shaders / programs -------------------------------------------------------
-GLuint glCreateShader(GLenum type);
-void glDeleteShader(GLuint shader);
-void glShaderSource(GLuint shader, GLsizei count, const char* const* strings,
-                    const GLint* lengths);
-void glCompileShader(GLuint shader);
-void glGetShaderiv(GLuint shader, GLenum pname, GLint* params);
-GLuint glCreateProgram();
-void glDeleteProgram(GLuint program);
-void glAttachShader(GLuint program, GLuint shader);
-void glDetachShader(GLuint program, GLuint shader);
-void glLinkProgram(GLuint program);
-void glGetProgramiv(GLuint program, GLenum pname, GLint* params);
-void glUseProgram(GLuint program);
-GLint glGetAttribLocation(GLuint program, const char* name);
-GLint glGetUniformLocation(GLuint program, const char* name);
-void glUniformMatrix4fv(GLint location, GLsizei count, GLboolean transpose,
-                        const GLfloat* value);
-void glUniform4f(GLint location, GLfloat x, GLfloat y, GLfloat z, GLfloat w);
-void glUniform4fv(GLint location, GLsizei count, const GLfloat* value);
-void glUniform1i(GLint location, GLint value);
-void glUniform1f(GLint location, GLfloat value);
-
-// --- Vertex attributes / draws -----------------------------------------------
-void glEnableVertexAttribArray(GLuint index);
-void glDisableVertexAttribArray(GLuint index);
-void glVertexAttribPointer(GLuint index, GLint size, GLenum type,
-                           GLboolean normalized, GLsizei stride,
-                           const void* pointer);
-void glVertexAttrib4f(GLuint index, GLfloat x, GLfloat y, GLfloat z,
-                      GLfloat w);
-void glDrawArrays(GLenum mode, GLint first, GLsizei count);
-void glDrawElements(GLenum mode, GLsizei count, GLenum type,
-                    const void* indices);
-
-// --- GLES1 fixed function ------------------------------------------------------
-void glMatrixMode(GLenum mode);
-void glLoadIdentity();
-void glLoadMatrixf(const GLfloat* m);
-void glMultMatrixf(const GLfloat* m);
-void glPushMatrix();
-void glPopMatrix();
-void glTranslatef(GLfloat x, GLfloat y, GLfloat z);
-void glRotatef(GLfloat angle, GLfloat x, GLfloat y, GLfloat z);
-void glScalef(GLfloat x, GLfloat y, GLfloat z);
-void glOrthof(GLfloat l, GLfloat r, GLfloat b, GLfloat t, GLfloat n, GLfloat f);
-void glFrustumf(GLfloat l, GLfloat r, GLfloat b, GLfloat t, GLfloat n,
-                GLfloat f);
-void glColor4f(GLfloat r, GLfloat g, GLfloat b, GLfloat a);
-void glEnableClientState(GLenum array);
-void glDisableClientState(GLenum array);
-void glVertexPointer(GLint size, GLenum type, GLsizei stride,
-                     const void* pointer);
-void glColorPointer(GLint size, GLenum type, GLsizei stride,
-                    const void* pointer);
-void glTexCoordPointer(GLint size, GLenum type, GLsizei stride,
-                       const void* pointer);
-void glNormalPointer(GLenum type, GLsizei stride, const void* pointer);
-void glTexEnvi(GLenum target, GLenum pname, GLint param);
-
-// --- APPLE_fence (indirect diplomats onto NV_fence, paper §4.1) ---------------
+// APPLE_fence object kinds (glTestObjectAPPLE / glFinishObjectAPPLE).
 inline constexpr GLenum GL_FENCE_APPLE = 0x8A0B;
 inline constexpr GLenum GL_BUFFER_OBJECT_APPLE = 0x85B3;
-void glGenFencesAPPLE(GLsizei n, GLuint* fences);
-void glDeleteFencesAPPLE(GLsizei n, const GLuint* fences);
-void glSetFenceAPPLE(GLuint fence);
-GLboolean glIsFenceAPPLE(GLuint fence);
-GLboolean glTestFenceAPPLE(GLuint fence);
-void glFinishFenceAPPLE(GLuint fence);
-GLboolean glTestObjectAPPLE(GLenum object, GLuint name);
-void glFinishObjectAPPLE(GLenum object, GLint name);
+
+#define GLES_FORWARD(ret, name, params, call, args) ret name params;
+#define GLES_CUSTOM(ret, name, params) ret name params;
+#include "ios_gl/gles_table.h"
+#undef GLES_FORWARD
+#undef GLES_CUSTOM
+
+// The rows of gles_table.h, in order: the callable iOS GLES surface.
+std::span<const core::DispatchSite> dispatch_sites();
 
 }  // namespace cycada::ios_gl

@@ -22,22 +22,12 @@ std::uint32_t capture_tid() {
   return tid;
 }
 
-// Scalar arguments staged by the GL dispatch layer for the next diplomat
-// event on this thread.
-struct CytStagedArgs {
-  double args[kCytMaxArgs] = {};
-  std::uint8_t count = 0;
-  bool void_return = false;
-  bool armed = false;  // set by capture_stage_args, cleared on consumption
-};
-
 // Per-thread annotation state stamped onto every event this thread records.
 struct CaptureTls {
   std::uint64_t context_id = 0;
   bool impersonating = false;
   std::int64_t stamp_ns = 0;  // cached clock, refreshed every 16 events
   int stamp_ttl = 0;
-  CytStagedArgs staged;
 };
 CaptureTls& capture_tls() {
   thread_local CaptureTls tls;
@@ -243,31 +233,13 @@ Status write_cyt(const std::string& path, const CytHeader& header,
 
 // --- Capture ----------------------------------------------------------------
 
-void capture_stage_args(const double* args, int count, bool void_return) {
-  CytStagedArgs& staged = capture_tls().staged;
-  staged.count = static_cast<std::uint8_t>(count < 0 ? 0 : count);
-  const int stored = count > kCytMaxArgs ? kCytMaxArgs : count;
-  for (int i = 0; i < kCytMaxArgs; ++i) {
-    staged.args[i] = i < stored ? args[i] : 0.0;
-  }
-  staged.void_return = void_return;
-  staged.armed = true;
-}
-
 void capture_diplomat_event(CytEventKind kind, std::uint32_t id,
                             std::string_view name, std::uint8_t pattern,
                             std::uint8_t persona, std::uint32_t aux,
                             std::int64_t timestamp_ns) {
   TraceRecorder& recorder = TraceRecorder::instance();
-  CaptureTls& tls = capture_tls();
-  // Consume the staging only when armed: the common no-args event skips
-  // the 64-byte copy-and-clear entirely.
-  CytStagedArgs staged;
-  if (tls.staged.armed) {
-    staged = tls.staged;
-    tls.staged = CytStagedArgs{};
-  }
   if (!recorder.active()) return;
+  CaptureTls& tls = capture_tls();
   if (timestamp_ns == 0) timestamp_ns = coarse_now_ns(tls);
 
   if (id != kCytMarkerId && claim_def(id)) {
@@ -287,20 +259,12 @@ void capture_diplomat_event(CytEventKind kind, std::uint32_t id,
   event.type = static_cast<std::uint8_t>(CytRecordType::kEvent);
   event.kind = static_cast<std::uint8_t>(kind);
   event.persona = persona;
-  std::uint8_t flags = 0;
-  if (tls.impersonating) flags |= kCytFlagImpersonating;
-  if (staged.armed && staged.void_return) flags |= kCytFlagVoidReturn;
-  if (staged.armed && staged.count > 0) flags |= kCytFlagScalarArgs;
-  event.flags = flags;
+  if (tls.impersonating) event.flags = kCytFlagImpersonating;
   event.id = id;
   event.tid = capture_tid();
   event.aux = aux;
   event.timestamp_ns = timestamp_ns;
   event.context_id = tls.context_id;
-  if (staged.armed) {
-    for (int i = 0; i < kCytMaxArgs; ++i) event.args[i] = staged.args[i];
-    event.arg_count = staged.count;
-  }
   recorder.push(event);
 }
 

@@ -46,8 +46,9 @@ namespace cycada::trace {
 inline constexpr char kCytMagic[4] = {'C', 'Y', 'T', 'R'};
 inline constexpr char kCytFooterMagic[4] = {'R', 'T', 'Y', 'C'};
 inline constexpr std::uint32_t kCytVersion = 1;
-// Stored scalar args per record; arg_count keeps the true arity when the
-// call had more.
+// Width of a record's args field. Older builds stored up to six scalar
+// call arguments there (arg_count kept the true arity); events now leave
+// args and arg_count zero, and span records keep their category in args.
 inline constexpr int kCytMaxArgs = 6;
 inline constexpr std::size_t kCytNameChars = 47;
 // id used by marker records (context/impersonation), which define nothing.
@@ -78,7 +79,8 @@ enum class CytEventKind : std::uint8_t {
 };
 
 // Event flags. Defs carry none; bit 0 of a def's flags (the batchable bit
-// of older captures) is ignored on read.
+// of older captures) is ignored on read. Bits 1 and 2 (void return, only
+// scalar arguments) are written only by older builds; no reader uses them.
 inline constexpr std::uint8_t kCytFlagImpersonating = 1u << 0;
 inline constexpr std::uint8_t kCytFlagVoidReturn = 1u << 1;
 inline constexpr std::uint8_t kCytFlagScalarArgs = 1u << 2;
@@ -103,8 +105,8 @@ struct CytRecord {
   std::uint32_t aux;  // kind-specific (duration ns / impersonation edge)
   std::int64_t timestamp_ns;
   std::uint64_t context_id;  // current EAGLContext identity, 0 = none
-  double args[kCytMaxArgs];
-  std::uint8_t arg_count;        // true arity (stored args are clamped)
+  double args[kCytMaxArgs];      // span category; zero in events
+  std::uint8_t arg_count;        // zero (older builds: true arity)
   char name[kCytNameChars];      // defs only, NUL padded
 };
 static_assert(sizeof(CytRecord) == 128, "CytRecord layout is part of the ABI");
@@ -196,12 +198,8 @@ inline bool spans_enabled() {
   return g_cyt_spans_enabled.load(std::memory_order_relaxed);
 }
 
-// Stages the scalar arguments of the GL call being dispatched for the next
-// diplomat event on this thread.
-void capture_stage_args(const double* args, int count, bool void_return);
-
-// Records one diplomat event, consuming the thread's staged args. Emits the
-// diplomat's def record inline on its first appearance in the capture.
+// Records one diplomat event. Emits the diplomat's def record inline on its
+// first appearance in the capture.
 // Callers that already hold a fresh now_ns() pass it as `timestamp_ns` to
 // spare the hot path a second clock read; 0 reads the clock here.
 void capture_diplomat_event(CytEventKind kind, std::uint32_t id,

@@ -6,9 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <map>
+#include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -561,15 +562,27 @@ TEST(ClassificationTest, FunctionsWithPatternRoundTrip) {
   EXPECT_EQ(total, 344);
 }
 
-// --- Classification check ----------------------------------------------------
+TEST(ClassificationTest, Table2CountsCallableDiplomats) {
+  // The classified column is the paper's; the callable column counts the
+  // rows of the iOS GLES table, the names an app can call today.
+  const core::Table2Counts classified = core::count_table2();
+  EXPECT_EQ(classified.direct, 312);
+  EXPECT_EQ(classified.indirect, 15);
+  EXPECT_EQ(classified.data_dependent, 5);
+  EXPECT_EQ(classified.multi, 2);
+  EXPECT_EQ(classified.unimplemented, 10);
 
-std::string real_gles_source() {
-  std::ifstream file(CYCADA_SOURCE_DIR "/src/ios_gl/gles.cpp");
-  EXPECT_TRUE(file.is_open());
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  return contents.str();
+  const core::Table2Counts callable =
+      core::count_table2(ios_gl::dispatch_sites());
+  EXPECT_EQ(callable.direct, 98);
+  EXPECT_EQ(callable.indirect, 8);
+  EXPECT_EQ(callable.data_dependent, 5);
+  EXPECT_EQ(callable.multi, 2);
+  EXPECT_EQ(callable.unimplemented, 0);
+  EXPECT_EQ(callable.total(), 113);
 }
+
+// --- Classification check ----------------------------------------------------
 
 trace::ParsedTrace synthetic_trace(
     const std::vector<trace::CytDef>& defs,
@@ -593,83 +606,56 @@ trace::CytRecord synthetic_event(std::uint32_t id, trace::CytEventKind kind,
 }
 
 TEST_F(AnalyzeTest, ClassifyScannerExtractsSiteFacts) {
-  const std::vector<ClassifySiteFacts> sites = scan_ios_gl_sites(
-      "src/ios_gl/gles.cpp",
-      "#define IOS_GL(name) resolve(name)\n"
-      "\n"
-      "void glEnable(GLenum cap) {\n"
-      "  IOS_GL(glEnable);\n"
-      "  dispatch(entry, [=](glcore::GlesEngine& gl) { gl.glEnable(cap); },\n"
-      "           cap);\n"
-      "}\n"
-      "\n"
-      "void glGetIntegerv(GLenum pname, GLint* params) {\n"
-      "  IOS_GL(glGetIntegerv);\n"
-      "  dispatch(entry, [&](glcore::GlesEngine& gl) {\n"
-      "    gl.glGetIntegerv(pname, params);\n"
-      "  });\n"
-      "}\n"
-      "\n"
-      "void glSetFenceAPPLE(GLuint fence) {\n"
-      "  IOS_GL(glSetFenceAPPLE);\n"
-      "  dispatch(entry, [&](glcore::GlesEngine& gl) {\n"
-      "    gl.glSetFenceNV(fence);\n"
-      "  });\n"
-      "}\n");
-  ASSERT_EQ(sites.size(), 3u);  // the #define is not a site
+  // The table's rows carry the facts the check reads: one row per name and,
+  // for a forwarding row, the engine call it makes.
+  const std::span<const core::DispatchSite> sites = ios_gl::dispatch_sites();
+  ASSERT_EQ(sites.size(), 113u);
+  std::map<std::string, const char*> engine_of;
+  int custom = 0;
+  for (const core::DispatchSite& site : sites) {
+    EXPECT_TRUE(engine_of.emplace(site.name, site.engine_name).second)
+        << site.name << " has two rows";
+    if (site.engine_name == nullptr) ++custom;
+  }
+  EXPECT_EQ(custom, 8);
 
-  EXPECT_EQ(sites[0].name, "glEnable");
-  EXPECT_EQ(sites[0].declared, core::DiplomatPattern::kDirect);
-  EXPECT_FALSE(sites[0].has_skip);
-  EXPECT_FALSE(sites[0].redirect);
-
-  EXPECT_EQ(sites[1].name, "glGetIntegerv");
-  EXPECT_EQ(sites[1].line, 10);
-  EXPECT_FALSE(sites[1].redirect);
-
-  EXPECT_EQ(sites[2].name, "glSetFenceAPPLE");
-  EXPECT_EQ(sites[2].declared, core::DiplomatPattern::kIndirect);
-  EXPECT_TRUE(sites[2].redirect);  // gl.glSetFenceNV under glSetFenceAPPLE
+  EXPECT_STREQ(engine_of.at("glEnable"), "glEnable");
+  EXPECT_STREQ(engine_of.at("glGetIntegerv"), "glGetIntegerv");
+  EXPECT_STREQ(engine_of.at("glSetFenceAPPLE"), "glSetFenceNV");
+  EXPECT_EQ(engine_of.at("glGetString"), nullptr);  // hand-written body
+  EXPECT_EQ(engine_of.at("glTexSubImage2D"), nullptr);
 }
 
 TEST_F(AnalyzeTest, ClassifyRunsCleanOnTheRealTree) {
   Report report;
-  const ClassifyAudit audit = check_classification(
-      "src/ios_gl/gles.cpp", real_gles_source(), {}, report);
+  check_classification(ios_gl::dispatch_sites(), {}, report);
   if (!report.clean()) report.print(std::cerr);
   EXPECT_TRUE(report.clean());
-  EXPECT_GE(audit.sites.size(), 111u);
+  EXPECT_EQ(ios_gl::dispatch_sites().size(), 113u);
 }
 
 TEST_F(AnalyzeTest, ClassifyFlagsSignatureMismatches) {
-  // Four seeded shapes, one finding each: a skip on a non-data-dependent
-  // site, an engine redirect under kDirect, a site outside the Table 2
-  // universe, and a live site on a kUnimplemented name.
+  // Three seeded rows, one finding each: an engine redirect under kDirect,
+  // a row outside the Table 2 universe, and a row on a kUnimplemented name.
+  // The indirect redirect and the custom row are legal and stay quiet.
+  const core::DispatchSite rows[] = {
+      {"glFinish", "glFlush"},
+      {"glNotInTheUniverse", "glNotInTheUniverse"},
+      {"glLogicOp", "glLogicOp"},
+      {"glSetFenceAPPLE", "glSetFenceNV"},
+      {"glGetString", nullptr},
+  };
   Report report;
-  check_classification(
-      "src/ios_gl/rogue.cpp",
-      "void glDrawArrays(GLenum mode, GLint first, GLsizei count) {\n"
-      "  IOS_GL(glDrawArrays);\n"
-      "  diplomat_skip(entry);\n"
-      "}\n"
-      "\n"
-      "void glFinish() {\n"
-      "  IOS_GL(glFinish);\n"
-      "  dispatch(entry, [&](glcore::GlesEngine& gl) { gl.glFlush(); });\n"
-      "}\n"
-      "\n"
-      "void glNotInTheUniverse(GLenum cap) {\n"
-      "  IOS_GL(glNotInTheUniverse);\n"
-      "  dispatch(entry, [=](glcore::GlesEngine& gl) {});\n"
-      "}\n"
-      "\n"
-      "void glLogicOp(GLenum opcode) {\n"
-      "  IOS_GL(glLogicOp);\n"
-      "  dispatch(entry, [=](glcore::GlesEngine& gl) {});\n"
-      "}\n",
-      {}, report);
-  EXPECT_EQ(report.by_checker("classify").size(), 4u);
-  EXPECT_TRUE(report.has_rule("classify.signature-mismatch"));
+  check_classification(rows, {}, report);
+  const auto findings = report.by_checker("classify");
+  ASSERT_EQ(findings.size(), 3u);
+  std::set<std::string> subjects;
+  for (const Finding& finding : findings) {
+    EXPECT_EQ(finding.rule, "classify.signature-mismatch");
+    subjects.insert(finding.subject);
+  }
+  EXPECT_EQ(subjects, (std::set<std::string>{"glFinish", "glNotInTheUniverse",
+                                             "glLogicOp"}));
 }
 
 TEST_F(AnalyzeTest, ClassifyFlagsCorpusContradictions) {
@@ -688,8 +674,7 @@ TEST_F(AnalyzeTest, ClassifyFlagsCorpusContradictions) {
        synthetic_event(3, trace::CytEventKind::kBatchedCall,
                        trace::kCytFlagVoidReturn | trace::kCytFlagScalarArgs)});
   Report report;
-  check_classification("src/ios_gl/gles.cpp", real_gles_source(), {&trace},
-                       report);
+  check_classification(ios_gl::dispatch_sites(), {&trace}, report);
   const auto findings = report.by_checker("classify");
   EXPECT_EQ(findings.size(), 2u);
   for (const Finding& finding : findings) {
@@ -700,16 +685,21 @@ TEST_F(AnalyzeTest, ClassifyFlagsCorpusContradictions) {
 
 TEST_F(AnalyzeTest, SeededMisclassificationCaughtByBothSources) {
   // Seed one misclassification into both sources: glDrawArrays (direct in
-  // Table 2) behaves like a data-dependent diplomat.
-  // Source A: a copy of the real dispatch sites whose glDrawArrays site
-  // answers on the iOS side.
-  std::string source = real_gles_source();
-  const std::string marker = std::string("IOS_") + "GL(glDrawArrays);";
-  const std::size_t site = source.find(marker);
-  ASSERT_NE(site, std::string::npos);
-  source.insert(site + marker.size(), "\n  diplomat_skip(entry);");
+  // Table 2) is treated as another pattern.
+  // Source A: a copy of the real rows whose glDrawArrays row re-arranges
+  // its inputs onto another engine call, the shape of an indirect diplomat.
+  const std::span<const core::DispatchSite> real = ios_gl::dispatch_sites();
+  std::vector<core::DispatchSite> rows(real.begin(), real.end());
+  bool seeded = false;
+  for (core::DispatchSite& row : rows) {
+    if (std::string(row.name) == "glDrawArrays") {
+      row.engine_name = "glDrawElements";
+      seeded = true;
+    }
+  }
+  ASSERT_TRUE(seeded);
   Report static_report;
-  check_classification("src/ios_gl/gles.cpp", source, {}, static_report);
+  check_classification(rows, {}, static_report);
   bool static_caught = false;
   for (const Finding& finding : static_report.by_checker("classify")) {
     if (finding.rule == "classify.signature-mismatch" &&
@@ -727,8 +717,7 @@ TEST_F(AnalyzeTest, SeededMisclassificationCaughtByBothSources) {
         static_cast<std::uint8_t>(core::DiplomatPattern::kDataDependent)}},
       {synthetic_event(1, trace::CytEventKind::kSkip, 0)});
   Report corpus_report;
-  check_classification("src/ios_gl/gles.cpp", real_gles_source(), {&trace},
-                       corpus_report);
+  check_classification(ios_gl::dispatch_sites(), {&trace}, corpus_report);
   EXPECT_TRUE(corpus_report.has_rule("classify.corpus-contradiction"));
 }
 

@@ -281,6 +281,54 @@ TEST_F(IosGlTest, AppleRowBytesHandledDataDependently) {
   EXPECT_EQ(glGetError(), glcore::GL_NO_ERROR);
 }
 
+TEST_F(IosGlTest, AppleUnpackRowBytesGiveTheSameTexelsOnBothStacks) {
+  // 2x2 RGBA texels in rows 16 bytes apart: each row ends in 8 bytes of
+  // padding that no upload may read as a texel.
+  constexpr std::uint32_t kPad = 0xefbeaddeu;  // bytes de ad be ef
+  const std::uint32_t strided[] = {0xff0000ffu, 0xff00ff00u, kPad, kPad,
+                                   0xffff0000u, 0xff808080u, kPad, kPad};
+  const std::vector<std::uint32_t> texels = {0xff0000ffu, 0xff00ff00u,
+                                             0xffff0000u, 0xff808080u};
+  // Uploads the texels under the unpack pitch, through glTexImage2D or
+  // glTexSubImage2D, and reads them back through a framebuffer.
+  const auto upload_and_read = [&](bool sub_image) {
+    auto context =
+        EAGLContext::init_with_api(EAGLRenderingAPI::kOpenGLES2, 16, 16);
+    EXPECT_TRUE(context.is_ok());
+    EXPECT_TRUE(EAGLContext::set_current_context(*context));
+    GLuint texture = 0, fbo = 0;
+    glGenTextures(1, &texture);
+    glBindTexture(glcore::GL_TEXTURE_2D, texture);
+    glPixelStorei(glcore::GL_UNPACK_ROW_BYTES_APPLE, 16);
+    glTexImage2D(glcore::GL_TEXTURE_2D, 0, glcore::GL_RGBA, 2, 2, 0,
+                 glcore::GL_RGBA, glcore::GL_UNSIGNED_BYTE,
+                 sub_image ? nullptr : strided);
+    if (sub_image) {
+      glTexSubImage2D(glcore::GL_TEXTURE_2D, 0, 0, 0, 2, 2, glcore::GL_RGBA,
+                      glcore::GL_UNSIGNED_BYTE, strided);
+    }
+    glPixelStorei(glcore::GL_UNPACK_ROW_BYTES_APPLE, 0);
+    glGenFramebuffers(1, &fbo);
+    glBindFramebuffer(glcore::GL_FRAMEBUFFER, fbo);
+    glFramebufferTexture2D(glcore::GL_FRAMEBUFFER,
+                           glcore::GL_COLOR_ATTACHMENT0,
+                           glcore::GL_TEXTURE_2D, texture, 0);
+    std::vector<std::uint32_t> read(4, 0);
+    glReadPixels(0, 0, 2, 2, glcore::GL_RGBA, glcore::GL_UNSIGNED_BYTE,
+                 read.data());
+    EXPECT_EQ(glGetError(), glcore::GL_NO_ERROR);
+    EAGLContext::clear_current_context();
+    return read;
+  };
+
+  for (const Platform platform : {Platform::kCycada, Platform::kNativeIos}) {
+    set_platform(platform);
+    const char* stack = platform == Platform::kCycada ? "Cycada" : "iOS";
+    EXPECT_EQ(upload_and_read(false), texels) << stack << " glTexImage2D";
+    EXPECT_EQ(upload_and_read(true), texels) << stack << " glTexSubImage2D";
+  }
+}
+
 TEST_F(IosGlTest, GetStringAppleParameterIsIntercepted) {
   auto context = EAGLContext::init_with_api(EAGLRenderingAPI::kOpenGLES2);
   ASSERT_TRUE(context.is_ok());

@@ -8,25 +8,23 @@
 // --root is given — the static source lint.
 //
 //   cycada_check [--root <source-dir>] [--trace <file.cyt>]...
-//   cycada_check --classify --root <source-dir> [--corpus <file.cyt>]...
+//   cycada_check --classify [--corpus <file.cyt>]...
 //
 // --trace switches to trace-mining mode (docs/TRACING.md): instead of
 // running the live workload, each named .cyt capture is loaded and judged
 // with analyze::check_trace. Contract violations are findings (gating).
 //
-// --classify runs the classification check (docs/ANALYZER.md): the static
-// scanner over the IOS_GL dispatch sites under --root and the --corpus
-// traces are cross-checked against src/core/classification.cpp; any
-// contradiction is a blocking finding.
+// --classify runs the classification check (docs/ANALYZER.md): the rows of
+// the iOS GLES table (ios_gl::dispatch_sites()) and the --corpus traces are
+// cross-checked against src/core/classification.cpp; any contradiction is a
+// blocking finding.
 //
 // Exits 0 when every check is clean, 1 when there are findings (each
 // printed one per line), 2 on usage/workload errors.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -121,7 +119,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: cycada_check [--root <source-dir>] "
                    "[--trace <file.cyt>]...\n"
-                   "       cycada_check --classify --root <source-dir> "
+                   "       cycada_check --classify "
                    "[--corpus <file.cyt>]...\n");
       return 2;
     }
@@ -129,20 +127,6 @@ int main(int argc, char** argv) {
 
   // Classification-check mode (docs/ANALYZER.md).
   if (classify) {
-    if (root.empty()) {
-      std::fprintf(stderr, "cycada_check: --classify requires --root\n");
-      return 2;
-    }
-    const std::string gl_source = root + "/ios_gl/gles.cpp";
-    std::ifstream file(gl_source);
-    if (!file) {
-      std::fprintf(stderr, "cycada_check: cannot read %s\n",
-                   gl_source.c_str());
-      return 2;
-    }
-    std::ostringstream contents;
-    contents << file.rdbuf();
-
     std::vector<trace::ParsedTrace> parsed;
     parsed.reserve(corpus_paths.size());
     for (const std::string& path : corpus_paths) {
@@ -158,12 +142,10 @@ int main(int argc, char** argv) {
     for (const trace::ParsedTrace& trace : parsed) corpus.push_back(&trace);
 
     analyze::Report report;
-    const analyze::ClassifyAudit audit = analyze::check_classification(
-        gl_source, contents.str(), corpus, report);
+    analyze::check_classification(dispatch_sites(), corpus, report);
     std::printf(
-        "cycada_check: classify: %zu dispatch site(s) in %s, %zu corpus "
-        "trace(s)\n",
-        audit.sites.size(), gl_source.c_str(), audit.corpus_traces);
+        "cycada_check: classify: %zu dispatch site(s), %zu corpus trace(s)\n",
+        dispatch_sites().size(), corpus.size());
     const int findings = report.print(std::cout);
     std::printf("cycada_check: %d finding(s)\n", findings);
     return findings == 0 ? 0 : 1;
