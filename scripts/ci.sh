@@ -141,10 +141,24 @@ run env CYCADA_FAULT='all=prob:1000:42' ./build/bench/fig6_passmark
 # recovery ladder climbs back to full-parallel once the faults clear and
 # that the analyzer finds no persona/lock leaks; --verify adds byte-correct
 # neighbour screens and no frame over its liveness envelope. Four workers
-# are pinned so frames go async on any runner.
+# are pinned so frames go async on any runner. Each fleet-0 lifetime
+# creates a libui_wrapper layer, so the soak must also have stalled the
+# egl.create_surface probe (its soak.* JSON key is absent at zero).
 echo "==> cycada_fleet chaos soak (4 sessions, 8s budget, seed 42)"
-run env CYCADA_GPU_WORKERS=4 CYCADA_WATCHDOG_BUDGET_MS=50 \
-  ./build/tools/cycada_fleet --sessions 4 --frames 3 --chaos-ms 8000 --verify
+echo "==> env CYCADA_GPU_WORKERS=4 CYCADA_WATCHDOG_BUDGET_MS=50" \
+  "./build/tools/cycada_fleet --sessions 4 --frames 3 --chaos-ms 8000 --verify"
+soak_out="$(env CYCADA_GPU_WORKERS=4 CYCADA_WATCHDOG_BUDGET_MS=50 \
+  ./build/tools/cycada_fleet --sessions 4 --frames 3 --chaos-ms 8000 \
+  --verify)" || { printf '%s\n' "${soak_out}"; exit 1; }
+printf '%s\n' "${soak_out}"
+surface_stalls="$(printf '%s' "${soak_out}" \
+  | grep -o '"soak.fault.egl.create_surface.stalls":[0-9]*' \
+  | grep -o '[0-9]*$' || true)"
+if [[ -z "${surface_stalls}" || "${surface_stalls}" -eq 0 ]]; then
+  echo "ci.sh: FAIL — the chaos soak never stalled egl.create_surface" >&2
+  exit 1
+fi
+echo "    egl.create_surface stalled ${surface_stalls} time(s)"
 
 # --- TSan leg over the lock-free and fault-injection suites ------------------
 if [[ "${CYCADA_SKIP_TSAN:-0}" == "1" ]]; then

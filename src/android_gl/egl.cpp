@@ -30,9 +30,61 @@ EGLint unpack_error(void* value) {
 }
 }  // namespace
 
+StatusOr<std::unique_ptr<EglSurface>> EglSurface::create(int width,
+                                                         int height,
+                                                         bool window) {
+  if (width <= 0 || height <= 0) {
+    return Status::invalid_argument("bad surface dimensions");
+  }
+  static util::FaultPoint& fault =
+      util::FaultRegistry::instance().point("egl.create_surface");
+  if (fault.should_fail()) {
+    return Status::internal("injected fault: egl.create_surface");
+  }
+  std::unique_ptr<EglSurface> surface(new EglSurface());
+  surface->width_ = width;
+  surface->height_ = height;
+  for (int i = 0; i < (window ? 2 : 1); ++i) {
+    auto buffer = gmem::GrallocAllocator::instance().allocate(
+        width, height, PixelFormat::kRgba8888,
+        gmem::kUsageGpuRenderTarget | gmem::kUsageComposer);
+    CYCADA_RETURN_IF_ERROR(buffer.status());
+    surface->buffers_[i] = std::move(buffer.value());
+    surface->targets_[i] = device().create_target_external(
+        surface->buffers_[i]->pixels32(), width, height,
+        surface->buffers_[i]->stride_px(), /*with_depth=*/true);
+  }
+  if (!window) {
+    surface->buffers_[1] = surface->buffers_[0];
+    surface->targets_[1] = surface->targets_[0];
+  }
+  return surface;
+}
+
+EglSurface::~EglSurface() {
+  // A pbuffer's second slot aliases the first; a failed create() leaves
+  // empty slots.
+  if (targets_[1] != targets_[0] && targets_[1] != gpu::kNoHandle) {
+    (void)device().destroy_target(targets_[1]);
+  }
+  if (targets_[0] != gpu::kNoHandle) (void)device().destroy_target(targets_[0]);
+}
+
 const gmem::GraphicBuffer& EglSurface::front_buffer() const {
   sync_front();
   return *buffers_[1 - back_];
+}
+
+Image EglSurface::front_image() const {
+  const gmem::GraphicBuffer& front = front_buffer();
+  const auto* pixels = const_cast<gmem::GraphicBuffer&>(front).pixels32();
+  Image image(width_, height_);
+  for (int y = 0; y < height_; ++y) {
+    std::memcpy(&image.at(0, y),
+                pixels + static_cast<std::size_t>(y) * front.stride_px(),
+                static_cast<std::size_t>(width_) * sizeof(std::uint32_t));
+  }
+  return image;
 }
 
 void EglSurface::sync_front() const {
@@ -43,12 +95,38 @@ void EglSurface::sync_front() const {
       util::kWatchdogPresentBudgetMs);
   if (!device().wait_fence_for(present_fence_, budget_ms)) {
     // Forced retire: the previous frame's raster is stuck past its budget.
-    // Scan out the front buffer as-is (one possibly-stale frame beats a
-    // hung compositor) and account the drop; the fence is abandoned so the
-    // next swap does not re-wait a dead frame.
+    // Keep the front buffer as-is (one possibly-stale frame beats a hung
+    // compositor) and account the drop; the fence is abandoned so the next
+    // swap does not re-wait a dead frame.
     dropped.add();
   }
   present_fence_ = gpu::kNoHandle;
+}
+
+Status EglSurface::swap(glcore::GlesEngine* engine) {
+  static trace::Histogram& present_wait =
+      trace::MetricsRegistry::instance().histogram(
+          "pipeline.stage.present_wait_ns");
+  // Deferred one swap: settle the PREVIOUS frame — wait out its fence if its
+  // raster work is still in flight — before this frame replaces it. The
+  // deferral is what lets a swap return while the pipeline still rasterizes.
+  const std::int64_t wait_start = now_ns();
+  sync_front();
+  present_wait.record(now_ns() - wait_start);
+  // Close the recorded commands as this frame and hand them to the tile
+  // pipeline — asynchronously when the pool can overlap. The fence gates
+  // every CPU consumer of the new front buffer.
+  present_fence_ = device().submit_fence();
+  device().submit_frame();
+  back_ = 1 - back_;
+  // Rendering continues into the new back buffer.
+  const Status status = engine != nullptr
+                            ? engine->set_default_target(back_target())
+                            : Status::ok();
+  // Frame boundary for the recovery ladder's hysteresis: a swap with no
+  // stall in any supervised domain counts toward climbing back up a rung.
+  util::Watchdog::instance().note_frame();
+  return status;
 }
 
 AndroidEgl::AndroidEgl() {
@@ -155,39 +233,17 @@ glcore::GlesEngine* AndroidEgl::gles() {
 }
 
 EglSurface* AndroidEgl::create_surface(int width, int height, bool window) {
-  if (width <= 0 || height <= 0) {
-    set_error(EGL_BAD_PARAMETER);
+  auto surface = EglSurface::create(width, height, window);
+  if (!surface.is_ok()) {
+    // Only a vendor failure is EGL_BAD_ALLOC; a bad size or a buffer gralloc
+    // cannot allocate is EGL_BAD_PARAMETER.
+    set_error(surface.status().code() == StatusCode::kInternal
+                  ? EGL_BAD_ALLOC
+                  : EGL_BAD_PARAMETER);
     return nullptr;
-  }
-  static util::FaultPoint& fault =
-      util::FaultRegistry::instance().point("egl.create_surface");
-  if (fault.should_fail()) {
-    set_error(EGL_BAD_ALLOC);
-    return nullptr;
-  }
-  auto surface = std::make_unique<EglSurface>();
-  surface->width_ = width;
-  surface->height_ = height;
-  const int buffer_count = window ? 2 : 1;
-  for (int i = 0; i < buffer_count; ++i) {
-    auto buffer = gmem::GrallocAllocator::instance().allocate(
-        width, height, PixelFormat::kRgba8888,
-        gmem::kUsageGpuRenderTarget | gmem::kUsageComposer);
-    if (!buffer.is_ok()) {
-      set_error(EGL_BAD_PARAMETER);
-      return nullptr;
-    }
-    surface->buffers_[i] = std::move(buffer.value());
-    surface->targets_[i] = device().create_target_external(
-        surface->buffers_[i]->pixels32(), width, height,
-        surface->buffers_[i]->stride_px(), /*with_depth=*/true);
-  }
-  if (!window) {
-    surface->buffers_[1] = surface->buffers_[0];
-    surface->targets_[1] = surface->targets_[0];
   }
   std::lock_guard lock(mutex_);
-  surfaces_.push_back(std::move(surface));
+  surfaces_.push_back(std::move(*surface));
   return surfaces_.back().get();
 }
 
@@ -215,10 +271,6 @@ EGLBoolean AndroidEgl::eglDestroySurface(EglSurface* surface) {
   if (it == surfaces_.end()) {
     set_error(EGL_BAD_SURFACE);
     return EGL_FALSE;
-  }
-  (void)device().destroy_target((*it)->targets_[0]);
-  if ((*it)->targets_[1] != (*it)->targets_[0]) {
-    (void)device().destroy_target((*it)->targets_[1]);
   }
   surfaces_.erase(it);
   return EGL_TRUE;
@@ -323,45 +375,9 @@ EGLBoolean AndroidEgl::eglSwapBuffers(EglSurface* surface) {
   static trace::Counter& swaps =
       trace::MetricsRegistry::instance().counter("gl.egl_swaps");
   swaps.add();
-  static trace::Histogram& present_wait =
-      trace::MetricsRegistry::instance().histogram(
-          "pipeline.stage.present_wait_ns");
-  // Composition handoff (HW-Composer scanout), deferred one swap: settle the
-  // PREVIOUS frame — wait out its fence if its raster work is still in
-  // flight — and scan it out before this frame replaces it. Deferring the
-  // copy is what lets a swap return while the pipeline is still rasterizing.
-  {
-    const std::int64_t wait_start = now_ns();
-    surface->sync_front();
-    present_wait.record(now_ns() - wait_start);
-    const gmem::GraphicBuffer& front = surface->front_buffer();
-    auto* pixels = const_cast<gmem::GraphicBuffer&>(front).pixels32();
-    surface->scanout_.resize(static_cast<std::size_t>(surface->width_) *
-                             surface->height_);
-    for (int y = 0; y < surface->height_; ++y) {
-      std::memcpy(
-          surface->scanout_.data() +
-              static_cast<std::size_t>(y) * surface->width_,
-          pixels + static_cast<std::size_t>(y) * front.stride_px(),
-          static_cast<std::size_t>(surface->width_) * sizeof(std::uint32_t));
-    }
-  }
-  // Close the recorded commands as this frame and hand them to the tile
-  // pipeline — asynchronously when the pool can overlap. The fence gates
-  // every CPU consumer of the new front buffer (front_buffer() waits it).
-  const gpu::FenceHandle frame_fence = device().submit_fence();
-  device().submit_frame();
-  surface->back_ = 1 - surface->back_;
-  surface->present_fence_ = frame_fence;
-  // Rendering continues into the new back buffer.
   EglContext* context = eglGetCurrentContext();
-  if (context != nullptr) {
-    (void)context->connection->engine->set_default_target(
-        surface->back_target());
-  }
-  // Frame boundary for the recovery ladder's hysteresis: a swap with no
-  // stall in any supervised domain counts toward climbing back up a rung.
-  util::Watchdog::instance().note_frame();
+  (void)surface->swap(context != nullptr ? context->connection->engine
+                                         : nullptr);
   return EGL_TRUE;
 }
 

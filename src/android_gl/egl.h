@@ -15,6 +15,7 @@
 // expose those slots for migration via thread impersonation.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "gmem/graphic_buffer.h"
 #include "kernel/kernel.h"
 #include "linker/linker.h"
+#include "util/image.h"
+#include "util/status.h"
 
 namespace cycada::android_gl {
 
@@ -41,17 +44,32 @@ inline constexpr EGLint EGL_BAD_MATCH = 0x3009;
 inline constexpr EGLint EGL_BAD_PARAMETER = 0x300C;
 inline constexpr EGLint EGL_BAD_SURFACE = 0x300D;
 
-class AndroidEgl;
 class UiWrapper;
 
-// A double-buffered drawable. Window surfaces are backed by GraphicBuffers
-// (zero-copy to the compositor); the "front" buffer is what the screen
-// shows. Since PR 8 a swap submits the frame to the tile pipeline
+// The one Android window surface: Android apps get it from
+// eglCreateWindowSurface/eglCreatePbufferSurface, and libui_wrapper holds
+// one as the layer the EAGL present path draws into. Window surfaces are
+// two GraphicBuffers (zero-copy to the compositor); the "front" buffer is
+// what the screen shows. A swap submits the frame to the tile pipeline
 // asynchronously and records a present fence on the surface; every CPU
-// consumer of the front buffer goes through front_buffer(), which waits
-// that fence, so readers always observe the fully rasterized frame.
+// consumer of the front buffer goes through front_buffer() or front_image(),
+// which wait that fence, so readers always observe the fully rasterized
+// frame.
 class EglSurface {
  public:
+  // A window surface (two buffers) or a pbuffer (one buffer, which a swap
+  // flips onto itself). Fails with invalid_argument for a bad size,
+  // internal when the vendor's surface creation fails (the
+  // egl.create_surface probe) and gralloc's status when a buffer cannot be
+  // allocated.
+  static StatusOr<std::unique_ptr<EglSurface>> create(int width, int height,
+                                                      bool window);
+  // Destroys the GPU targets (draining any in-flight frame) before the
+  // buffers they alias are released.
+  ~EglSurface();
+  EglSurface(const EglSurface&) = delete;
+  EglSurface& operator=(const EglSurface&) = delete;
+
   int width() const { return width_; }
   int height() const { return height_; }
   // The GPU target rendering currently lands in (the back buffer).
@@ -60,15 +78,24 @@ class EglSurface {
   // Implies sync_front().
   const gmem::GraphicBuffer& front_buffer() const;
   gmem::GraphicBuffer& back_buffer() { return *buffers_[back_]; }
-  // Blocks until the present fence recorded by the last eglSwapBuffers has
-  // signaled (no-op when the frame already retired or none is pending).
-  void sync_front() const;
+  // What the screen shows, copied out. Implies sync_front().
+  Image front_image() const;
+  // Presents the recorded frame (the eglSwapBuffers step): settles the
+  // previous frame, submits this one behind a new present fence, flips, and
+  // points `engine`'s current context (if any engine) at the new back
+  // buffer. Ends the frame for the watchdog's recovery hysteresis.
+  Status swap(glcore::GlesEngine* engine);
 
  private:
-  friend class AndroidEgl;
+  EglSurface() = default;
+  // Blocks until the present fence recorded by the last swap has signaled
+  // (no-op when the frame already retired or none is pending). A fence
+  // still unsignaled after the present budget is abandoned: the stale front
+  // buffer stays on screen and watchdog.frames.dropped counts the drop.
+  void sync_front() const;
+
   std::array<std::shared_ptr<gmem::GraphicBuffer>, 2> buffers_;
   std::array<gpu::RenderTargetHandle, 2> targets_{};
-  std::vector<std::uint32_t> scanout_;  // the composer's view of the frame
   // Signals when the displayed frame's raster work retires. Mutable: waiting
   // it out is logically const for readers.
   mutable gpu::FenceHandle present_fence_ = gpu::kNoHandle;
@@ -159,11 +186,6 @@ class AndroidEgl : public linker::LibraryInstance {
   EglConnection* current_connection();
   // Connection lookup by id (0 = process connection).
   EglConnection* connection_by_id(int id);
-
-  // TLS keys the EGL wrapper reserves (exposed so the graphics-TLS tracker
-  // can include them).
-  kernel::TlsKey connection_tls_key() const { return tls_connection_key_; }
-  kernel::TlsKey context_tls_key() const { return tls_context_key_; }
 
  private:
   void set_error(EGLint error);

@@ -6,11 +6,7 @@
 #include "gpu/device.h"
 #include "kernel/kernel.h"
 #include "kernel/libc.h"
-#include "trace/metrics.h"
-#include "util/clock.h"
 #include "util/faultpoint.h"
-#include "util/log.h"
-#include "util/watchdog.h"
 
 namespace cycada::android_gl {
 
@@ -45,9 +41,6 @@ UiWrapper::~UiWrapper() {
   if (engine_ != nullptr && context_ != glcore::kNoContext) {
     (void)engine_->destroy_context(context_);
   }
-  for (gpu::RenderTargetHandle target : targets_) {
-    if (target != gpu::kNoHandle) (void)device().destroy_target(target);
-  }
 }
 
 void* UiWrapper::symbol(std::string_view name) {
@@ -67,9 +60,10 @@ Status UiWrapper::initialize(int gles_version, int width, int height) {
   if (context_ != glcore::kNoContext) {
     return Status::failed_precondition("already initialized");
   }
-  if (width <= 0 || height <= 0) {
-    return Status::invalid_argument("bad layer dimensions");
-  }
+  // The layer first, as an Android app creates its window surface before
+  // its context: a bad size fails here before either fault point is hit.
+  auto layer = EglSurface::create(width, height, /*window=*/true);
+  CYCADA_RETURN_IF_ERROR(layer.status());
   // Same fault point as the stock wrapper's eglCreateContext, so injected
   // vendor-context failures exercise the bridge's retry/degradation ladder.
   static util::FaultPoint& fault =
@@ -77,25 +71,14 @@ Status UiWrapper::initialize(int gles_version, int width, int height) {
   if (fault.should_fail()) {
     return Status::resource_exhausted("injected fault: egl.create_context");
   }
-  gles_version_ = gles_version;
-  width_ = width;
-  height_ = height;
-  for (int i = 0; i < 2; ++i) {
-    auto buffer = gmem::GrallocAllocator::instance().allocate(
-        width, height, PixelFormat::kRgba8888,
-        gmem::kUsageGpuRenderTarget | gmem::kUsageComposer);
-    CYCADA_RETURN_IF_ERROR(buffer.status());
-    buffers_[i] = std::move(buffer.value());
-    targets_[i] = device().create_target_external(
-        buffers_[i]->pixels32(), width, height, buffers_[i]->stride_px(),
-        /*with_depth=*/true);
-  }
   context_ = engine_->create_context(gles_version);
   if (context_ == glcore::kNoContext) {
     return Status::invalid_argument("unsupported GLES version");
   }
+  layer_ = std::move(*layer);
   creator_ = kernel::sys_gettid();
-  CYCADA_RETURN_IF_ERROR(engine_->make_current(context_, targets_[back_]));
+  CYCADA_RETURN_IF_ERROR(
+      engine_->make_current(context_, layer_->back_target()));
   engine_->glViewport(0, 0, width, height);
   return Status::ok();
 }
@@ -108,26 +91,14 @@ void UiWrapper::teardown() {
     (void)engine_->destroy_context(context_);
   }
   context_ = glcore::kNoContext;
-  for (gpu::RenderTargetHandle& target : targets_) {
-    if (target != gpu::kNoHandle) {
-      (void)device().destroy_target(target);
-      target = gpu::kNoHandle;
-    }
-  }
-  buffers_ = {};
+  layer_.reset();
   drawable_buffers_.clear();
   // Present-path objects died with the context; forget the stale names.
   present_program_ = 0;
   present_texture_ = 0;
   present_image_.reset();
   present_image_buffer_ = 0;
-  scanout_.clear();
-  present_fence_ = gpu::kNoHandle;
-  back_ = 0;
   creator_ = kernel::kInvalidTid;
-  gles_version_ = 0;
-  width_ = 0;
-  height_ = 0;
 }
 
 Status UiWrapper::reinitialize(int gles_version, int width, int height) {
@@ -145,7 +116,7 @@ Status UiWrapper::make_current() {
     return Status::permission_denied(
         "context is owned by another thread (Android affinity rule)");
   }
-  return engine_->make_current(context_, targets_[back_]);
+  return engine_->make_current(context_, layer_->back_target());
 }
 
 Status UiWrapper::clear_current() {
@@ -246,7 +217,7 @@ Status UiWrapper::draw_fbo_tex(gmem::BufferId content) {
                               0, 0, 1, 0, 0, 0, 0, 1};
   gl.glUniformMatrix4fv(0, 1, glcore::GL_FALSE, identity);
   gl.glUniform1i(2, 0);
-  gl.glViewport(0, 0, width_, height_);
+  gl.glViewport(0, 0, layer_->width(), layer_->height());
   // Fullscreen quad; uv(0,0) lands on the top-left pixel (row 0 is top in
   // this codebase, so no vertical flip is required).
   const float positions[] = {-1, 1, 1, 1, 1, -1, -1, 1, 1, -1, -1, -1};
@@ -316,35 +287,7 @@ Status UiWrapper::swap_buffers() {
   if (context_ == glcore::kNoContext) {
     return Status::failed_precondition("not initialized");
   }
-  static trace::Histogram& present_wait =
-      trace::MetricsRegistry::instance().histogram(
-          "pipeline.stage.present_wait_ns");
-  // Composition handoff, deferred one swap (same protocol as
-  // eglSwapBuffers): settle the previous frame behind its fence and scan it
-  // out before this frame's flip replaces it.
-  {
-    const std::int64_t wait_start = now_ns();
-    sync_front();
-    present_wait.record(now_ns() - wait_start);
-    const gmem::GraphicBuffer& front = *buffers_[1 - back_];
-    scanout_.resize(static_cast<std::size_t>(width_) * height_);
-    auto* pixels = const_cast<gmem::GraphicBuffer&>(front).pixels32();
-    for (int y = 0; y < height_; ++y) {
-      std::memcpy(scanout_.data() + static_cast<std::size_t>(y) * width_,
-                  pixels + static_cast<std::size_t>(y) * front.stride_px(),
-                  static_cast<std::size_t>(width_) * sizeof(std::uint32_t));
-    }
-  }
-  // Submit this frame to the tile pipeline (async when it can overlap),
-  // flip, and re-point the default framebuffer at the new back buffer.
-  present_fence_ = device().submit_fence();
-  device().submit_frame();
-  back_ = 1 - back_;
-  CYCADA_RETURN_IF_ERROR(engine_->set_default_target(targets_[back_]));
-  // Frame boundary for the watchdog's clean-frame hysteresis (the iOS
-  // stack presents through here rather than eglSwapBuffers).
-  util::Watchdog::instance().note_frame();
-  return Status::ok();
+  return layer_->swap(engine_);
 }
 
 std::vector<void*> UiWrapper::get_tls() {
@@ -357,34 +300,6 @@ Status UiWrapper::set_tls(const std::vector<void*>& values) {
   kernel::libc::pthread_setspecific(engine_->current_context_tls_key(),
                                     values[0]);
   return Status::ok();
-}
-
-void UiWrapper::sync_front() const {
-  if (present_fence_ == gpu::kNoHandle) return;
-  static trace::Counter& dropped =
-      trace::MetricsRegistry::instance().counter("watchdog.frames.dropped");
-  const std::int64_t budget_ms = util::Watchdog::instance().effective_budget_ms(
-      util::kWatchdogPresentBudgetMs);
-  if (!device().wait_fence_for(present_fence_, budget_ms)) {
-    // Forced retire, same protocol as EglSurface::sync_front: scan out the
-    // stale front buffer, drop the frame, abandon the fence.
-    dropped.add();
-  }
-  present_fence_ = gpu::kNoHandle;
-}
-
-Image UiWrapper::front_snapshot() const {
-  sync_front();
-  Image image(width_, height_);
-  const gmem::GraphicBuffer& front = *buffers_[1 - back_];
-  const auto* pixels =
-      const_cast<gmem::GraphicBuffer&>(front).pixels32();
-  for (int y = 0; y < height_; ++y) {
-    std::memcpy(&image.at(0, y),
-                pixels + static_cast<std::size_t>(y) * front.stride_px(),
-                static_cast<std::size_t>(width_) * sizeof(std::uint32_t));
-  }
-  return image;
 }
 
 }  // namespace cycada::android_gl

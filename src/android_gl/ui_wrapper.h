@@ -7,14 +7,13 @@
 // aegl_bridge_* call exactly as the paper's Figure 7/8 profiles show.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
+#include "android_gl/egl.h"
 #include "glcore/engine.h"
 #include "gmem/graphic_buffer.h"
 #include "linker/linker.h"
-#include "util/image.h"
 #include "util/status.h"
 
 namespace cycada::android_gl {
@@ -35,8 +34,9 @@ class UiWrapper : public linker::LibraryInstance {
   kernel::Tid context_creator() const { return creator_; }
 
   // Creates this replica's GLES connection: a window "layer" of the given
-  // size (double-buffered GraphicBuffers), a GLES context of the requested
-  // version, and makes it current on the calling thread.
+  // size (an EglSurface), a GLES context of the requested version, and
+  // makes it current on the calling thread. On failure the wrapper stays
+  // uninitialized.
   Status initialize(int gles_version, int width, int height);
 
   // Warm-pool reuse path: tears down any previous layer/context state and
@@ -61,8 +61,8 @@ class UiWrapper : public linker::LibraryInstance {
   // into the default framebuffer with a textured quad. GL state it touches
   // is saved and restored around the draw.
   Status draw_fbo_tex(gmem::BufferId content);
-  // Part 2: the eglSwapBuffers step — flip the layer's buffers and re-point
-  // the default framebuffer.
+  // Part 2: the eglSwapBuffers step — the layer's swap, which flips its
+  // buffers and re-points the default framebuffer.
   Status swap_buffers();
 
   // Copies a texture's texels into a GraphicBuffer (CPU path; the other
@@ -74,14 +74,9 @@ class UiWrapper : public linker::LibraryInstance {
   std::vector<void*> get_tls();
   Status set_tls(const std::vector<void*>& values);
 
-  // What the screen would show (the front buffer), for tests and examples.
-  // Implies sync_front().
-  Image front_snapshot() const;
-  // Blocks until the present fence recorded by the last swap_buffers() has
-  // signaled, so CPU reads of the front buffer observe the finished frame.
-  void sync_front() const;
-  int width() const { return width_; }
-  int height() const { return height_; }
+  // The window layer the present path draws into (nullptr until
+  // initialized); its front_image() is what the screen shows.
+  const EglSurface* layer() const { return layer_.get(); }
 
  private:
   Status ensure_present_program();
@@ -90,21 +85,13 @@ class UiWrapper : public linker::LibraryInstance {
   glcore::GlesEngine* engine_ = nullptr;
   glcore::ContextId context_ = glcore::kNoContext;
   kernel::Tid creator_ = kernel::kInvalidTid;
-  int gles_version_ = 0;
-  int width_ = 0;
-  int height_ = 0;
-  std::array<std::shared_ptr<gmem::GraphicBuffer>, 2> buffers_;
+  std::unique_ptr<EglSurface> layer_;
   std::vector<std::shared_ptr<gmem::GraphicBuffer>> drawable_buffers_;
-  std::array<gpu::RenderTargetHandle, 2> targets_{};
-  int back_ = 0;
   // Present-path objects (lazily built in this replica's context).
   glcore::GLuint present_program_ = 0;
   glcore::GLuint present_texture_ = 0;
   std::unique_ptr<glcore::EglImage> present_image_;
   gmem::BufferId present_image_buffer_ = 0;
-  std::vector<std::uint32_t> scanout_;  // the composer's view of the frame
-  // Signals when the displayed frame's raster work retires (PR 8 pipeline).
-  mutable gpu::FenceHandle present_fence_ = gpu::kNoHandle;
   int replica_global_ = 0;  // exported for DLR address-uniqueness tests
 };
 

@@ -33,9 +33,7 @@ VendorGles::VendorGles()
           .gles2_version = "OpenGL ES 2.0 14.01003",
           .extensions = glcore::extension_string(glcore::android_registry()),
           .supports_nv_fence = true,
-          .supports_apple_fence = false,
           .supports_apple_row_bytes = false,
-          .present_path = "egl",
       }) {}
 
 void* VendorGles::symbol(std::string_view name) {

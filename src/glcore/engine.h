@@ -37,12 +37,7 @@ struct GlesEngineConfig {
   // Space-separated extension string reported by glGetString(GL_EXTENSIONS).
   std::string extensions;
   bool supports_nv_fence = false;
-  bool supports_apple_fence = false;
   bool supports_apple_row_bytes = false;
-  // Apple's GLES allows any thread to use any context; Android's does not.
-  // (The *enforcement* of Android's rule lives in EGL; this flag only
-  // drives glGetString-style identity.)
-  std::string present_path = "egl";
 };
 
 using ContextId = std::uint64_t;

@@ -12,6 +12,22 @@ namespace {
 
 class AndroidPort : public GlPort {
  public:
+  // Unbinds the context if it is current, then releases it, the window
+  // surface and the EGLImages the shared buffers were bound through.
+  ~AndroidPort() override {
+    if (egl_ == nullptr) return;
+    if (context_ != nullptr) {
+      if (egl_->eglGetCurrentContext() == context_) {
+        (void)egl_->eglMakeCurrent(nullptr, nullptr);
+      }
+      (void)egl_->eglDestroyContext(context_);
+    }
+    if (surface_ != nullptr) (void)egl_->eglDestroySurface(surface_);
+    for (const auto& [handle, shared] : buffers_) {
+      if (shared.image != nullptr) (void)egl_->eglDestroyImageKHR(shared.image);
+    }
+  }
+
   Status init(int width, int height, int gles_version) override {
     width_ = width;
     height_ = height;
@@ -47,19 +63,10 @@ class AndroidPort : public GlPort {
                : Status::internal("eglSwapBuffers failed");
   }
 
-  Image screen() override {
-    Image image(width_, height_);
-    // front_buffer() waits the surface's present fence first, so snapshots
-    // taken right after present() see the fully rasterized frame even when
-    // the tile pipeline executed it asynchronously.
-    const gmem::GraphicBuffer& front = surface_->front_buffer();
-    auto* pixels = const_cast<gmem::GraphicBuffer&>(front).pixels32();
-    for (int y = 0; y < height_; ++y) {
-      std::copy_n(pixels + static_cast<std::size_t>(y) * front.stride_px(),
-                  width_, &image.at(0, y));
-    }
-    return image;
-  }
+  // front_image() waits the surface's present fence first, so snapshots
+  // taken right after present() see the fully rasterized frame even when
+  // the tile pipeline executed it asynchronously.
+  Image screen() override { return surface_->front_image(); }
 
   void clear_color(float r, float g, float b, float a) override {
     gl_->glClearColor(r, g, b, a);

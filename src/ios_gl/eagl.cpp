@@ -263,8 +263,9 @@ Image EAGLContext::screen_snapshot() const {
     }
     return image;
   }
-  return connection_.wrapper != nullptr ? connection_.wrapper->front_snapshot()
-                                        : Image();
+  const android_gl::EglSurface* layer =
+      connection_.wrapper != nullptr ? connection_.wrapper->layer() : nullptr;
+  return layer != nullptr ? layer->front_image() : Image();
 }
 
 }  // namespace cycada::ios_gl

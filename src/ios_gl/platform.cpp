@@ -29,9 +29,7 @@ glcore::GlesEngine* apple_engine() {
             .extensions =
                 glcore::extension_string(glcore::ios_registry()),
             .supports_nv_fence = true,  // backs the APPLE_fence entry points
-            .supports_apple_fence = true,
             .supports_apple_row_bytes = true,
-            .present_path = "eagl-native",
         });
   }
   return g_apple_engine.get();

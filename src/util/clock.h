@@ -13,25 +13,4 @@ inline std::int64_t now_ns() {
       .count();
 }
 
-// Accumulates wall time between start/stop pairs; used by the per-function
-// GLES profiler behind Figures 7-10.
-class Stopwatch {
- public:
-  void start() { start_ns_ = now_ns(); }
-  // Stops and returns the elapsed nanoseconds of this lap.
-  std::int64_t stop() {
-    const std::int64_t lap = now_ns() - start_ns_;
-    total_ns_ += lap;
-    ++laps_;
-    return lap;
-  }
-  std::int64_t total_ns() const { return total_ns_; }
-  std::int64_t laps() const { return laps_; }
-
- private:
-  std::int64_t start_ns_ = 0;
-  std::int64_t total_ns_ = 0;
-  std::int64_t laps_ = 0;
-};
-
 }  // namespace cycada

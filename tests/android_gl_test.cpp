@@ -10,6 +10,7 @@
 #include "android_gl/vendor.h"
 #include "gpu/device.h"
 #include "kernel/kernel.h"
+#include "util/faultpoint.h"
 
 namespace cycada::android_gl {
 namespace {
@@ -61,6 +62,26 @@ TEST_F(AndroidGlTest, RenderAndSwapWindowSurface) {
   EXPECT_EQ(const_cast<gmem::GraphicBuffer&>(surface->front_buffer())
                 .pixels32()[0],
             0xff00ff00u);
+}
+
+TEST_F(AndroidGlTest, SurfaceCreationFailuresMapToEglErrors) {
+  gmem::GrallocAllocator& gralloc = gmem::GrallocAllocator::instance();
+  const std::size_t live_before = gralloc.live_buffers();
+  util::FaultRegistry& faults = util::FaultRegistry::instance();
+  faults.reset();  // arm_once counts armed traversals since the last reset
+  EXPECT_EQ(egl_->eglCreateWindowSurface(0, 8), nullptr);
+  EXPECT_EQ(egl_->eglGetError(), EGL_BAD_PARAMETER);
+  // The vendor's surface creation failing is EGL_BAD_ALLOC...
+  faults.point("egl.create_surface").arm_once();
+  EXPECT_EQ(egl_->eglCreatePbufferSurface(8, 8), nullptr);
+  EXPECT_EQ(egl_->eglGetError(), EGL_BAD_ALLOC);
+  // ...while a buffer gralloc cannot allocate (here the second of a window's
+  // two) is EGL_BAD_PARAMETER, and the first buffer is released again.
+  faults.point("gmem.allocate").arm_once(2);
+  EXPECT_EQ(egl_->eglCreateWindowSurface(8, 8), nullptr);
+  EXPECT_EQ(egl_->eglGetError(), EGL_BAD_PARAMETER);
+  faults.disarm_all();
+  EXPECT_EQ(gralloc.live_buffers(), live_before);
 }
 
 TEST_F(AndroidGlTest, SecondGlesVersionIsRejectedPerProcess) {
@@ -228,10 +249,24 @@ class UiWrapperTest : public AndroidGlTest {
 
 TEST_F(UiWrapperTest, InitializeCreatesLayerAndContext) {
   ASSERT_TRUE(wrapper_->initialize(2, 32, 32).is_ok());
-  EXPECT_EQ(wrapper_->width(), 32);
+  EXPECT_EQ(wrapper_->layer()->width(), 32);
   EXPECT_EQ(wrapper_->engine()->current_context_id(), wrapper_->context_id());
   EXPECT_FALSE(wrapper_->initialize(2, 32, 32).is_ok());  // double init
   EXPECT_FALSE(wrapper_->initialize(2, -1, 0).is_ok());
+}
+
+TEST_F(UiWrapperTest, FailedLayerLeavesWrapperUninitialized) {
+  // The bridge's retry/fallback ladder re-runs initialize on the same
+  // replica, so a failed layer must leave nothing behind.
+  util::FaultRegistry& faults = util::FaultRegistry::instance();
+  faults.reset();
+  faults.point("egl.create_surface").arm_once();
+  EXPECT_FALSE(wrapper_->initialize(2, 8, 8).is_ok());
+  faults.disarm_all();
+  EXPECT_EQ(wrapper_->context_id(), glcore::kNoContext);
+  EXPECT_EQ(wrapper_->layer(), nullptr);
+  EXPECT_TRUE(wrapper_->initialize(2, 8, 8).is_ok());
+  EXPECT_NE(wrapper_->layer(), nullptr);
 }
 
 TEST_F(UiWrapperTest, EaglStylePresentPath) {
@@ -260,7 +295,7 @@ TEST_F(UiWrapperTest, EaglStylePresentPath) {
 
   ASSERT_TRUE(wrapper_->draw_fbo_tex(*drawable).is_ok());
   ASSERT_TRUE(wrapper_->swap_buffers().is_ok());
-  const Image screen = wrapper_->front_snapshot();
+  const Image screen = wrapper_->layer()->front_image();
   for (int y = 0; y < 16; ++y) {
     for (int x = 0; x < 16; ++x) {
       EXPECT_EQ(screen.at(x, y), 0xffff0000u) << x << "," << y;  // blue

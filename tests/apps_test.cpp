@@ -4,6 +4,7 @@
 
 #include "dispatch/dispatch.h"
 #include "glport/system_config.h"
+#include "gmem/graphic_buffer.h"
 #include "gpu/pipeline.h"
 #include "passmark/passmark.h"
 #include "ios_gl/gles.h"
@@ -148,6 +149,30 @@ TEST(CrossConfigTest, BrowserPixelsIdenticalEverywhere) {
   // quads leave no seam at the compositor's clear color.
   EXPECT_EQ(Image::diff_count(screens[0], reference), 0u);
   glport::apply_system_config(SystemConfig::kAndroid);
+}
+
+// An Android port releases what it made through EGL: its window surface
+// (two layer GraphicBuffers and their targets), its context and the
+// EGLImages it bound shared buffers through. Ports come and go within one
+// configuration, so nothing may wait for the libEGL copy to die.
+TEST(AndroidPortTest, DestroyedPortsReleaseTheirBuffers) {
+  glport::apply_system_config(SystemConfig::kAndroid);
+  gmem::GrallocAllocator& gralloc = gmem::GrallocAllocator::instance();
+  const std::size_t live_before = gralloc.live_buffers();
+  for (int i = 0; i < 3; ++i) {
+    auto port = glport::make_gl_port(SystemConfig::kAndroid);
+    ASSERT_TRUE(port->init(32, 32, 2).is_ok());
+    auto handle = port->create_shared_buffer(8, 8);
+    ASSERT_TRUE(handle.is_ok());
+    ASSERT_TRUE(
+        port->bind_buffer_to_texture(*handle, port->gen_texture()).is_ok());
+    port->begin_frame();
+    port->clear_color(0.f, 1.f, 0.f, 1.f);
+    port->clear(glcore::GL_COLOR_BUFFER_BIT);
+    ASSERT_TRUE(port->present().is_ok());
+    EXPECT_EQ(port->screen().at(31, 31), 0xff00ff00u);
+  }
+  EXPECT_EQ(gralloc.live_buffers(), live_before);
 }
 
 TEST(DocumentTest, ParsesNestedMarkup) {
