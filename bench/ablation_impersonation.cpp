@@ -78,9 +78,11 @@ int main() {
     for (kernel::TlsKey key : keys) kernel::libc::pthread_key_delete(key);
   }
   std::printf(
-      "\n  Takeaway: the selective-migration design (only graphics keys, "
-      "discovered via the\n  gated libc hooks) keeps the impersonation tax "
-      "per GLES call small and proportional\n  to the handful of slots the "
-      "graphics libraries actually reserve.\n");
+      "\n  Takeaway: the per-call tax is ios_gl's MigrationScope, which moves "
+      "the context's\n  one replica TLS slot and sets the impersonated tid "
+      "around each call, whatever the\n  key count. The round trips measure "
+      "the selective-migration engine\n  (core::ThreadImpersonation: only "
+      "graphics keys, discovered via the gated libc\n  hooks), which scales "
+      "with the keys migrated and which no GL call runs.\n");
   return 0;
 }

@@ -93,7 +93,7 @@ void EglSurface::sync_front() const {
       trace::MetricsRegistry::instance().counter("watchdog.frames.dropped");
   const std::int64_t budget_ms = util::Watchdog::instance().effective_budget_ms(
       util::kWatchdogPresentBudgetMs);
-  if (!device().wait_fence_for(present_fence_, budget_ms)) {
+  if (!device().wait_fence(present_fence_, budget_ms)) {
     // Forced retire: the previous frame's raster is stuck past its budget.
     // Keep the front buffer as-is (one possibly-stale frame beats a hung
     // compositor) and account the drop; the fence is abandoned so the next

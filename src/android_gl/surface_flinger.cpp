@@ -8,7 +8,6 @@
 #include "trace/metrics.h"
 #include "trace/trace.h"
 #include "util/clock.h"
-#include "util/watchdog.h"
 
 namespace cycada::android_gl {
 
@@ -75,11 +74,6 @@ std::size_t SurfaceFlinger::layer_count() const {
 Image SurfaceFlinger::compose(int display_width, int display_height) {
   TRACE_SCOPE("frame", "SurfaceFlinger.compose");
   core::Session::check_access(owner_, core::SessionLayer::kSurface);
-  // The composition handoff settles every layer's present fence; a layer
-  // whose raster work is stuck would stall the whole display without this
-  // supervision (the fence waits inside are themselves deadline-bounded).
-  WATCHDOG_SCOPE(util::WatchdogDomain::kCompositor,
-                 util::kWatchdogCompositorBudgetMs);
   const std::int64_t start_ns = now_ns();
   std::vector<Layer> ordered;
   {

@@ -301,7 +301,7 @@ void GlesEngine::glFlush() {
 }
 
 void GlesEngine::glFinish() {
-  if (require_context() != nullptr) device().finish();
+  if (require_context() != nullptr) device().flush();
 }
 
 GLenum GlesEngine::glGetError() {

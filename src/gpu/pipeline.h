@@ -86,7 +86,6 @@ struct FrameResult {
 // queue into one of these and hands it to the pipeline.
 struct FrameBatch {
   std::vector<FrameStep> steps;
-  FenceHandle frame_fence = kNoHandle;  // signaled when the batch retires
   FrameResult result;
 };
 

@@ -90,7 +90,6 @@ struct GpuStats {
   std::uint64_t clear_commands = 0;
   std::uint64_t triangles = 0;
   std::uint64_t fragments_shaded = 0;
-  std::uint64_t flushes = 0;
   std::uint64_t fences_signaled = 0;
 };
 

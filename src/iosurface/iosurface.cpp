@@ -4,6 +4,7 @@
 #include "core/impersonation.h"
 #include "core/session.h"
 #include "glcore/gl_types.h"
+#include "gpu/device.h"
 #include "util/faultpoint.h"
 
 namespace cycada::iosurface {
@@ -84,8 +85,11 @@ Status LinuxCoreSurface::lock(const IOSurfaceRef& surface, bool read_only) {
   if (surface->locked_) {
     return Status::failed_precondition("surface already locked");
   }
-  // Native iOS: the hardware allows concurrent CPU mapping; no dance.
+  // Native iOS: the hardware allows concurrent CPU mapping; no dance. The
+  // lock still synchronizes with the GPU (only kIOSurfaceLockAvoidSync
+  // skips that), so draws recorded before it sample the pre-lock contents.
   if (native_lock_) {
+    gpu::GpuDevice::instance().flush();
     auto base = surface->backing_->lock(
         read_only ? gmem::kUsageCpuRead
                   : gmem::kUsageCpuRead | gmem::kUsageCpuWrite,

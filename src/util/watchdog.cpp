@@ -34,9 +34,7 @@ std::string domain_metric(const char* domain, const char* suffix) {
 const char* watchdog_domain_name(WatchdogDomain domain) {
   switch (domain) {
     case WatchdogDomain::kGpuPhase: return "gpu_phase";
-    case WatchdogDomain::kPresent: return "present";
     case WatchdogDomain::kEgl: return "egl";
-    case WatchdogDomain::kCompositor: return "compositor";
     case WatchdogDomain::kCount: break;
   }
   return "?";
@@ -82,10 +80,6 @@ void Watchdog::set_budget_override_ms(std::int64_t ms) {
   budget_override_ms_.store(ms > 0 ? ms : 0, std::memory_order_relaxed);
 }
 
-void Watchdog::set_recovery_frames(int frames) {
-  recovery_frames_.store(frames > 0 ? frames : 1, std::memory_order_relaxed);
-}
-
 int Watchdog::rung(WatchdogDomain domain) const {
   return current_ladder()
       .domains[static_cast<int>(domain)]
@@ -111,7 +105,6 @@ void Watchdog::note_stall_on(core::WatchdogLadder& ladder,
 }
 
 void Watchdog::note_frame() {
-  const int recovery = recovery_frames();
   core::WatchdogLadder& ladder = current_ladder();
   for (int i = 0; i < static_cast<int>(WatchdogDomain::kCount); ++i) {
     auto& state = ladder.domains[i];
@@ -123,7 +116,7 @@ void Watchdog::note_frame() {
     if (state.rung.load(std::memory_order_relaxed) == 0) continue;
     const int streak =
         state.clean_streak.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (streak < recovery) continue;
+    if (streak < kRecoveryFrames) continue;
     state.clean_streak.store(0, std::memory_order_relaxed);
     // Probe one rung back up; a fresh stall at the lower rung re-raises it.
     int rung = state.rung.load(std::memory_order_relaxed);

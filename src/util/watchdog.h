@@ -3,8 +3,8 @@
 // Every mechanism the reproduction already has for surviving *errors*
 // (bounded retry + shared-fallback EGL, resilient persona switches,
 // serial-raster degrade) is blind to a path that simply never returns: a
-// stalled bridge init, a fence wait against a frame that never retires, a
-// tile phase whose helper went to sleep. The watchdog closes that class:
+// stalled bridge init, a tile phase whose helper went to sleep. The
+// watchdog closes that class for its two domains:
 //
 //   WATCHDOG_SCOPE(WatchdogDomain::kGpuPhase, kWatchdogGpuPhaseBudgetMs);
 //
@@ -17,18 +17,18 @@
 // it outlives its budget before the monitor noticed, so single-threaded
 // tests never race the monitor period.
 //
-// Two supervised sites read their rungs (the watchdog never unwinds
+// Each domain's rung switches one mode (the watchdog never unwinds
 // anyone's stack):
 //
 //   rung(kGpuPhase)   > 0  -> pipeline rasterizes serial, helpers retract
 //   rung(kEgl)        > 0  -> bridge init goes straight to shared fallback
 //
-// Nothing reads the kPresent or kCompositor rungs: their overruns are
-// counted and climb the ladder, but switch no mode (wait_fence_for
-// force-retires at its budget at every rung).
+// The present-fence wait has no domain: its own deadline
+// (kWatchdogPresentBudgetMs) bounds it, and an overrun is counted
+// (watchdog.present.timeouts) and force-retires the frame.
 //
 // Hysteresis climbs back: note_frame() is called once per presented
-// frame; after `recovery_frames()` consecutive frames in which a domain
+// frame; after kRecoveryFrames consecutive frames in which a domain
 // saw no stall, its rung drops one step (watchdog.rung_down), so the
 // system probes its way back to full-parallel operation instead of
 // staying degraded forever.
@@ -61,21 +61,19 @@ namespace cycada::util {
 
 enum class WatchdogDomain : int {
   kGpuPhase = 0,  // tile pipeline bin/raster phase (docs/PIPELINE.md)
-  kPresent,       // present-fence waits (GpuDevice::wait_fence_for)
   kEgl,           // bridge init ladder (src/ios_gl/egl_bridge.cpp)
-  kCompositor,    // SurfaceFlinger composition handoff
   kCount,
 };
 
 const char* watchdog_domain_name(WatchdogDomain domain);
 
-// Default per-site budgets. Sized as hang detectors (orders of magnitude
-// above any healthy duration) so they never trip on a loaded CI host;
-// CYCADA_WATCHDOG_BUDGET_MS overrides all of them at once for tests.
+// Default per-site budgets, the present-fence wait's deadline included.
+// Sized as hang detectors (orders of magnitude above any healthy duration)
+// so they never trip on a loaded CI host; CYCADA_WATCHDOG_BUDGET_MS
+// overrides all of them at once for tests.
 inline constexpr std::int64_t kWatchdogGpuPhaseBudgetMs = 1000;
 inline constexpr std::int64_t kWatchdogPresentBudgetMs = 2000;
 inline constexpr std::int64_t kWatchdogEglBudgetMs = 1000;
-inline constexpr std::int64_t kWatchdogCompositorBudgetMs = 2000;
 
 namespace watchdog_detail {
 
@@ -111,7 +109,7 @@ struct ThreadSlots {
 class Watchdog {
  public:
   static constexpr int kMaxRung = 3;
-  static constexpr int kDefaultRecoveryFrames = 3;
+  static constexpr int kRecoveryFrames = 3;
 
   static Watchdog& instance();
 
@@ -132,7 +130,7 @@ class Watchdog {
 
   // Recovery-ladder state, per session: rung 0 = healthy; each stall
   // raises the domain's rung (clamped to kMaxRung), each run of
-  // recovery_frames() clean frames lowers it by one. These read/advance
+  // kRecoveryFrames clean frames lowers it by one. These read/advance
   // the *calling thread's session* ladder (the default session's for
   // unbound threads), so one wedged app degrades only its own pipeline.
   int rung(WatchdogDomain domain) const;
@@ -148,10 +146,7 @@ class Watchdog {
   // the presenting thread, against its session's ladder.
   void note_frame();
 
-  int recovery_frames() const {
-    return recovery_frames_.load(std::memory_order_relaxed);
-  }
-  void set_recovery_frames(int frames);
+  int recovery_frames() const { return kRecoveryFrames; }
 
   // Drops every rung to 0 and clears hysteresis state (tests) — on every
   // live session's ladder.
@@ -186,7 +181,6 @@ class Watchdog {
 
   std::atomic<bool> enabled_{true};
   std::atomic<std::int64_t> budget_override_ms_{0};
-  std::atomic<int> recovery_frames_{kDefaultRecoveryFrames};
   DomainState domains_[static_cast<int>(WatchdogDomain::kCount)];
   trace::Counter* rung_up_metric_ = nullptr;
   trace::Counter* rung_down_metric_ = nullptr;

@@ -2,6 +2,8 @@
 // across the four system configurations of the paper's evaluation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dispatch/dispatch.h"
 #include "glport/system_config.h"
 #include "gmem/graphic_buffer.h"
@@ -49,6 +51,67 @@ TEST_P(ConfigTest, SharedBufferLockRoundTrip) {
   canvas->pixels[0] = 0xff00ff00u;
   ASSERT_TRUE(port->unlock_buffer(*handle).is_ok());
   EXPECT_EQ(port->get_error(), glcore::GL_NO_ERROR);
+
+  // The lock settles the GPU: a quad drawn from the buffer before the lock
+  // shows the buffer as it was (red), never the CPU's refill (blue), at 1
+  // and at 4 tile workers. The draw is the browser's tile composite.
+  constexpr std::uint32_t kRed = 0xff0000ffu;
+  constexpr std::uint32_t kBlue = 0xffff0000u;
+  constexpr char kVs[] =
+      "attribute vec4 a_position; attribute vec2 a_texcoord;"
+      "uniform mat4 u_mvp; varying vec2 v_uv;"
+      "void main() { gl_Position = u_mvp * a_position; v_uv = a_texcoord; }";
+  constexpr char kFs[] =
+      "uniform sampler2D u_tex; varying vec2 v_uv;"
+      "void main() { gl_FragColor = texture2D(u_tex, v_uv); }";
+  gpu::TileWorkerPool& pool = gpu::TileWorkerPool::instance();
+  const int saved_workers = pool.worker_count();
+  const auto draw_then_refill = [&](int workers) {
+    pool.set_worker_count(workers);
+    auto app = glport::make_gl_port(GetParam());
+    if (!app->init(32, 32, 2).is_ok()) return Image();
+    auto buffer = app->create_shared_buffer(16, 16);
+    if (!buffer.is_ok()) return Image();
+    const auto fill = [&](std::uint32_t color) {
+      auto cpu = app->lock_buffer(*buffer);
+      if (!cpu.is_ok()) return false;
+      for (int y = 0; y < cpu->height; ++y) {
+        std::fill_n(cpu->pixels + static_cast<std::size_t>(y) * cpu->stride_px,
+                    cpu->width, color);
+      }
+      return app->unlock_buffer(*buffer).is_ok();
+    };
+    const glport::GLuint sampled = app->gen_texture();
+    const glport::GLuint program = app->build_program(kVs, kFs);
+    if (program == 0 || !fill(kRed) ||
+        !app->bind_buffer_to_texture(*buffer, sampled).is_ok()) {
+      return Image();
+    }
+    app->begin_frame();
+    app->use_program(program);
+    app->uniform_matrix(app->uniform_location(program, "u_mvp"),
+                        Mat4::identity());
+    app->uniform1i(app->uniform_location(program, "u_tex"), 0);
+    app->bind_texture(sampled);
+    app->enable_vertex_attrib(0);
+    app->enable_vertex_attrib(2);
+    const float quad[] = {-1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1};
+    const float uv[] = {0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1};
+    app->vertex_attrib_pointer(0, 2, quad);
+    app->vertex_attrib_pointer(2, 2, uv);
+    app->draw_arrays(glcore::GL_TRIANGLES, 0, 6);
+    if (!fill(kBlue) || !app->present().is_ok()) return Image();
+    return app->screen();
+  };
+  for (const int workers : {1, 4}) {
+    const Image screen = draw_then_refill(workers);
+    EXPECT_FALSE(screen.empty()) << workers << " worker(s)";
+    if (screen.empty()) continue;
+    EXPECT_EQ(Image::diff_count(screen, Image(32, 32, kRed)), 0u)
+        << workers << " worker(s): centre pixel " << std::hex
+        << screen.at(16, 16) << " (blue is " << kBlue << ")";
+  }
+  pool.set_worker_count(saved_workers);
 }
 
 TEST_P(ConfigTest, BrowserAcidScoreIs100) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 namespace cycada::gpu {
@@ -184,12 +185,98 @@ TEST_F(GpuTest, DestroyedResourcesAreInvalid) {
   const auto texture = dev().create_texture();
   const auto target = dev().create_target(2, 2, false);
   EXPECT_TRUE(dev().texture_valid(texture));
-  EXPECT_TRUE(dev().target_valid(target));
+  EXPECT_TRUE(dev().target_view(target).is_ok());
   ASSERT_TRUE(dev().destroy_texture(texture).is_ok());
   ASSERT_TRUE(dev().destroy_target(target).is_ok());
   EXPECT_FALSE(dev().texture_valid(texture));
-  EXPECT_FALSE(dev().target_valid(target));
+  EXPECT_FALSE(dev().target_view(target).is_ok());
   EXPECT_FALSE(dev().destroy_texture(texture).is_ok());
+}
+
+// GL order across texture writes: a draw recorded before a write to its
+// texture samples the texture as it was, and one recorded after samples the
+// write, whether the write uploads, redefines, rebinds to external memory
+// or destroys. Each draw is checked against the serial façade.
+TEST_F(GpuTest, RecordedDrawsSampleTexturesInGlOrder) {
+  constexpr int kSize = 16;
+  const Color white{1.f, 1.f, 1.f, 1.f};
+  const std::vector<ShadedVertex> quad = {
+      vtx(-1, 1, 0, white, {0.f, 0.f}), vtx(1, 1, 0, white, {1.f, 0.f}),
+      vtx(1, -1, 0, white, {1.f, 1.f}), vtx(-1, 1, 0, white, {0.f, 0.f}),
+      vtx(1, -1, 0, white, {1.f, 1.f}), vtx(-1, -1, 0, white, {0.f, 1.f})};
+  RasterState state;
+  state.tex_env = TexEnv::kReplace;
+  const std::vector<std::uint32_t> before = {0xff0000ffu, 0xff00ff00u,
+                                             0xffff0000u, 0xff00ffffu};
+  // 3x2 texels at a row pitch of 4.
+  std::vector<std::uint32_t> after = {0xffffff00u, 0xffff00ffu, 0xff808080u,
+                                      0u,          0xff404040u, 0xffc0c0c0u,
+                                      0xff102030u, 0u};
+  const auto facade = [&](TextureView texture) {
+    std::vector<std::uint32_t> color(kSize * kSize, 0xff000000u);
+    Rasterizer().draw(TargetView{color.data(), nullptr, kSize, kSize, kSize},
+                      state, PrimitiveKind::kTriangles, quad, texture);
+    return color;
+  };
+  struct Case {
+    const char* write;
+    std::function<Status(TextureHandle)> apply;
+    TextureView result;  // what a draw recorded after the write samples
+  };
+  const Case cases[] = {
+      {"upload_texture",
+       [&](TextureHandle t) {
+         return dev().upload_texture(t, 0, 0, 2, 2, after.data(), 4);
+       },
+       TextureView{after.data(), 2, 2, 4}},
+      {"define_texture + upload_texture",
+       [&](TextureHandle t) {
+         if (Status s = dev().define_texture(t, 3, 2); !s.is_ok()) return s;
+         return dev().upload_texture(t, 0, 0, 3, 2, after.data(), 4);
+       },
+       TextureView{after.data(), 3, 2, 4}},
+      {"bind_texture_external",
+       [&](TextureHandle t) {
+         return dev().bind_texture_external(t, after.data(), 3, 2, 4);
+       },
+       TextureView{after.data(), 3, 2, 4}},
+      {"destroy_texture",
+       [&](TextureHandle t) { return dev().destroy_texture(t); },
+       TextureView{}},
+  };
+  // Draw A, the write, draw B, then read both back.
+  const auto run = [&](const Case& c, int workers) {
+    dev().reset();
+    const auto texture = dev().create_texture();
+    ASSERT_TRUE(dev().define_texture(texture, 2, 2).is_ok());
+    ASSERT_TRUE(
+        dev().upload_texture(texture, 0, 0, 2, 2, before.data(), 2).is_ok());
+    state.texture = texture;
+    const auto target_a = dev().create_target(kSize, kSize, false);
+    const auto target_b = dev().create_target(kSize, kSize, false);
+    dev().submit_draw(target_a, state, PrimitiveKind::kTriangles, quad);
+    ASSERT_TRUE(c.apply(texture).is_ok()) << c.write;
+    dev().submit_draw(target_b, state, PrimitiveKind::kTriangles, quad);
+    std::vector<std::uint32_t> a(kSize * kSize), b(kSize * kSize);
+    ASSERT_TRUE(
+        dev().read_pixels(target_a, 0, 0, kSize, kSize, a.data(), kSize)
+            .is_ok());
+    ASSERT_TRUE(
+        dev().read_pixels(target_b, 0, 0, kSize, kSize, b.data(), kSize)
+            .is_ok());
+    EXPECT_EQ(a, facade(TextureView{before.data(), 2, 2, 2}))
+        << "draw recorded before " << c.write << " at " << workers
+        << " worker(s)";
+    EXPECT_EQ(b, facade(c.result)) << "draw recorded after " << c.write
+                                   << " at " << workers << " worker(s)";
+  };
+  TileWorkerPool& pool = TileWorkerPool::instance();
+  const int saved_workers = pool.worker_count();
+  for (const int workers : {1, 4}) {
+    pool.set_worker_count(workers);
+    for (const Case& c : cases) run(c, workers);
+  }
+  pool.set_worker_count(saved_workers);
 }
 
 TEST_F(GpuTest, PerspectiveDivideHalvesFarGeometry) {

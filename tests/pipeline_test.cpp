@@ -201,10 +201,10 @@ TEST_F(PipelineTest, StalledFrameOnOneDeviceDoesNotHoldAnothersFrame) {
   b.submit_clear(tb, std::nullopt, true, red, false, 1.f);
   const FenceHandle fb = b.submit_fence();
   b.submit_frame();
-  EXPECT_TRUE(b.wait_fence_for(fb, 200));
+  EXPECT_TRUE(b.wait_fence(fb, 200));
   EXPECT_FALSE(a.fence_signaled(fa)) << "b's frame waited for a's to retire";
 
-  a.finish();
+  a.flush();
   EXPECT_TRUE(a.fence_signaled(fa));
 }
 
@@ -253,7 +253,7 @@ TEST_F(PipelineTest, FramebufferFeedbackForcesSerialPhase) {
       vtx(-1, -1, 0, white), vtx(1, 1, 0, white),  vtx(-1, 1, 0, white)};
   dev().submit_draw(target, state, PrimitiveKind::kTriangles, std::move(quad));
   dev().submit_frame();
-  dev().finish();
+  dev().flush();
   EXPECT_GT(metrics.counter("pipeline.feedback_serialized").value(),
             feedback_before);
 }

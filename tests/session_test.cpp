@@ -340,7 +340,7 @@ TEST_F(SessionTest, StalledTilePhaseDegradesOnlyItsOwnSession) {
       device.submit_draw(target, gpu::RasterState{},
                          gpu::PrimitiveKind::kTriangles, {a, b, c});
       device.submit_frame();
-      device.finish();
+      device.flush();
     };
 
     // A 0-ppm trigger counts traversals without firing. Filtered to this

@@ -163,11 +163,9 @@ bool chaos_lifetime(std::string_view test) {
 std::string rung_text() {
   util::Watchdog& watchdog = util::Watchdog::instance();
   char text[48];
-  std::snprintf(text, sizeof text, "[g=%d p=%d e=%d c=%d]",
+  std::snprintf(text, sizeof text, "[g=%d e=%d]",
                 watchdog.rung(util::WatchdogDomain::kGpuPhase),
-                watchdog.rung(util::WatchdogDomain::kPresent),
-                watchdog.rung(util::WatchdogDomain::kEgl),
-                watchdog.rung(util::WatchdogDomain::kCompositor));
+                watchdog.rung(util::WatchdogDomain::kEgl));
   return text;
 }
 
