@@ -162,7 +162,10 @@ echo "    egl.create_surface stalled ${surface_stalls} time(s)"
 
 # --- TSan leg over the lock-free and fault-injection suites ------------------
 # GpuTest is here because a texture write settles recorded draws on the
-# writing thread while pool workers run other devices' phases.
+# writing thread while pool workers run other devices' phases. The app
+# suites (ConfigTest, CrossConfigTest, UiWrapperTest, CycadaIosPresentTest)
+# are here because every present, Cycada iOS's included, now returns while
+# pool workers still raster its frame, and the app thread records the next.
 if [[ "${CYCADA_SKIP_TSAN:-0}" == "1" ]]; then
   echo "ci.sh: OK (TSan skipped)"
   exit 0
@@ -170,6 +173,6 @@ fi
 run cmake -B build-tsan -S . -DCYCADA_TSAN=ON
 run cmake --build build-tsan -j
 (cd build-tsan && run ctest --output-on-failure -j "$(nproc)" \
-  -R 'DispatchTest|Robustness|LinkerTest|PipelineTest|SessionTest|TraceTest|TraceReplayTest|GpuTest')
+  -R 'DispatchTest|Robustness|LinkerTest|PipelineTest|SessionTest|TraceTest|TraceReplayTest|GpuTest|ConfigTest|CrossConfigTest|UiWrapperTest|CycadaIosPresentTest')
 
 echo "ci.sh: OK"

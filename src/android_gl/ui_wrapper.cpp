@@ -1,9 +1,9 @@
 #include "android_gl/ui_wrapper.h"
 
 #include <cstring>
+#include <iterator>
 
 #include "android_gl/vendor.h"
-#include "gpu/device.h"
 #include "kernel/kernel.h"
 #include "kernel/libc.h"
 #include "util/faultpoint.h"
@@ -11,8 +11,6 @@
 namespace cycada::android_gl {
 
 namespace {
-gpu::GpuDevice& device() { return gpu::GpuDevice::instance(); }
-
 constexpr char kPresentVs[] =
     "attribute vec4 a_position; attribute vec2 a_texcoord;"
     "uniform mat4 u_mvp; varying vec2 v_uv;"
@@ -20,6 +18,106 @@ constexpr char kPresentVs[] =
 constexpr char kPresentFs[] =
     "uniform sampler2D u_tex; varying vec2 v_uv;"
     "void main() { gl_FragColor = texture2D(u_tex, v_uv); }";
+
+// The capabilities that would change what the present quad writes.
+constexpr glcore::GLenum kPresentCaps[] = {
+    glcore::GL_BLEND, glcore::GL_DEPTH_TEST, glcore::GL_CULL_FACE,
+    glcore::GL_SCISSOR_TEST};
+// The present program's inputs: a_position and a_texcoord.
+constexpr glcore::GLuint kPresentAttribs[] = {0, 2};
+
+// The app's GL state that the present pass changes, read back through GL
+// queries, as a bridge layered over a vendor GLES library has to.
+struct SavedGlState {
+  struct Attrib {
+    glcore::GLint enabled = 0;
+    glcore::GLint size = 4;
+    glcore::GLint type = 0;
+    glcore::GLint normalized = 0;
+    glcore::GLint stride = 0;
+    glcore::GLint buffer = 0;
+    void* pointer = nullptr;
+  };
+
+  glcore::GLboolean caps[std::size(kPresentCaps)] = {};
+  glcore::GLboolean color_mask[4] = {};
+  glcore::GLint framebuffer = 0;
+  glcore::GLint active_texture = 0;
+  glcore::GLint texture = 0;  // unit 0's 2D binding
+  glcore::GLint program = 0;
+  glcore::GLint array_buffer = 0;
+  glcore::GLint viewport[4] = {};
+  Attrib attribs[std::size(kPresentAttribs)];
+
+  static SavedGlState save(glcore::GlesEngine& gl) {
+    using namespace glcore;
+    SavedGlState saved;
+    for (std::size_t i = 0; i < std::size(kPresentCaps); ++i) {
+      saved.caps[i] = gl.glIsEnabled(kPresentCaps[i]);
+    }
+    gl.glGetBooleanv(GL_COLOR_WRITEMASK, saved.color_mask);
+    gl.glGetIntegerv(GL_FRAMEBUFFER_BINDING, &saved.framebuffer);
+    gl.glGetIntegerv(GL_ACTIVE_TEXTURE, &saved.active_texture);
+    gl.glActiveTexture(GL_TEXTURE0);
+    gl.glGetIntegerv(GL_TEXTURE_BINDING_2D, &saved.texture);
+    gl.glActiveTexture(static_cast<GLenum>(saved.active_texture));
+    gl.glGetIntegerv(GL_CURRENT_PROGRAM, &saved.program);
+    gl.glGetIntegerv(GL_ARRAY_BUFFER_BINDING, &saved.array_buffer);
+    gl.glGetIntegerv(GL_VIEWPORT, saved.viewport);
+    for (std::size_t i = 0; i < std::size(kPresentAttribs); ++i) {
+      const GLuint index = kPresentAttribs[i];
+      Attrib& attrib = saved.attribs[i];
+      gl.glGetVertexAttribiv(index, GL_VERTEX_ATTRIB_ARRAY_ENABLED,
+                             &attrib.enabled);
+      gl.glGetVertexAttribiv(index, GL_VERTEX_ATTRIB_ARRAY_SIZE, &attrib.size);
+      gl.glGetVertexAttribiv(index, GL_VERTEX_ATTRIB_ARRAY_TYPE, &attrib.type);
+      gl.glGetVertexAttribiv(index, GL_VERTEX_ATTRIB_ARRAY_NORMALIZED,
+                             &attrib.normalized);
+      gl.glGetVertexAttribiv(index, GL_VERTEX_ATTRIB_ARRAY_STRIDE,
+                             &attrib.stride);
+      gl.glGetVertexAttribiv(index, GL_VERTEX_ATTRIB_ARRAY_BUFFER_BINDING,
+                             &attrib.buffer);
+      gl.glGetVertexAttribPointerv(index, GL_VERTEX_ATTRIB_ARRAY_POINTER,
+                                   &attrib.pointer);
+    }
+    return saved;
+  }
+
+  void restore(glcore::GlesEngine& gl) const {
+    using namespace glcore;
+    for (std::size_t i = 0; i < std::size(kPresentAttribs); ++i) {
+      const GLuint index = kPresentAttribs[i];
+      const Attrib& attrib = attribs[i];
+      // The pointer is an offset into the buffer that was bound with it.
+      gl.glBindBuffer(GL_ARRAY_BUFFER, static_cast<GLuint>(attrib.buffer));
+      gl.glVertexAttribPointer(index, attrib.size,
+                               static_cast<GLenum>(attrib.type),
+                               static_cast<GLboolean>(attrib.normalized),
+                               attrib.stride, attrib.pointer);
+      if (attrib.enabled != 0) {
+        gl.glEnableVertexAttribArray(index);
+      } else {
+        gl.glDisableVertexAttribArray(index);
+      }
+    }
+    gl.glBindBuffer(GL_ARRAY_BUFFER, static_cast<GLuint>(array_buffer));
+    gl.glUseProgram(static_cast<GLuint>(program));
+    gl.glActiveTexture(GL_TEXTURE0);
+    gl.glBindTexture(GL_TEXTURE_2D, static_cast<GLuint>(texture));
+    gl.glActiveTexture(static_cast<GLenum>(active_texture));
+    gl.glBindFramebuffer(GL_FRAMEBUFFER, static_cast<GLuint>(framebuffer));
+    gl.glViewport(viewport[0], viewport[1], viewport[2], viewport[3]);
+    gl.glColorMask(color_mask[0], color_mask[1], color_mask[2],
+                   color_mask[3]);
+    for (std::size_t i = 0; i < std::size(kPresentCaps); ++i) {
+      if (caps[i] != GL_FALSE) {
+        gl.glEnable(kPresentCaps[i]);
+      } else {
+        gl.glDisable(kPresentCaps[i]);
+      }
+    }
+  }
+};
 }  // namespace
 
 bool android_thread_affinity_ok(kernel::Tid creator) {
@@ -193,17 +291,18 @@ Status UiWrapper::draw_fbo_tex(gmem::BufferId content) {
   // Tegra library does); the program objects are private to this replica.
   CYCADA_RETURN_IF_ERROR(ensure_present_program());
 
-  // Save the caller-visible state this pass clobbers.
-  glcore::GLint saved_fbo = 0;
-  gl.glGetIntegerv(glcore::GL_FRAMEBUFFER_BINDING, &saved_fbo);
-  glcore::GLint saved_texture = 0;
-  gl.glGetIntegerv(glcore::GL_TEXTURE_BINDING_2D, &saved_texture);
-  glcore::GLint saved_viewport[4] = {0, 0, 0, 0};
-  gl.glGetIntegerv(glcore::GL_VIEWPORT, saved_viewport);
+  // The quad runs in a known raster state: no blend, depth test, culling
+  // or scissor, all colour channels written. Everything it changes is put
+  // back afterwards.
+  const SavedGlState saved = SavedGlState::save(gl);
+  for (const glcore::GLenum cap : kPresentCaps) gl.glDisable(cap);
+  gl.glColorMask(glcore::GL_TRUE, glcore::GL_TRUE, glcore::GL_TRUE,
+                 glcore::GL_TRUE);
 
   // Bind the content buffer's memory as a texture via an EGLImage, exactly
   // like the real zero-copy path.
   gl.glBindFramebuffer(glcore::GL_FRAMEBUFFER, 0);
+  gl.glActiveTexture(glcore::GL_TEXTURE0);
   gl.glBindTexture(glcore::GL_TEXTURE_2D, present_texture_);
   if (present_image_ == nullptr || present_image_buffer_ != content) {
     present_image_ = std::make_unique<glcore::EglImage>();
@@ -219,29 +318,20 @@ Status UiWrapper::draw_fbo_tex(gmem::BufferId content) {
   gl.glUniform1i(2, 0);
   gl.glViewport(0, 0, layer_->width(), layer_->height());
   // Fullscreen quad; uv(0,0) lands on the top-left pixel (row 0 is top in
-  // this codebase, so no vertical flip is required).
+  // this codebase, so no vertical flip is required). Client-side arrays,
+  // so no array buffer may be bound.
   const float positions[] = {-1, 1, 1, 1, 1, -1, -1, 1, 1, -1, -1, -1};
   const float uvs[] = {0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1};
+  gl.glBindBuffer(glcore::GL_ARRAY_BUFFER, 0);
   gl.glEnableVertexAttribArray(0);
   gl.glEnableVertexAttribArray(2);
   gl.glVertexAttribPointer(0, 2, glcore::GL_FLOAT, glcore::GL_FALSE, 0,
                            positions);
   gl.glVertexAttribPointer(2, 2, glcore::GL_FLOAT, glcore::GL_FALSE, 0, uvs);
   gl.glDrawArrays(glcore::GL_TRIANGLES, 0, 6);
-
-  // Restore caller state.
-  gl.glDisableVertexAttribArray(0);
-  gl.glDisableVertexAttribArray(2);
-  gl.glUseProgram(0);
-  gl.glBindTexture(glcore::GL_TEXTURE_2D,
-                   static_cast<glcore::GLuint>(saved_texture));
-  gl.glBindFramebuffer(glcore::GL_FRAMEBUFFER,
-                       static_cast<glcore::GLuint>(saved_fbo));
-  gl.glViewport(saved_viewport[0], saved_viewport[1], saved_viewport[2],
-                saved_viewport[3]);
-  // Kick the present pass to the device now (drivers submit the blit with
-  // the present request, not lazily), so its cost is attributable here.
-  device().flush();
+  // The quad is recorded into the frame that swap_buffers() fences and
+  // submits; nothing here waits for raster.
+  saved.restore(gl);
   return Status::ok();
 }
 

@@ -57,12 +57,15 @@ class UiWrapper : public linker::LibraryInstance {
   // (the storage behind EAGL renderbufferStorageFromDrawable).
   Status bind_renderbuffer(glcore::GLuint rb, gmem::BufferId buffer);
 
-  // The EAGL present path, part 1 (paper §5): renders `content`'s pixels
-  // into the default framebuffer with a textured quad. GL state it touches
-  // is saved and restored around the draw.
+  // The EAGL present path, part 1 (paper §5): records a textured quad that
+  // draws `content`'s pixels into the default framebuffer. The quad runs
+  // with blend, depth test, culling and scissor off and every colour
+  // channel written; the app state it changes is read back through GL
+  // queries first and restored after. Nothing here waits for raster.
   Status draw_fbo_tex(gmem::BufferId content);
-  // Part 2: the eglSwapBuffers step — the layer's swap, which flips its
-  // buffers and re-points the default framebuffer.
+  // Part 2: the eglSwapBuffers step — the layer's swap, which fences and
+  // submits the frame (the quad included), flips its buffers and re-points
+  // the default framebuffer.
   Status swap_buffers();
 
   // Copies a texture's texels into a GraphicBuffer (CPU path; the other

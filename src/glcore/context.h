@@ -150,6 +150,10 @@ struct GlContext {
   bool cap_scissor = false;
   bool cap_cull = false;
   bool cap_texture_2d = false;  // GLES1 fixed-function texturing switch
+  // Accepted and reported by glIsEnabled, not modeled by the pipeline.
+  bool cap_lighting = false;
+  bool cap_alpha_test = false;
+  bool cap_stencil_test = false;
   GLenum depth_func = GL_LESS;
   bool depth_mask = true;
   GLenum blend_src = GL_ONE;

@@ -192,38 +192,55 @@ void GlesEngine::glClearDepthf(GLclampf depth) {
   if (GlContext* ctx = require_context()) ctx->clear_depth = clamp01(depth);
 }
 
+namespace {
+
+// The context's switch for a glEnable capability; nullptr when `cap` is
+// not one.
+bool* capability(GlContext& ctx, GLenum cap) {
+  switch (cap) {
+    case GL_DEPTH_TEST: return &ctx.cap_depth_test;
+    case GL_BLEND: return &ctx.cap_blend;
+    case GL_SCISSOR_TEST: return &ctx.cap_scissor;
+    case GL_CULL_FACE: return &ctx.cap_cull;
+    case GL_TEXTURE_2D: return &ctx.cap_texture_2d;
+    case GL_LIGHTING: return &ctx.cap_lighting;
+    case GL_ALPHA_TEST: return &ctx.cap_alpha_test;
+    case GL_STENCIL_TEST: return &ctx.cap_stencil_test;
+    default: return nullptr;
+  }
+}
+
+}  // namespace
+
 void GlesEngine::glEnable(GLenum cap) {
   GlContext* ctx = require_context();
   if (ctx == nullptr) return;
-  switch (cap) {
-    case GL_DEPTH_TEST: ctx->cap_depth_test = true; break;
-    case GL_BLEND: ctx->cap_blend = true; break;
-    case GL_SCISSOR_TEST: ctx->cap_scissor = true; break;
-    case GL_CULL_FACE: ctx->cap_cull = true; break;
-    case GL_TEXTURE_2D: ctx->cap_texture_2d = true; break;
-    case GL_LIGHTING:
-    case GL_ALPHA_TEST:
-    case GL_STENCIL_TEST:
-      break;  // accepted, not modeled by the software pipeline
-    default: record_error(GL_INVALID_ENUM); break;
+  if (bool* enabled = capability(*ctx, cap)) {
+    *enabled = true;
+  } else {
+    record_error(GL_INVALID_ENUM);
   }
 }
 
 void GlesEngine::glDisable(GLenum cap) {
   GlContext* ctx = require_context();
   if (ctx == nullptr) return;
-  switch (cap) {
-    case GL_DEPTH_TEST: ctx->cap_depth_test = false; break;
-    case GL_BLEND: ctx->cap_blend = false; break;
-    case GL_SCISSOR_TEST: ctx->cap_scissor = false; break;
-    case GL_CULL_FACE: ctx->cap_cull = false; break;
-    case GL_TEXTURE_2D: ctx->cap_texture_2d = false; break;
-    case GL_LIGHTING:
-    case GL_ALPHA_TEST:
-    case GL_STENCIL_TEST:
-      break;
-    default: record_error(GL_INVALID_ENUM); break;
+  if (bool* enabled = capability(*ctx, cap)) {
+    *enabled = false;
+  } else {
+    record_error(GL_INVALID_ENUM);
   }
+}
+
+GLboolean GlesEngine::glIsEnabled(GLenum cap) {
+  GlContext* ctx = require_context();
+  if (ctx == nullptr) return GL_FALSE;
+  const bool* enabled = capability(*ctx, cap);
+  if (enabled == nullptr) {
+    record_error(GL_INVALID_ENUM);
+    return GL_FALSE;
+  }
+  return *enabled ? GL_TRUE : GL_FALSE;
 }
 
 void GlesEngine::glBlendFunc(GLenum sfactor, GLenum dfactor) {
@@ -296,8 +313,11 @@ void GlesEngine::glScissor(GLint x, GLint y, GLsizei width, GLsizei height) {
   ctx->scissor = gpu::ScissorRect{x, y, width, height};
 }
 
+// GL asks a flush only to submit: the recorded commands go to the device
+// as one frame, asynchronously when the tile pool can overlap it. A finish
+// waits until they have executed.
 void GlesEngine::glFlush() {
-  if (require_context() != nullptr) device().flush();
+  if (require_context() != nullptr) device().submit_frame();
 }
 
 void GlesEngine::glFinish() {
@@ -348,6 +368,15 @@ void GlesEngine::glGetIntegerv(GLenum pname, GLint* params) {
       break;
     case GL_TEXTURE_BINDING_2D:
       *params = static_cast<GLint>(ctx->bound_texture[ctx->active_texture_unit]);
+      break;
+    case GL_ACTIVE_TEXTURE:
+      *params = static_cast<GLint>(GL_TEXTURE0) + ctx->active_texture_unit;
+      break;
+    case GL_ARRAY_BUFFER_BINDING:
+      *params = static_cast<GLint>(ctx->bound_array_buffer);
+      break;
+    case GL_CURRENT_PROGRAM:
+      *params = static_cast<GLint>(ctx->current_program);
       break;
     case GL_MATRIX_MODE:
       *params = static_cast<GLint>(ctx->matrix_mode);
@@ -1288,6 +1317,46 @@ void GlesEngine::glVertexAttrib4f(GLuint index, GLfloat x, GLfloat y,
     return;
   }
   ctx->attribs[index].constant = Vec4{x, y, z, w};
+}
+
+void GlesEngine::glGetVertexAttribiv(GLuint index, GLenum pname,
+                                     GLint* params) {
+  GlContext* ctx = require_context();
+  if (ctx == nullptr || params == nullptr) return;
+  if (index >= kMaxVertexAttribs) {
+    record_error(GL_INVALID_VALUE);
+    return;
+  }
+  const VertexAttrib& attrib = ctx->attribs[index];
+  switch (pname) {
+    case GL_VERTEX_ATTRIB_ARRAY_ENABLED: *params = attrib.enabled; break;
+    case GL_VERTEX_ATTRIB_ARRAY_SIZE: *params = attrib.size; break;
+    case GL_VERTEX_ATTRIB_ARRAY_STRIDE: *params = attrib.stride; break;
+    case GL_VERTEX_ATTRIB_ARRAY_TYPE:
+      *params = static_cast<GLint>(attrib.type);
+      break;
+    case GL_VERTEX_ATTRIB_ARRAY_NORMALIZED: *params = attrib.normalized; break;
+    case GL_VERTEX_ATTRIB_ARRAY_BUFFER_BINDING:
+      *params = static_cast<GLint>(attrib.buffer);
+      break;
+    default: record_error(GL_INVALID_ENUM); break;
+  }
+}
+
+void GlesEngine::glGetVertexAttribPointerv(GLuint index, GLenum pname,
+                                           void** pointer) {
+  GlContext* ctx = require_context();
+  if (ctx == nullptr || pointer == nullptr) return;
+  if (index >= kMaxVertexAttribs) {
+    record_error(GL_INVALID_VALUE);
+    return;
+  }
+  if (pname != GL_VERTEX_ATTRIB_ARRAY_POINTER) {
+    record_error(GL_INVALID_ENUM);
+    return;
+  }
+  // An offset into the array buffer when one was bound at specification.
+  *pointer = const_cast<void*>(ctx->attribs[index].pointer);
 }
 
 // --- GLES1 fixed function -------------------------------------------------------

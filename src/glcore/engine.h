@@ -88,6 +88,8 @@ class GlesEngine {
   void glFinish();
   GLenum glGetError();
   const GLubyte* glGetString(GLenum name);
+  GLboolean glIsEnabled(GLenum cap);
+  void glGetBooleanv(GLenum pname, GLboolean* params);
   void glGetIntegerv(GLenum pname, GLint* params);
   void glGetFloatv(GLenum pname, GLfloat* params);
   void glColorMask(GLboolean r, GLboolean g, GLboolean b, GLboolean a);
@@ -198,6 +200,8 @@ class GlesEngine {
                              const void* pointer);
   void glVertexAttrib4f(GLuint index, GLfloat x, GLfloat y, GLfloat z,
                         GLfloat w);
+  void glGetVertexAttribiv(GLuint index, GLenum pname, GLint* params);
+  void glGetVertexAttribPointerv(GLuint index, GLenum pname, void** pointer);
 
   // Draws.
   void glDrawArrays(GLenum mode, GLint first, GLsizei count);

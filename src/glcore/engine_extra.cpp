@@ -45,6 +45,25 @@ void GlesEngine::glGetFloatv(GLenum pname, GLfloat* params) {
   }
 }
 
+void GlesEngine::glGetBooleanv(GLenum pname, GLboolean* params) {
+  GlContext* ctx = require_context();
+  if (ctx == nullptr || params == nullptr) return;
+  switch (pname) {
+    case GL_COLOR_WRITEMASK:
+      for (int i = 0; i < 4; ++i) {
+        params[i] = ctx->color_mask[i] ? GL_TRUE : GL_FALSE;
+      }
+      break;
+    case GL_DEPTH_WRITEMASK:
+      *params = ctx->depth_mask ? GL_TRUE : GL_FALSE;
+      break;
+    default:
+      // Every capability is also a boolean state value.
+      *params = glIsEnabled(pname);
+      break;
+  }
+}
+
 void GlesEngine::glColorMask(GLboolean r, GLboolean g, GLboolean b,
                              GLboolean a) {
   if (GlContext* ctx = require_context()) {

@@ -165,11 +165,15 @@ inline constexpr GLenum GL_MAX_VERTEX_ATTRIBS = 0x8869;
 inline constexpr GLenum GL_FRAMEBUFFER_BINDING = 0x8CA6;
 inline constexpr GLenum GL_RENDERBUFFER_BINDING = 0x8CA7;
 inline constexpr GLenum GL_TEXTURE_BINDING_2D = 0x8069;
+inline constexpr GLenum GL_ACTIVE_TEXTURE = 0x84E0;
+inline constexpr GLenum GL_ARRAY_BUFFER_BINDING = 0x8894;
+inline constexpr GLenum GL_CURRENT_PROGRAM = 0x8B8D;
 inline constexpr GLenum GL_VIEWPORT = 0x0BA2;
 inline constexpr GLenum GL_COLOR_CLEAR_VALUE = 0x0C22;
 inline constexpr GLenum GL_LINE_WIDTH = 0x0B21;
 inline constexpr GLenum GL_DEPTH_RANGE = 0x0B70;
 inline constexpr GLenum GL_COLOR_WRITEMASK = 0x0C23;
+inline constexpr GLenum GL_DEPTH_WRITEMASK = 0x0B72;
 inline constexpr GLenum GL_FRONT_FACE = 0x0B46;
 inline constexpr GLenum GL_MODELVIEW_MATRIX = 0x0BA6;
 inline constexpr GLenum GL_PROJECTION_MATRIX = 0x0BA7;
@@ -181,6 +185,15 @@ inline constexpr GLenum GL_NICEST = 0x1102;
 inline constexpr GLenum GL_DONT_CARE = 0x1100;
 inline constexpr GLenum GL_GENERATE_MIPMAP_HINT = 0x8192;
 inline constexpr GLenum GL_MATRIX_MODE = 0x0BA0;
+
+// glGetVertexAttribiv / glGetVertexAttribPointerv queries
+inline constexpr GLenum GL_VERTEX_ATTRIB_ARRAY_ENABLED = 0x8622;
+inline constexpr GLenum GL_VERTEX_ATTRIB_ARRAY_SIZE = 0x8623;
+inline constexpr GLenum GL_VERTEX_ATTRIB_ARRAY_STRIDE = 0x8624;
+inline constexpr GLenum GL_VERTEX_ATTRIB_ARRAY_TYPE = 0x8625;
+inline constexpr GLenum GL_VERTEX_ATTRIB_ARRAY_NORMALIZED = 0x886A;
+inline constexpr GLenum GL_VERTEX_ATTRIB_ARRAY_BUFFER_BINDING = 0x889F;
+inline constexpr GLenum GL_VERTEX_ATTRIB_ARRAY_POINTER = 0x8645;
 
 // GLES1 matrix modes
 inline constexpr GLenum GL_MODELVIEW = 0x1700;

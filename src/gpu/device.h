@@ -105,12 +105,13 @@ class GpuDevice {
   // Closes the recording queue as one frame and executes it — async on the
   // tile worker pool when it has >= 2 workers (one frame per device in
   // flight; a second submit waits for the first to retire), inline
-  // otherwise. The present path calls this instead of flush(); pair it with
-  // submit_fence() to learn when the frame's buffers are safe to read.
+  // otherwise. The swap (both present paths) and glFlush call this; pair
+  // it with submit_fence() to learn when the frame's buffers are safe to
+  // read.
   void submit_frame();
 
   // Waits for any in-flight frame and executes all queued commands: the
-  // device is idle on return (glFlush and glFinish alike).
+  // device is idle on return (glFinish).
   void flush();
 
   // Reads back pixels. `out_stride_px` is the row pitch of `out`.
@@ -123,11 +124,12 @@ class GpuDevice {
   std::size_t pending_commands() const;
 
   // Driver kick batching: once this many commands are queued, submission
-  // triggers execution of the batch (as real drivers kick command buffers),
-  // so heavy rendering cost attributes to the submitting call rather than
-  // accumulating entirely in glFlush/present. When the pool is async-capable
-  // and this device has no frame in flight, the kick dispatches the partial
-  // batch asynchronously instead.
+  // kicks the batch, as a GPU's command buffers are kicked. When the pool
+  // is async-capable and this device has no frame in flight, the kick
+  // dispatches the partial batch to the pool, so raster of a long frame
+  // starts while the app still records it; with a frame in flight the
+  // queue keeps growing until the swap or glFlush submits it. With one
+  // worker the kick executes the batch on the recording thread.
   static constexpr std::size_t kKickBatchSize = 8;
 
  private:

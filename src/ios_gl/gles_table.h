@@ -1,5 +1,5 @@
 // The callable iOS OpenGL ES surface: one row per entry point an iOS app can
-// call, 113 of the 344 names of Table 2's universe. gles.h declares every
+// call, 115 of the 344 names of Table 2's universe. gles.h declares every
 // row, gles.cpp generates the body of every forwarding row, and
 // ios_gl::dispatch_sites() lists the rows for the classification check
 // (docs/ANALYZER.md).
@@ -45,6 +45,9 @@ GLES_FORWARD(void, glFinish, (), glFinish, ())
 GLES_FORWARD(GLenum, glGetError, (), glGetError, ())
 // Data-dependent: understands Apple's non-standard parameter name.
 GLES_CUSTOM(const GLubyte*, glGetString, (GLenum name))
+GLES_FORWARD(GLboolean, glIsEnabled, (GLenum cap), glIsEnabled, (cap))
+GLES_FORWARD(void, glGetBooleanv, (GLenum pname, GLboolean* params),
+             glGetBooleanv, (pname, params))
 GLES_FORWARD(void, glGetIntegerv, (GLenum pname, GLint* params),
              glGetIntegerv, (pname, params))
 // Data-dependent: accepts the APPLE_row_bytes parameters.

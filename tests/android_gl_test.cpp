@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 
 #include "android_gl/surface_flinger.h"
@@ -305,6 +306,109 @@ TEST_F(UiWrapperTest, EaglStylePresentPath) {
   glcore::GLint bound = 0;
   gl.glGetIntegerv(glcore::GL_FRAMEBUFFER_BINDING, &bound);
   EXPECT_EQ(static_cast<glcore::GLuint>(bound), fbo);
+}
+
+// The present pass runs in a known raster state and puts back everything
+// it changes. The app leaves every state that would alter the quad
+// enabled (a blend to black, a depth test that rejects everything, culling
+// of the quad's winding, a one-pixel scissor, red masked off), plus its
+// own program, texture unit, array buffer and attribute arrays; the screen
+// still shows the drawable, and the app finds its state as it left it.
+TEST_F(UiWrapperTest, PresentPassRestoresAppState) {
+  using namespace glcore;
+  ASSERT_TRUE(wrapper_->initialize(2, 16, 16).is_ok());
+  GlesEngine& gl = *wrapper_->engine();
+  auto drawable = wrapper_->create_drawable_buffer(16, 16);
+  ASSERT_TRUE(drawable.is_ok());
+  GLuint fbo = 0, rbo = 0;
+  gl.glGenFramebuffers(1, &fbo);
+  gl.glGenRenderbuffers(1, &rbo);
+  gl.glBindRenderbuffer(GL_RENDERBUFFER, rbo);
+  ASSERT_TRUE(wrapper_->bind_renderbuffer(rbo, *drawable).is_ok());
+  gl.glBindFramebuffer(GL_FRAMEBUFFER, fbo);
+  gl.glFramebufferRenderbuffer(GL_FRAMEBUFFER, GL_COLOR_ATTACHMENT0,
+                               GL_RENDERBUFFER, rbo);
+  gl.glViewport(0, 0, 16, 16);
+  gl.glClearColor(1.f, 0.f, 1.f, 1.f);
+  gl.glClear(GL_COLOR_BUFFER_BIT);
+
+  const GLenum caps[] = {GL_BLEND, GL_DEPTH_TEST, GL_CULL_FACE,
+                         GL_SCISSOR_TEST};
+  for (const GLenum cap : caps) gl.glEnable(cap);
+  gl.glBlendFunc(GL_ZERO, GL_ZERO);
+  gl.glDepthFunc(GL_NEVER);
+  gl.glScissor(0, 0, 1, 1);
+  gl.glColorMask(GL_FALSE, GL_TRUE, GL_TRUE, GL_TRUE);
+  gl.glViewport(2, 3, 4, 5);
+  const GLuint program = gl.glCreateProgram();
+  gl.glUseProgram(program);
+  GLuint textures[2] = {};
+  gl.glGenTextures(2, textures);
+  gl.glBindTexture(GL_TEXTURE_2D, textures[0]);
+  gl.glActiveTexture(GL_TEXTURE0 + 1);
+  gl.glBindTexture(GL_TEXTURE_2D, textures[1]);
+  GLuint buffers[2] = {};
+  gl.glGenBuffers(2, buffers);
+  gl.glBindBuffer(GL_ARRAY_BUFFER, buffers[0]);
+  const auto* offset = reinterpret_cast<const void*>(std::uintptr_t{16});
+  gl.glVertexAttribPointer(0, 3, GL_FLOAT, GL_FALSE, 24, offset);
+  gl.glEnableVertexAttribArray(0);
+  gl.glBindBuffer(GL_ARRAY_BUFFER, buffers[1]);
+  static const float uvs[] = {0.f, 1.f};
+  gl.glBindBuffer(GL_ARRAY_BUFFER, 0);
+  gl.glVertexAttribPointer(2, 2, GL_FLOAT, GL_FALSE, 0, uvs);
+  gl.glBindBuffer(GL_ARRAY_BUFFER, buffers[1]);
+
+  ASSERT_TRUE(wrapper_->draw_fbo_tex(*drawable).is_ok());
+  ASSERT_TRUE(wrapper_->swap_buffers().is_ok());
+  const Image screen = wrapper_->layer()->front_image();
+  EXPECT_EQ(Image::diff_count(screen, Image(16, 16, 0xffff00ffu)), 0u)
+      << "pixel (8,8) is " << std::hex << screen.at(8, 8);
+
+  EXPECT_EQ(gl.glGetError(), GL_NO_ERROR);
+  for (const GLenum cap : caps) {
+    EXPECT_EQ(gl.glIsEnabled(cap), GL_TRUE) << std::hex << cap;
+  }
+  GLboolean mask[4] = {};
+  gl.glGetBooleanv(GL_COLOR_WRITEMASK, mask);
+  EXPECT_EQ(mask[0], GL_FALSE);
+  EXPECT_EQ(mask[1], GL_TRUE);
+  const auto integer = [&](GLenum pname) {
+    GLint value = 0;
+    gl.glGetIntegerv(pname, &value);
+    return value;
+  };
+  EXPECT_EQ(integer(GL_FRAMEBUFFER_BINDING), static_cast<GLint>(fbo));
+  EXPECT_EQ(integer(GL_CURRENT_PROGRAM), static_cast<GLint>(program));
+  EXPECT_EQ(integer(GL_ARRAY_BUFFER_BINDING), static_cast<GLint>(buffers[1]));
+  EXPECT_EQ(integer(GL_ACTIVE_TEXTURE), static_cast<GLint>(GL_TEXTURE0 + 1));
+  EXPECT_EQ(integer(GL_TEXTURE_BINDING_2D), static_cast<GLint>(textures[1]));
+  gl.glActiveTexture(GL_TEXTURE0);
+  EXPECT_EQ(integer(GL_TEXTURE_BINDING_2D), static_cast<GLint>(textures[0]));
+  GLint viewport[4] = {};
+  gl.glGetIntegerv(GL_VIEWPORT, viewport);
+  EXPECT_EQ(viewport[0], 2);
+  EXPECT_EQ(viewport[3], 5);
+
+  GLint enabled = 0, size = 0, stride = 0, buffer = 0;
+  void* pointer = nullptr;
+  gl.glGetVertexAttribiv(0, GL_VERTEX_ATTRIB_ARRAY_ENABLED, &enabled);
+  gl.glGetVertexAttribiv(0, GL_VERTEX_ATTRIB_ARRAY_SIZE, &size);
+  gl.glGetVertexAttribiv(0, GL_VERTEX_ATTRIB_ARRAY_STRIDE, &stride);
+  gl.glGetVertexAttribiv(0, GL_VERTEX_ATTRIB_ARRAY_BUFFER_BINDING, &buffer);
+  gl.glGetVertexAttribPointerv(0, GL_VERTEX_ATTRIB_ARRAY_POINTER, &pointer);
+  EXPECT_EQ(enabled, 1);
+  EXPECT_EQ(size, 3);
+  EXPECT_EQ(stride, 24);
+  EXPECT_EQ(buffer, static_cast<GLint>(buffers[0]));
+  EXPECT_EQ(pointer, offset);
+  gl.glGetVertexAttribiv(2, GL_VERTEX_ATTRIB_ARRAY_ENABLED, &enabled);
+  gl.glGetVertexAttribiv(2, GL_VERTEX_ATTRIB_ARRAY_BUFFER_BINDING, &buffer);
+  gl.glGetVertexAttribPointerv(2, GL_VERTEX_ATTRIB_ARRAY_POINTER, &pointer);
+  EXPECT_EQ(enabled, 0);
+  EXPECT_EQ(buffer, 0);
+  EXPECT_EQ(pointer, static_cast<const void*>(uvs));
+  EXPECT_EQ(gl.glGetError(), GL_NO_ERROR);
 }
 
 TEST_F(UiWrapperTest, MakeCurrentEnforcesAffinity) {

@@ -9,6 +9,7 @@
 #include "gmem/graphic_buffer.h"
 #include "gpu/pipeline.h"
 #include "passmark/passmark.h"
+#include "trace/metrics.h"
 #include "ios_gl/gles.h"
 #include "util/image.h"
 #include "webkit/browser.h"
@@ -135,32 +136,49 @@ TEST_P(ConfigTest, BrowserRunsScriptAndRendersResults) {
 // Every test renders cleanly in every configuration, and its screen after
 // Figure 6's frame count (128x128, one warm-up frame plus TestSpec::frames)
 // is byte-identical at 1 and 4 tile workers: the tiled rasterizer's
-// determinism gate (docs/PIPELINE.md).
+// determinism gate (docs/PIPELINE.md). At 1, 3 and 1 + TestSpec::frames
+// frames every configuration's screen is also byte-identical with
+// Android's: the EAGL present pass draws what the app drew, whatever
+// blend, depth, cull or scissor state the app leaves enabled.
 TEST_P(ConfigTest, PassMarkTestsRunCleanly) {
   gpu::TileWorkerPool& pool = gpu::TileWorkerPool::instance();
   const int saved_workers = pool.worker_count();
   const std::string_view config = glport::config_name(GetParam());
   // A failed init returns an empty screen, which the checks below reject.
-  auto render = [&](const passmark::TestSpec& spec, int workers) {
+  auto render = [&](SystemConfig system, const passmark::TestSpec& spec,
+                    int frames, int workers) {
+    glport::apply_system_config(system);
     pool.set_worker_count(workers);
-    auto port = glport::make_gl_port(GetParam());
+    auto port = glport::make_gl_port(system);
     if (!port->init(128, 128, 1).is_ok()) return Image();
     passmark::PassMark passmark(*port);
-    auto primitives = passmark.run(spec.name, 1 + spec.frames);
+    auto primitives = passmark.run(spec.name, frames);
     EXPECT_TRUE(primitives.is_ok())
-        << spec.name << " on " << config << " at " << workers
-        << " worker(s): " << primitives.status().to_string();
+        << spec.name << " on " << glport::config_name(system) << " at "
+        << workers << " worker(s): " << primitives.status().to_string();
     EXPECT_GT(primitives.value_or(0), 0u) << spec.name;
     return port->screen();
   };
   for (const auto& spec : passmark::test_specs()) {
-    const Image serial = render(spec, 1);
-    const Image parallel = render(spec, 4);
+    const int full = 1 + spec.frames;
+    const Image serial = render(GetParam(), spec, full, 1);
+    const Image parallel = render(GetParam(), spec, full, 4);
     EXPECT_FALSE(serial.empty()) << spec.name << " on " << config;
     EXPECT_EQ(Image::diff_count(serial, parallel), 0u)
         << spec.name << " on " << config
         << ": the screen differs between 1 and 4 tile workers";
+    if (GetParam() == SystemConfig::kAndroid) continue;
+    for (const int frames : {1, 3, full}) {
+      const Image screen =
+          frames == full ? serial : render(GetParam(), spec, frames, 1);
+      const Image android = render(SystemConfig::kAndroid, spec, frames, 1);
+      EXPECT_FALSE(android.empty()) << spec.name << " on Android";
+      EXPECT_EQ(Image::diff_count(screen, android), 0u)
+          << spec.name << " on " << config << " after " << frames
+          << " frame(s): the screen differs from Android's";
+    }
   }
+  glport::apply_system_config(GetParam());
   pool.set_worker_count(saved_workers);
 }
 
@@ -179,6 +197,41 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, ConfigTest,
                            }
                            return "Unknown";
                          });
+
+// The Cycada iOS present submits, it does not wait: at 4 tile workers,
+// after one warm-up frame, every frame of K Solid Vectors presents runs on
+// the pool, none inline on the app thread, and the screen is the 1-worker
+// screen.
+TEST(CycadaIosPresentTest, PresentsExecuteNoFrameInline) {
+  gpu::TileWorkerPool& pool = gpu::TileWorkerPool::instance();
+  const int saved_workers = pool.worker_count();
+  trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
+  const auto inline_frames = [&] {
+    return metrics.counter("pipeline.frames").value() -
+           metrics.counter("pipeline.frames.async").value();
+  };
+  constexpr int kPresents = 6;
+  Image screens[2];
+  for (const int workers : {1, 4}) {
+    glport::apply_system_config(SystemConfig::kCycadaIos);
+    pool.set_worker_count(workers);
+    auto port = glport::make_gl_port(SystemConfig::kCycadaIos);
+    ASSERT_TRUE(port->init(128, 128, 1).is_ok());
+    passmark::PassMark passmark(*port);
+    ASSERT_TRUE(passmark.run("Solid Vectors", 1).is_ok());
+    (void)port->screen();  // retires the warm-up frame
+    const std::uint64_t before = inline_frames();
+    ASSERT_TRUE(passmark.run("Solid Vectors", kPresents).is_ok());
+    screens[workers == 4 ? 1 : 0] = port->screen();
+    if (workers == 4) {
+      EXPECT_EQ(inline_frames(), before)
+          << "a present executed recorded work on the app thread";
+    }
+  }
+  EXPECT_FALSE(screens[0].empty());
+  EXPECT_EQ(Image::diff_count(screens[0], screens[1]), 0u);
+  pool.set_worker_count(saved_workers);
+}
 
 TEST(CrossConfigTest, BrowserPixelsIdenticalEverywhere) {
   // The paper's functional claim, strengthened: the same page renders

@@ -2,6 +2,8 @@
 // paths, queries and object predicates.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "glcore/engine.h"
 #include "gpu/device.h"
 #include "kernel/kernel.h"
@@ -161,6 +163,83 @@ TEST_F(GlExtraTest, GetFloatvQueries) {
   EXPECT_FLOAT_EQ(range[0], 0.1f);
   EXPECT_FLOAT_EQ(range[1], 0.9f);
   engine_->glLineWidth(-1.f);
+  EXPECT_EQ(engine_->glGetError(), GL_INVALID_VALUE);
+}
+
+TEST_F(GlExtraTest, IsEnabledAndGetBooleanvReportState) {
+  EXPECT_EQ(engine_->glIsEnabled(GL_BLEND), GL_FALSE);
+  engine_->glEnable(GL_BLEND);
+  engine_->glEnable(GL_STENCIL_TEST);  // accepted, unmodeled, still reported
+  EXPECT_EQ(engine_->glIsEnabled(GL_BLEND), GL_TRUE);
+  EXPECT_EQ(engine_->glIsEnabled(GL_STENCIL_TEST), GL_TRUE);
+  EXPECT_EQ(engine_->glIsEnabled(GL_SCISSOR_TEST), GL_FALSE);
+  engine_->glDisable(GL_BLEND);
+  EXPECT_EQ(engine_->glIsEnabled(GL_BLEND), GL_FALSE);
+  EXPECT_EQ(engine_->glGetError(), GL_NO_ERROR);
+  EXPECT_EQ(engine_->glIsEnabled(GL_VIEWPORT), GL_FALSE);
+  EXPECT_EQ(engine_->glGetError(), GL_INVALID_ENUM);
+
+  engine_->glColorMask(GL_FALSE, GL_TRUE, GL_FALSE, GL_TRUE);
+  engine_->glDepthMask(GL_FALSE);
+  engine_->glEnable(GL_CULL_FACE);
+  GLboolean mask[4] = {};
+  GLboolean depth_mask = GL_TRUE;
+  GLboolean cull = GL_FALSE;
+  engine_->glGetBooleanv(GL_COLOR_WRITEMASK, mask);
+  engine_->glGetBooleanv(GL_DEPTH_WRITEMASK, &depth_mask);
+  engine_->glGetBooleanv(GL_CULL_FACE, &cull);
+  EXPECT_EQ(mask[0], GL_FALSE);
+  EXPECT_EQ(mask[1], GL_TRUE);
+  EXPECT_EQ(mask[2], GL_FALSE);
+  EXPECT_EQ(mask[3], GL_TRUE);
+  EXPECT_EQ(depth_mask, GL_FALSE);
+  EXPECT_EQ(cull, GL_TRUE);
+  EXPECT_EQ(engine_->glGetError(), GL_NO_ERROR);
+}
+
+TEST_F(GlExtraTest, BindingAndVertexAttribQueries) {
+  draw_solid_quad(1.f, 0.f, 0.f);
+  GLint program = 0;
+  engine_->glGetIntegerv(GL_CURRENT_PROGRAM, &program);
+  EXPECT_EQ(static_cast<GLuint>(program), program_);
+  engine_->glActiveTexture(GL_TEXTURE0 + 1);
+  GLint unit = 0;
+  engine_->glGetIntegerv(GL_ACTIVE_TEXTURE, &unit);
+  EXPECT_EQ(unit, static_cast<GLint>(GL_TEXTURE0 + 1));
+
+  GLuint buffer = 0;
+  engine_->glGenBuffers(1, &buffer);
+  engine_->glBindBuffer(GL_ARRAY_BUFFER, buffer);
+  GLint bound = 0;
+  engine_->glGetIntegerv(GL_ARRAY_BUFFER_BINDING, &bound);
+  EXPECT_EQ(static_cast<GLuint>(bound), buffer);
+  const auto* offset = reinterpret_cast<const void*>(std::uintptr_t{8});
+  engine_->glVertexAttribPointer(2, 3, GL_UNSIGNED_BYTE, GL_TRUE, 12, offset);
+  GLint enabled = 1, size = 0, type = 0, normalized = 0, stride = 0;
+  GLint attrib_buffer = 0;
+  engine_->glGetVertexAttribiv(2, GL_VERTEX_ATTRIB_ARRAY_ENABLED, &enabled);
+  engine_->glGetVertexAttribiv(2, GL_VERTEX_ATTRIB_ARRAY_SIZE, &size);
+  engine_->glGetVertexAttribiv(2, GL_VERTEX_ATTRIB_ARRAY_TYPE, &type);
+  engine_->glGetVertexAttribiv(2, GL_VERTEX_ATTRIB_ARRAY_NORMALIZED,
+                               &normalized);
+  engine_->glGetVertexAttribiv(2, GL_VERTEX_ATTRIB_ARRAY_STRIDE, &stride);
+  engine_->glGetVertexAttribiv(2, GL_VERTEX_ATTRIB_ARRAY_BUFFER_BINDING,
+                               &attrib_buffer);
+  void* pointer = nullptr;
+  engine_->glGetVertexAttribPointerv(2, GL_VERTEX_ATTRIB_ARRAY_POINTER,
+                                     &pointer);
+  EXPECT_EQ(enabled, 0);
+  EXPECT_EQ(size, 3);
+  EXPECT_EQ(type, static_cast<GLint>(GL_UNSIGNED_BYTE));
+  EXPECT_EQ(normalized, 1);
+  EXPECT_EQ(stride, 12);
+  EXPECT_EQ(static_cast<GLuint>(attrib_buffer), buffer);
+  EXPECT_EQ(pointer, offset);
+  engine_->glGetVertexAttribiv(0, GL_VERTEX_ATTRIB_ARRAY_ENABLED, &enabled);
+  EXPECT_EQ(enabled, 1);  // draw_solid_quad's position array
+  EXPECT_EQ(engine_->glGetError(), GL_NO_ERROR);
+  engine_->glGetVertexAttribiv(kMaxVertexAttribs,
+                               GL_VERTEX_ATTRIB_ARRAY_ENABLED, &enabled);
   EXPECT_EQ(engine_->glGetError(), GL_INVALID_VALUE);
 }
 

@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "gpu/device.h"
+#include "gpu/pipeline.h"
 #include "kernel/kernel.h"
+#include "trace/metrics.h"
 
 namespace cycada::glcore {
 namespace {
@@ -88,6 +90,35 @@ class GlcoreTest : public ::testing::Test {
   ContextId context_ = kNoContext;
   gpu::RenderTargetHandle target_ = gpu::kNoHandle;
 };
+
+// glFlush submits the recorded commands as one frame, which runs on the
+// tile pool; glFinish returns with every recorded command executed.
+TEST_F(GlcoreTest, GlFlushSubmitsAFrameAndGlFinishSettles) {
+  gpu::TileWorkerPool& pool = gpu::TileWorkerPool::instance();
+  const int saved_workers = pool.worker_count();
+  pool.set_worker_count(4);
+  gpu::GpuDevice& device = gpu::GpuDevice::instance();
+  trace::Counter& async_frames =
+      trace::MetricsRegistry::instance().counter("pipeline.frames.async");
+  make_current_v2();
+  engine_->glClearColor(1.f, 0.f, 0.f, 1.f);
+  engine_->glClear(GL_COLOR_BUFFER_BIT);
+  const gpu::FenceHandle flushed = device.submit_fence();
+  const std::uint64_t async_before = async_frames.value();
+  engine_->glFlush();
+  EXPECT_EQ(device.pending_commands(), 0u);
+  EXPECT_TRUE(device.wait_fence(flushed));
+  EXPECT_EQ(async_frames.value(), async_before + 1);
+
+  engine_->glClearColor(0.f, 1.f, 0.f, 1.f);
+  engine_->glClear(GL_COLOR_BUFFER_BIT);
+  const gpu::FenceHandle finished = device.submit_fence();
+  engine_->glFinish();
+  EXPECT_EQ(device.pending_commands(), 0u);
+  EXPECT_TRUE(device.fence_signaled(finished));
+  EXPECT_EQ(read_target()[0], 0xff00ff00u);
+  pool.set_worker_count(saved_workers);
+}
 
 TEST_F(GlcoreTest, ClearWritesClearColor) {
   make_current_v2();

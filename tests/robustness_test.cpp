@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analyze/analyze.h"
@@ -1158,50 +1159,61 @@ TEST_F(RobustnessLadderTest, OverduePresentFenceForcesRetireAndDropsFrame) {
   EXPECT_TRUE(dev.destroy_target(target).is_ok());
 }
 
-// The same forced retire, reached through an Android window surface: a swap
-// whose previous frame is still stalled in raster keeps the stale front
-// buffer, counts the drop and returns, and the stack renders correctly
-// once the stall clears.
+// The same forced retire, reached through the window surface's swap on both
+// present paths: Android's eglSwapBuffers and the Cycada iOS EAGL present,
+// whose frames reach the swap unexecuted. A swap whose previous frame is
+// still stalled in raster keeps the stale front buffer, counts the drop and
+// returns, and the stack renders correctly once the stall clears.
 TEST_F(RobustnessLadderTest, StalledFrameIsDroppedAtTheNextSwap) {
-  glport::apply_system_config(glport::SystemConfig::kAndroid);
-  gpu::TileWorkerPool::instance().set_worker_count(2);
   const auto frame = [](glport::GlPort& port, float red) {
     port.begin_frame();
     port.clear_color(red, 0.f, 1.f, 1.f);
     port.clear(glcore::GL_COLOR_BUFFER_BIT);
     return port.present();
   };
-  Image reference;
-  {
-    auto port = glport::make_gl_port(glport::SystemConfig::kAndroid);
+  for (const auto& [config, presents] :
+       {std::pair{glport::SystemConfig::kAndroid, "gl.egl_swaps"},
+        std::pair{glport::SystemConfig::kCycadaIos, "gl.eagl_presents"}}) {
+    SCOPED_TRACE(glport::config_name(config));
+    glport::apply_system_config(config);
+    util::Watchdog::instance().reset();
+    gpu::TileWorkerPool::instance().set_worker_count(2);
+    Image reference;
+    {
+      auto port = glport::make_gl_port(config);
+      ASSERT_TRUE(port->init(64, 64, 2).is_ok());
+      ASSERT_TRUE(frame(*port, 1.f).is_ok());
+      reference = port->screen();
+    }
+
+    auto port = glport::make_gl_port(config);
     ASSERT_TRUE(port->init(64, 64, 2).is_ok());
+    // A retired first frame: the present pass's one-time set-up is done
+    // and nothing is in flight when the stall is armed.
     ASSERT_TRUE(frame(*port, 1.f).is_ok());
-    reference = port->screen();
+    (void)port->screen();
+    util::Watchdog::instance().set_budget_override_ms(10);
+    util::FaultPoint& fault =
+        util::FaultRegistry::instance().point("gpu.tile_worker");
+    trace::Histogram& present_wait =
+        trace::MetricsRegistry::instance().histogram(
+            "pipeline.stage.present_wait_ns");
+    const std::uint64_t waits_before = present_wait.count();
+    const std::uint64_t presents_before = counter(presents);
+    const std::uint64_t dropped_before = counter("watchdog.frames.dropped");
+    fault.arm_stall(150, 1);  // the in-flight frame stalls well past 10 ms
+    EXPECT_TRUE(frame(*port, 0.f).is_ok());
+    EXPECT_TRUE(frame(*port, 0.5f).is_ok());  // settles the stalled frame
+    EXPECT_GE(counter("watchdog.frames.dropped"), dropped_before + 1);
+    EXPECT_EQ(present_wait.count(), waits_before + 2);
+    EXPECT_EQ(counter(presents), presents_before + 2);
+
+    fault.disarm_stall();
+    util::Watchdog::instance().set_budget_override_ms(0);
+    gpu::GpuDevice::instance().flush();
+    ASSERT_TRUE(frame(*port, 1.f).is_ok());
+    EXPECT_EQ(Image::diff_count(port->screen(), reference), 0u);
   }
-
-  auto port = glport::make_gl_port(glport::SystemConfig::kAndroid);
-  ASSERT_TRUE(port->init(64, 64, 2).is_ok());
-  util::Watchdog::instance().set_budget_override_ms(10);
-  util::FaultPoint& fault =
-      util::FaultRegistry::instance().point("gpu.tile_worker");
-  trace::Histogram& present_wait =
-      trace::MetricsRegistry::instance().histogram(
-          "pipeline.stage.present_wait_ns");
-  const std::uint64_t waits_before = present_wait.count();
-  const std::uint64_t swaps_before = counter("gl.egl_swaps");
-  const std::uint64_t dropped_before = counter("watchdog.frames.dropped");
-  fault.arm_stall(150, 1);  // the in-flight frame stalls well past 10 ms
-  EXPECT_TRUE(frame(*port, 0.f).is_ok());
-  EXPECT_TRUE(frame(*port, 0.5f).is_ok());  // settles the stalled frame
-  EXPECT_GE(counter("watchdog.frames.dropped"), dropped_before + 1);
-  EXPECT_EQ(present_wait.count(), waits_before + 2);
-  EXPECT_EQ(counter("gl.egl_swaps"), swaps_before + 2);
-
-  fault.disarm_stall();
-  util::Watchdog::instance().set_budget_override_ms(0);
-  gpu::GpuDevice::instance().flush();
-  ASSERT_TRUE(frame(*port, 1.f).is_ok());
-  EXPECT_EQ(Image::diff_count(port->screen(), reference), 0u);
 }
 
 TEST_F(RobustnessLadderTest, EglRungSendsInitStraightToSharedFallback) {
