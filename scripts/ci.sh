@@ -36,7 +36,9 @@ run ./build/tools/cycada_check --root "$(pwd)/src"
 # raster speedup at 4 workers over the sweep's five interleaved rounds, each
 # round's speedup against its own 1-worker rate) only means something with
 # real cores underneath, so it is conditioned on nproc. The sweep prints
-# every round's samples with the host steal during that round.
+# every attempt's samples with its host steal and 1-worker raster share,
+# and re-runs a round whose steal exceeds 10% of its wall time (at most
+# twice).
 if [[ "$(nproc)" -ge 4 ]]; then
   echo "==> fig6 worker sweep (>= 2.00x median raster speedup at 4 workers)"
   sweep_json="$(CYCADA_PASSMARK_SWEEP=1 ./build/bench/fig6_passmark)"

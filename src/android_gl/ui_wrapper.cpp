@@ -262,7 +262,9 @@ Status UiWrapper::ensure_present_program() {
     return Status::internal("present program failed to link");
   }
   gl.glGenTextures(1, &present_texture_);
-  // 1:1 blit: nearest filtering (exact and cheap, like the HW present path).
+  // 1:1 blit with nearest filtering: every span of the quad samples its
+  // texels unchanged, so the rasterizer writes it as a row copy, as a GPU's
+  // copy path would.
   glcore::GLint saved = 0;
   gl.glGetIntegerv(glcore::GL_TEXTURE_BINDING_2D, &saved);
   gl.glBindTexture(glcore::GL_TEXTURE_2D, present_texture_);

@@ -78,6 +78,7 @@ struct TileWorkerPool::Phase {
   std::atomic<int> participants{0};  // claimed participant slots
   int helpers = 0;  // pool workers inside the phase; guarded by the pool mutex
   std::atomic<std::uint64_t> fragments{0};
+  std::atomic<std::uint64_t> spans_copied{0};
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::int64_t> busy_ns{0};  // summed per-tile raster time
 
@@ -99,18 +100,18 @@ struct TileWorkerPool::Phase {
         metrics().histogram("pipeline.stage.tile_ns");
     const std::int64_t start = now_ns();
     const PixelRect rect = tile_rect(index);
-    std::uint64_t local_fragments = 0;
+    RasterCounts local;
     for (const TileOp& op : tile_ops[index]) {
       const FrameStep& step = (*steps)[op.step];
       if (op.prim == TileOp::kClearOp) {
         clear_rect(target, step.scissor, step.clear_color, step.color,
                    step.clear_depth, step.depth_value, rect);
       } else {
-        local_fragments +=
-            raster_screen_prim(target, step.program, prims[op.prim], rect);
+        local += raster_screen_prim(target, step.program, prims[op.prim], rect);
       }
     }
-    fragments.fetch_add(local_fragments, std::memory_order_relaxed);
+    fragments.fetch_add(local.fragments, std::memory_order_relaxed);
+    spans_copied.fetch_add(local.spans_copied, std::memory_order_relaxed);
     const std::int64_t elapsed = now_ns() - start;
     busy_ns.fetch_add(elapsed, std::memory_order_relaxed);
     tile_ns.record(elapsed);
@@ -355,6 +356,8 @@ void execute_frame(FrameBatch& batch) {
   static trace::Counter& tiles_counter = metrics().counter("pipeline.tiles");
   static trace::Counter& steals_counter =
       metrics().counter("pipeline.tiles.stolen");
+  static trace::Counter& copied_counter =
+      metrics().counter("pipeline.spans_copied");
   static trace::Counter& degraded =
       metrics().counter("pipeline.frames.serial_degraded");
   static trace::Counter& feedback =
@@ -499,6 +502,7 @@ void execute_frame(FrameBatch& batch) {
         pool.run_phase(*phase);
       }
       steals_counter.add(phase->steals.load(std::memory_order_relaxed));
+      copied_counter.add(phase->spans_copied.load(std::memory_order_relaxed));
       batch.result.fragments_shaded +=
           phase->fragments.load(std::memory_order_relaxed);
     }

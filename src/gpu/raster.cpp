@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -23,6 +24,10 @@ constexpr int kMaxPolygon = 8;
 constexpr float kMinInvW = std::numeric_limits<float>::min();
 // Texel coordinates saturate here before conversion to int.
 constexpr float kTexelCoordLimit = 1 << 30;
+// The largest texture size and pixel offset from xref a span copy accepts.
+// Up to them a nearest sample's three float roundings move it by under 1/64
+// texel, and a linear sample's coordinates are exact floats.
+constexpr int kCopyCoordLimit = 1 << 16;
 
 std::int64_t floor_div(std::int64_t n, std::int64_t d) {  // d > 0
   const std::int64_t q = n / d;
@@ -282,11 +287,74 @@ bool shade_fragment(const DrawProgram& p, const TargetView& target, int x,
   return true;
 }
 
+// Replace texturing, a plain write, no depth test and affine varyings: each
+// fragment is its sampled texel word, so a texel-exact span is a row copy.
+constexpr bool copies_spans(bool depth, Tex tex, bool perspective, Out out) {
+  return !depth && !perspective && out == Out::kWrite &&
+         (tex == Tex::kNearestReplace || tex == Tex::kLinearReplace);
+}
+
+// When every pixel x of [lo, hi) provably samples, unchanged, the texel
+// x - lo past the returned one, that is the texel pixel lo samples; null
+// otherwise. `base` holds the row's planes at xref. v must be constant
+// along the row, so every pixel samples one texel row (wrapped as the loop
+// wraps it), and the columns must stay inside the texture, so no wrap
+// applies to them.
+template <Tex kTex>
+const std::uint32_t* exact_texel_row(const DrawProgram& p,
+                                     const TriangleSetup& s,
+                                     const float* base, int lo, int hi) {
+  const TextureView& t = p.texture;
+  const float du = s.attr[4].dx;
+  if (s.attr[5].dx != 0.f || t.width > kCopyCoordLimit ||
+      t.height > kCopyCoordLimit || hi - s.xref > kCopyCoordLimit) {
+    return nullptr;
+  }
+  const int n = hi - lo;
+  const float v = base[5];  // dv is 0: every pixel's v up to the sign of 0
+  double first = 0.0;  // the texel column pixel lo samples
+  int row = 0;
+  if constexpr (kTex == Tex::kNearestReplace) {
+    // Each sample stays inside its texel: the fraction at lo is in
+    // [1/4, 3/4], the scale drifts by at most 0.1 texel over the span, and
+    // rounding moves each sample by under 1/64 texel.
+    if (std::fabs(static_cast<double>(du) * t.width - 1.0) * n > 0.1) {
+      return nullptr;
+    }
+    const float at_lo =
+        (base[4] + du * static_cast<float>(lo - s.xref)) * t.width;
+    first = std::floor(static_cast<double>(at_lo));
+    const double fraction = at_lo - first;
+    if (!(fraction >= 0.25 && fraction <= 0.75)) return nullptr;
+    row = floor_to_int(v * t.height);
+  } else {
+    // Every sample on its texel center, so both weights are 0: with a
+    // power-of-two width, du == 1/W and u * W - 1/2 an integer at xref,
+    // each pixel's u and u * W - 1/2 are exact floats; likewise v.
+    if ((t.width & (t.width - 1)) != 0 ||
+        du != 1.f / static_cast<float>(t.width)) {
+      return nullptr;
+    }
+    const double fx = static_cast<double>(base[4]) * t.width - 0.5;
+    const double fy = static_cast<double>(v) * t.height - 0.5;
+    if (fx != std::floor(fx) || fy != std::floor(fy) ||
+        std::fabs(fy) >= kCopyCoordLimit) {
+      return nullptr;
+    }
+    first = fx + (lo - s.xref);
+    row = static_cast<int>(fy);
+  }
+  if (!(first >= 0.0 && first + n <= t.width)) return nullptr;
+  row = wrap_texel(row, t.height, p.wrap);
+  return t.texels + static_cast<std::size_t>(row) * t.stride_px +
+         static_cast<int>(first);
+}
+
 // The covered pixels [x0, x1) of row y of a triangle. Only the planes the
 // draw reads are evaluated, each as row base + dx * (x - xref).
 template <bool kDepth, Tex kTex, bool kPerspective, Out kOut>
-std::uint64_t shade_span(const DrawProgram& p, const TargetView& target,
-                         const TriangleSetup& s, int y, int x0, int x1) {
+RasterCounts shade_span(const DrawProgram& p, const TargetView& target,
+                        const TriangleSetup& s, int y, int x0, int x1) {
   std::uint32_t* colors =
       target.color + static_cast<std::size_t>(y) * target.stride_px;
   float* depths = nullptr;
@@ -300,6 +368,18 @@ std::uint64_t shade_span(const DrawProgram& p, const TargetView& target,
   float base[6] = {};
   for (int k = kFirst; k < kLast; ++k) base[k] = s.attr[k].row(y);
   const float w_row = kPerspective ? s.w.row(y) : 0.f;
+
+  if constexpr (copies_spans(kDepth, kTex, kPerspective, kOut)) {
+    const std::uint32_t* src = exact_texel_row<kTex>(p, s, base, x0, x1);
+    const int n = x1 - x0;
+    std::uint32_t* dst = colors + x0;
+    // Framebuffer feedback: a copy would not keep the loop's left-to-right
+    // reads of pixels it has just written.
+    if (src != nullptr && !(src < dst + n && dst < src + n)) {
+      std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(*dst));
+      return {static_cast<std::uint64_t>(n), 1};
+    }
+  }
 
   std::uint64_t shaded = 0;
   for (int x = x0; x < x1; ++x) {
@@ -327,7 +407,7 @@ std::uint64_t shade_span(const DrawProgram& p, const TargetView& target,
     shade<kTex, kOut>(p, colors + x, color, uv);
     ++shaded;
   }
-  return shaded;
+  return {shaded, 0};
 }
 
 template <bool kDepth, Tex kTex, Out kOut>
@@ -442,21 +522,21 @@ void setup_triangle(const DrawProgram& p, const ScreenPrim& prim,
   if (s.perspective) s.w = plane(v[0].inv_w, v[1].inv_w, v[2].inv_w);
 }
 
-std::uint64_t raster_triangle(const TargetView& target, const DrawProgram& p,
-                              const ScreenPrim& prim, const PixelRect& limit) {
+RasterCounts raster_triangle(const TargetView& target, const DrawProgram& p,
+                             const ScreenPrim& prim, const PixelRect& limit) {
   TriangleSetup s;
   setup_triangle(p, prim, s);
   const DrawProgram::SpanFn span =
       s.perspective ? p.perspective_span : p.affine_span;
-  std::uint64_t fragments = 0;
+  RasterCounts counts;
   for (int y = limit.y0; y < limit.y1; ++y) {
     int lo = 0;
     int hi = 0;
     if (s.span(y, limit.x0, limit.x1, lo, hi)) {
-      fragments += span(p, target, s, y, lo, hi);
+      counts += span(p, target, s, y, lo, hi);
     }
   }
-  return fragments;
+  return counts;
 }
 
 // --- Lines and points --------------------------------------------------------
@@ -835,25 +915,25 @@ std::uint64_t build_screen_prims(const TargetView& target,
   return triangles;
 }
 
-std::uint64_t raster_screen_prim(const TargetView& target,
-                                 const DrawProgram& program,
-                                 const ScreenPrim& prim,
-                                 const PixelRect& raw_limit) {
+RasterCounts raster_screen_prim(const TargetView& target,
+                                const DrawProgram& program,
+                                const ScreenPrim& prim,
+                                const PixelRect& raw_limit) {
   // The bbox already carries viewport ∩ scissor ∩ target, so the effective
   // rect is the same whether `raw_limit` is one tile or the whole target.
   const PixelRect limit = intersect(raw_limit, prim.bbox);
-  if (limit.empty()) return 0;
+  if (limit.empty()) return {};
   // Every fragment fails a depth test against no depth buffer.
-  if (program.depth_test && target.depth == nullptr) return 0;
+  if (program.depth_test && target.depth == nullptr) return {};
   switch (prim.kind) {
     case PrimitiveKind::kTriangles:
       return raster_triangle(target, program, prim, limit);
     case PrimitiveKind::kLines:
-      return raster_line(target, program, prim.v[0], prim.v[1], limit);
+      return {raster_line(target, program, prim.v[0], prim.v[1], limit), 0};
     case PrimitiveKind::kPoints:
-      return raster_point(target, program, prim.v[0], limit);
+      return {raster_point(target, program, prim.v[0], limit), 0};
   }
-  return 0;
+  return {};
 }
 
 void clear_rect(const TargetView& target,
@@ -886,11 +966,12 @@ std::uint64_t Rasterizer::draw(TargetView target, const RasterState& state,
   std::vector<ScreenPrim> prims;
   triangles_ += build_screen_prims(target, state, kind, vertices, prims);
   const PixelRect full{0, 0, target.width, target.height};
-  std::uint64_t fragments = 0;
+  RasterCounts counts;
   for (const ScreenPrim& prim : prims) {
-    fragments += raster_screen_prim(target, program, prim, full);
+    counts += raster_screen_prim(target, program, prim, full);
   }
-  return fragments;
+  spans_copied_ += counts.spans_copied;
+  return counts.fragments;
 }
 
 void Rasterizer::clear(TargetView target,

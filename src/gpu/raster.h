@@ -37,6 +37,14 @@
 // modulate), affine or perspective varyings and the output (plain write,
 // SrcAlpha/OneMinusSrcAlpha blend, or any blend and color mask). Lines and
 // points keep their step walks and shade through the same specialization.
+//
+// The affine replace-texture loops with a plain write and no depth test
+// first test each span: when v is constant along the row and every pixel
+// x provably samples texel (x + k, row) unchanged — nearest samples that
+// stay inside their texels, or linear samples exactly on texel centers —
+// and the source texels do not overlap the span's pixels, the span is one
+// row copy of those texels. The bytes equal the per-pixel loop's, so the
+// copy is also a pure function of the span. Any other span runs the loop.
 #pragma once
 
 #include <algorithm>
@@ -106,13 +114,23 @@ struct ScreenPrim {
 
 struct TriangleSetup;  // raster.cpp: edges and attribute planes
 
+// What shading some primitives did.
+struct RasterCounts {
+  std::uint64_t fragments = 0;     // fragments shaded, copied ones included
+  std::uint64_t spans_copied = 0;  // spans written as one texel row copy
+  RasterCounts& operator+=(const RasterCounts& other) {
+    fragments += other.fragments;
+    spans_copied += other.spans_copied;
+    return *this;
+  }
+};
+
 // The fragment work of one draw, chosen once from its RasterState and
 // texture. Triangles run one of the two span loops per row; lines and points
 // call `fragment` per pixel.
 struct DrawProgram {
-  using SpanFn = std::uint64_t (*)(const DrawProgram&, const TargetView&,
-                                   const TriangleSetup&, int y, int x0,
-                                   int x1);
+  using SpanFn = RasterCounts (*)(const DrawProgram&, const TargetView&,
+                                  const TriangleSetup&, int y, int x0, int x1);
   using FragmentFn = bool (*)(const DrawProgram&, const TargetView&, int x,
                               int y, float z, Color color, Vec2 uv);
   // A blend factor as constant + sa * src alpha + da * dst alpha + s * the
@@ -155,13 +173,13 @@ std::uint64_t build_screen_prims(const TargetView& target,
                                  std::vector<ScreenPrim>& out);
 
 // Shades one primitive restricted to `limit` (already intersected with the
-// target; fragments outside it are not touched). Returns fragments shaded.
-// Pure function of its arguments — safe to call concurrently for disjoint
-// `limit` rects of the same target.
-std::uint64_t raster_screen_prim(const TargetView& target,
-                                 const DrawProgram& program,
-                                 const ScreenPrim& prim,
-                                 const PixelRect& limit);
+// target; fragments outside it are not touched). Pure function of its
+// arguments — safe to call concurrently for disjoint `limit` rects of the
+// same target.
+RasterCounts raster_screen_prim(const TargetView& target,
+                                const DrawProgram& program,
+                                const ScreenPrim& prim,
+                                const PixelRect& limit);
 
 // Clears color and/or depth inside scissor ∩ `limit`.
 void clear_rect(const TargetView& target,
@@ -185,9 +203,11 @@ class Rasterizer {
              float depth_value);
 
   std::uint64_t triangles_submitted() const { return triangles_; }
+  std::uint64_t spans_copied() const { return spans_copied_; }
 
  private:
   std::uint64_t triangles_ = 0;
+  std::uint64_t spans_copied_ = 0;
 };
 
 }  // namespace cycada::gpu

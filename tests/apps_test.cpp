@@ -233,6 +233,43 @@ TEST(CycadaIosPresentTest, PresentsExecuteNoFrameInline) {
   pool.set_worker_count(saved_workers);
 }
 
+// The 1:1 quads the Cycada iOS stack draws are row copies
+// (pipeline.spans_copied): a present at 512x512 copies at least one span
+// per row, and so does the browser's tile composite on every page.
+TEST(CycadaIosPresentTest, PresentsAndCompositesCopySpans) {
+  trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
+  const auto copied = [&] {
+    return metrics.counter("pipeline.spans_copied").value();
+  };
+  glport::apply_system_config(SystemConfig::kCycadaIos);
+  {
+    auto port = glport::make_gl_port(SystemConfig::kCycadaIos);
+    ASSERT_TRUE(port->init(512, 512, 1).is_ok());
+    passmark::PassMark passmark(*port);
+    ASSERT_TRUE(passmark.run("Solid Vectors", 1).is_ok());
+    (void)port->screen();  // retires the warm-up frame
+    constexpr int kPresents = 3;
+    const std::uint64_t before = copied();
+    ASSERT_TRUE(passmark.run("Solid Vectors", kPresents).is_ok());
+    (void)port->screen();
+    EXPECT_GE(copied() - before, 512u * kPresents);
+  }
+  auto port = glport::make_gl_port(SystemConfig::kCycadaIos);
+  ASSERT_TRUE(port->init(320, 480, 2).is_ok());
+  webkit::Browser browser(*port, false);
+  for (const char* page :
+       {"<body bg=#ffffff><h1 color=#202020>Results</h1></body>",
+        "<body bg=#182028><p color=#a0e0a0>score 42</p>"
+        "<div bg=#c02030 width=80 height=24></div></body>",
+        "<body bg=#dbe6f0><div bg=#123456 height=400></div></body>"}) {
+    const std::uint64_t before = copied();
+    ASSERT_TRUE(browser.load(page).is_ok());
+    (void)browser.screen();
+    EXPECT_GT(copied(), before) << page;
+  }
+  glport::apply_system_config(SystemConfig::kAndroid);
+}
+
 TEST(CrossConfigTest, BrowserPixelsIdenticalEverywhere) {
   // The paper's functional claim, strengthened: the same page renders
   // pixel-for-pixel identically on all four configurations.

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <vector>
+
+#include "trace/metrics.h"
 
 namespace cycada::gpu {
 namespace {
@@ -298,9 +301,35 @@ TEST_F(GpuTest, PerspectiveDivideHalvesFarGeometry) {
 }
 
 // Two-triangle tile quads composed the way Browser::composite_and_present
-// builds them (corners stepped in float NDC, one draw per quad) cover every
-// pixel exactly once: no seam left at the clear color, and no pixel on a
-// shared edge shaded by both triangles.
+// builds them: corners stepped in float NDC, one draw per quad, each quad
+// sampling its tile-sized texture from uv (0, 0) to (1, 1).
+std::vector<std::vector<ShadedVertex>> tile_quads(int width, int height,
+                                                  int tile) {
+  const Color white{1.f, 1.f, 1.f, 1.f};
+  const float sx = 2.f / static_cast<float>(width);
+  const float sy = 2.f / static_cast<float>(height);
+  const int cols = (width + tile - 1) / tile;
+  const int rows = (height + tile - 1) / tile;
+  std::vector<std::vector<ShadedVertex>> quads;
+  for (int row = 0; row < rows; ++row) {
+    for (int col = 0; col < cols; ++col) {
+      const float x0 = -1.f + col * tile * sx;
+      const float x1 = x0 + tile * sx;
+      const float y0 = 1.f - row * tile * sy;
+      const float y1 = y0 - tile * sy;
+      quads.push_back({vtx(x0, y0, 0, white, {0, 0}),
+                       vtx(x1, y0, 0, white, {1, 0}),
+                       vtx(x1, y1, 0, white, {1, 1}),
+                       vtx(x0, y0, 0, white, {0, 0}),
+                       vtx(x1, y1, 0, white, {1, 1}),
+                       vtx(x0, y1, 0, white, {0, 1})});
+    }
+  }
+  return quads;
+}
+
+// Tile quads cover every pixel exactly once: no seam left at the clear
+// color, and no pixel on a shared edge shaded by both triangles.
 TEST_F(GpuTest, TileQuadsCoverEveryPixelExactlyOnce) {
   struct Case {
     int width, height, tile;
@@ -311,22 +340,8 @@ TEST_F(GpuTest, TileQuadsCoverEveryPixelExactlyOnce) {
     dev().reset();
     const auto target = dev().create_target(c.width, c.height, false);
     dev().submit_clear(target, std::nullopt, true, {0, 0, 0, 1}, false, 1.f);
-    const Color white{1.f, 1.f, 1.f, 1.f};
-    const float sx = 2.f / static_cast<float>(c.width);
-    const float sy = 2.f / static_cast<float>(c.height);
-    const int cols = (c.width + c.tile - 1) / c.tile;
-    const int rows = (c.height + c.tile - 1) / c.tile;
-    for (int row = 0; row < rows; ++row) {
-      for (int col = 0; col < cols; ++col) {
-        const float x0 = -1.f + col * c.tile * sx;
-        const float x1 = x0 + c.tile * sx;
-        const float y0 = 1.f - row * c.tile * sy;
-        const float y1 = y0 - c.tile * sy;
-        dev().submit_draw(target, {}, PrimitiveKind::kTriangles,
-                          {vtx(x0, y0, 0, white), vtx(x1, y0, 0, white),
-                           vtx(x1, y1, 0, white), vtx(x0, y0, 0, white),
-                           vtx(x1, y1, 0, white), vtx(x0, y1, 0, white)});
-      }
+    for (const auto& quad : tile_quads(c.width, c.height, c.tile)) {
+      dev().submit_draw(target, {}, PrimitiveKind::kTriangles, quad);
     }
     const std::size_t count = static_cast<std::size_t>(c.width) * c.height;
     std::vector<std::uint32_t> pixels(count);
@@ -384,6 +399,242 @@ TEST_F(GpuTest, TexelShortcutsAreExactForEveryChannelValue) {
   EXPECT_EQ(render(TexEnv::kReplace, false), texels);
   EXPECT_EQ(render(TexEnv::kModulate, false), texels);
   EXPECT_EQ(render(TexEnv::kModulate, true), texels);
+}
+
+// A quad over pixels [px0, px1) x [py0, py1) of a width x height target,
+// sampling uv0 at its top-left corner and uv1 at its bottom-right one. Its
+// bottom corners sit at clip w = `bottom_w` (1 keeps the varyings affine).
+std::vector<ShadedVertex> pixel_quad(int width, int height, float px0,
+                                     float py0, float px1, float py1,
+                                     Vec2 uv0, Vec2 uv1,
+                                     float bottom_w = 1.f) {
+  const Color white{1.f, 1.f, 1.f, 1.f};
+  const float x0 = -1.f + 2.f * px0 / static_cast<float>(width);
+  const float x1 = -1.f + 2.f * px1 / static_cast<float>(width);
+  const float y0 = 1.f - 2.f * py0 / static_cast<float>(height);
+  const float y1 = 1.f - 2.f * py1 / static_cast<float>(height);
+  ShadedVertex bl = vtx(x0, y1, 0, white, {uv0.x, uv1.y});
+  ShadedVertex br = vtx(x1, y1, 0, white, uv1);
+  for (ShadedVertex* v : {&bl, &br}) {
+    v->clip_pos = v->clip_pos * bottom_w;
+  }
+  const ShadedVertex tl = vtx(x0, y0, 0, white, uv0);
+  const ShadedVertex tr = vtx(x1, y0, 0, white, {uv1.x, uv0.y});
+  return {tl, tr, br, tl, br, bl};
+}
+
+// A span whose samples are provably texel-exact is written as one row copy
+// of its texels. Each case is drawn as is and with One/Zero blending, whose
+// generic output unpacks, combines and packs and is never copied, on the
+// serial façade and on the device at 1 and 4 tile workers: every screen
+// and fragment count must equal the façade's unblended one, and spans are
+// copied in exactly the copy cases.
+TEST_F(GpuTest, CopySpansMatchThePerPixelPath) {
+  struct Case {
+    const char* name;
+    int width, height;  // the target
+    int tex_width, tex_height;
+    TextureFilter filter;
+    TextureWrap wrap;
+    std::vector<std::vector<ShadedVertex>> draws;
+    bool copies;
+    bool feedback = false;  // the texture is the target's own memory
+  };
+  const Color white{1.f, 1.f, 1.f, 1.f};
+  // One quad over the whole target (uv0 to uv1 is a present's 1:1 blit).
+  const auto full = [](int width, int height, Vec2 uv0 = {0, 0},
+                       Vec2 uv1 = {1, 1}, float bottom_w = 1.f) {
+    return std::vector<std::vector<ShadedVertex>>{
+        pixel_quad(width, height, 0, 0, static_cast<float>(width),
+                   static_cast<float>(height), uv0, uv1, bottom_w)};
+  };
+  // 48x48 pixels at (10, 20) of a 128x128 target sampling 48x48 texels of a
+  // 64x64 texture from texel (8 + dx, 4 + dy).
+  const auto offset_quad = [](float dx, float dy) {
+    return std::vector<std::vector<ShadedVertex>>{
+        pixel_quad(128, 128, 10, 20, 58, 68, {(8 + dx) / 64, (4 + dy) / 64},
+                   {(56 + dx) / 64, (52 + dy) / 64})};
+  };
+  // One triangle whose every span is [1, 64) of a 64x64 target, in which
+  // pixel x samples the target's own pixel x - 1: the per-pixel loop
+  // smears pixel 0 along the row, where a row copy would shift the row.
+  // The target is one tile, so the façade and the device read the
+  // feedback in the same order.
+  const auto feedback_triangle = [&] {
+    std::vector<ShadedVertex> triangle;
+    for (const auto& [px, py] : {std::pair{1.f, -100.f},
+                                 std::pair{1.f, 200.f},
+                                 std::pair{300.f, 50.f}}) {
+      triangle.push_back(vtx(-1.f + px / 32, 1.f - py / 32, 0, white,
+                             {(px - 1) / 64, py / 64}));
+    }
+    return std::vector<std::vector<ShadedVertex>>{triangle};
+  };
+  constexpr auto kNearest = TextureFilter::kNearest;
+  constexpr auto kLinear = TextureFilter::kLinear;
+  constexpr auto kRepeat = TextureWrap::kRepeat;
+  constexpr auto kClamp = TextureWrap::kClampToEdge;
+  const float half = 0.5f / 64;
+  const Case cases[] = {
+      {"present 128x128", 128, 128, 128, 128, kNearest, kRepeat,
+       full(128, 128), true},
+      {"present 512x512", 512, 512, 512, 512, kNearest, kRepeat,
+       full(512, 512), true},
+      {"present 320x480", 320, 480, 320, 480, kNearest, kRepeat,
+       full(320, 480), true},
+      {"present 333x217", 333, 217, 333, 217, kNearest, kRepeat,
+       full(333, 217), true},
+      {"browser tiles", 320, 480, 64, 64, kLinear, kRepeat,
+       tile_quads(320, 480, 64), true},
+      {"nearest at integer texel offsets", 128, 128, 64, 64, kNearest,
+       kRepeat, offset_quad(0, 0), true},
+      {"nearest at +0.2 texel", 128, 128, 64, 64, kNearest, kRepeat,
+       offset_quad(0.2f, 0.2f), true},
+      {"nearest at -0.2 texel", 128, 128, 64, 64, kNearest, kRepeat,
+       offset_quad(-0.2f, -0.2f), true},
+      {"nearest 4x magnified", 128, 128, 32, 32, kNearest, kRepeat,
+       full(128, 128), false},
+      {"linear 4x magnified", 128, 128, 32, 32, kLinear, kRepeat,
+       full(128, 128), false},
+      {"nearest 1.5x magnified", 96, 96, 64, 64, kNearest, kRepeat,
+       full(96, 96), false},
+      {"mirrored u", 64, 64, 64, 64, kNearest, kRepeat,
+       full(64, 64, {1, 0}, {0, 1}), false},
+      {"linear at a half-texel offset", 64, 64, 64, 64, kLinear, kRepeat,
+       full(64, 64, {half, 0}, {1 + half, 1}), false},
+      {"linear at a half-texel v offset", 64, 64, 64, 64, kLinear, kRepeat,
+       full(64, 64, {0, half}, {1, 1 + half}), false},
+      {"linear non-power-of-two", 96, 96, 96, 96, kLinear, kRepeat,
+       full(96, 96), false},
+      // Pixel x samples texel x + 1 at its center: only the width keeps
+      // du from being exactly 1/W.
+      {"linear non-power-of-two at a texel offset", 96, 96, 96, 96, kLinear,
+       kRepeat,
+       {pixel_quad(96, 96, 0, 0, 64, 64, {1.f / 96, 1.f / 96},
+                   {65.f / 96, 65.f / 96})},
+       false},
+      // Starts 0.95 into a texel and drifts 0.09 texel over 60 pixels.
+      {"nearest near a texel edge, 0.15% minified", 64, 64, 64, 64, kNearest,
+       kRepeat,
+       {pixel_quad(64, 64, 2, 2, 62, 62, {0.45f / 64, 0.5f / 64},
+                   {60.54f / 64, 60.5f / 64})},
+       false},
+      {"v sheared along the row", 64, 64, 64, 64, kNearest, kRepeat,
+       {{vtx(-1, 1, 0, white, {0, 0}), vtx(1, 1, 0, white, {1, 0.25f}),
+         vtx(1, -1, 0, white, {1, 1.25f}), vtx(-1, 1, 0, white, {0, 0}),
+         vtx(1, -1, 0, white, {1, 1.25f}), vtx(-1, -1, 0, white, {0, 1})}},
+       false},
+      {"perspective", 64, 64, 64, 64, kNearest, kRepeat,
+       full(64, 64, {0, 0}, {1, 1}, 2.f), false},
+      {"uv past [0, 1], repeat", 64, 64, 64, 64, kNearest, kRepeat,
+       full(64, 64, {1, 1}, {2, 2}), false},
+      {"uv past [0, 1], clamp", 64, 64, 64, 64, kNearest, kClamp,
+       full(64, 64, {-1, -1}, {0, 0}), false},
+      {"framebuffer feedback", 64, 64, 64, 64, kNearest, kRepeat,
+       feedback_triangle(), false, true},
+  };
+
+  const auto pattern = [](std::size_t count, std::uint32_t seed) {
+    std::vector<std::uint32_t> words(count);
+    std::uint32_t x = seed;
+    for (std::uint32_t& word : words) {
+      x ^= x << 13;
+      x ^= x >> 17;
+      x ^= x << 5;
+      word = x;
+    }
+    return words;
+  };
+  struct Result {
+    std::vector<std::uint32_t> pixels;
+    std::uint64_t fragments = 0;
+    std::uint64_t spans_copied = 0;
+  };
+  trace::Counter& copied =
+      trace::MetricsRegistry::instance().counter("pipeline.spans_copied");
+  TileWorkerPool& pool = TileWorkerPool::instance();
+  const int saved_workers = pool.worker_count();
+  // workers == 0 draws on the façade.
+  const auto render = [&](const Case& c, bool blend, int workers) {
+    const std::vector<std::uint32_t> texels = pattern(
+        static_cast<std::size_t>(c.tex_width) * c.tex_height, 0x9e3779b9u);
+    Result result;
+    result.pixels = pattern(static_cast<std::size_t>(c.width) * c.height,
+                            0x85ebca6bu);
+    RasterState state;
+    state.filter = c.filter;
+    state.wrap = c.wrap;
+    state.tex_env = TexEnv::kReplace;
+    state.blend = blend;
+    state.blend_src = BlendFactor::kOne;
+    state.blend_dst = BlendFactor::kZero;
+    if (workers == 0) {
+      const TargetView target{result.pixels.data(), nullptr, c.width,
+                              c.height, c.width};
+      const TextureView texture =
+          c.feedback ? TextureView{result.pixels.data(), c.width, c.height,
+                                   c.width}
+                     : TextureView{texels.data(), c.tex_width, c.tex_height,
+                                   c.tex_width};
+      Rasterizer rasterizer;
+      for (const auto& draw : c.draws) {
+        result.fragments += rasterizer.draw(
+            target, state, PrimitiveKind::kTriangles, draw, texture);
+      }
+      result.spans_copied = rasterizer.spans_copied();
+      return result;
+    }
+    pool.set_worker_count(workers);
+    dev().reset();
+    const auto target = dev().create_target_external(
+        result.pixels.data(), c.width, c.height, c.width, false);
+    state.texture = dev().create_texture();
+    if (c.feedback) {
+      EXPECT_TRUE(dev()
+                      .bind_texture_external(state.texture,
+                                             result.pixels.data(), c.width,
+                                             c.height, c.width)
+                      .is_ok());
+    } else {
+      EXPECT_TRUE(
+          dev().define_texture(state.texture, c.tex_width, c.tex_height)
+              .is_ok());
+      EXPECT_TRUE(dev()
+                      .upload_texture(state.texture, 0, 0, c.tex_width,
+                                      c.tex_height, texels.data(),
+                                      c.tex_width)
+                      .is_ok());
+    }
+    const std::uint64_t copied_before = copied.value();
+    for (const auto& draw : c.draws) {
+      dev().submit_draw(target, state, PrimitiveKind::kTriangles, draw);
+    }
+    dev().flush();
+    result.fragments = dev().stats().fragments_shaded;
+    result.spans_copied = copied.value() - copied_before;
+    dev().reset();  // the target aliases result.pixels
+    return result;
+  };
+
+  for (const Case& c : cases) {
+    const Result reference = render(c, false, 0);
+    EXPECT_EQ(reference.spans_copied > 0, c.copies) << c.name;
+    for (const bool blend : {false, true}) {
+      for (const int workers : {0, 1, 4}) {
+        const Result r = render(c, blend, workers);
+        const auto where = [&] {
+          return std::string(c.name) + (blend ? ", One/Zero blended" : "") +
+                 (workers == 0 ? ", facade"
+                               : ", " + std::to_string(workers) +
+                                     " worker(s)");
+        };
+        EXPECT_EQ(r.pixels, reference.pixels) << where();
+        EXPECT_EQ(r.fragments, reference.fragments) << where();
+        EXPECT_EQ(r.spans_copied > 0, c.copies && !blend) << where();
+      }
+    }
+  }
+  pool.set_worker_count(saved_workers);
 }
 
 // Property sweep: clears of any size/scissor never write outside the rect.
