@@ -3,11 +3,11 @@
 //
 // CYCADA_PASSMARK_SWEEP=1 instead runs the tile-parallel pipeline's worker
 // sweep (docs/PIPELINE.md, docs/BENCHMARKING.md): the Cycada iOS workload
-// at 1/2/4/8 tile workers on a 512x512 surface (an 8x8 tile grid), in five
-// interleaved rounds (a round under heavy host steal is re-run, a bounded
-// number of times), emitting the median speedups and the per-stage
-// pipeline metrics as bench JSON (BENCH_pr10.json via
-// scripts/bench_baseline.sh).
+// at 1/2/4/8 tile workers on a 512x512 surface (an 8x8 tile grid), each
+// test timed over four times its Figure 6 frames, in five interleaved
+// rounds (a round under heavy host steal is re-run, a bounded number of
+// times), emitting the median speedups and the per-stage pipeline metrics
+// as bench JSON (BENCH_pr10.json via scripts/bench_baseline.sh).
 #include <unistd.h>
 
 #include <algorithm>
@@ -67,11 +67,17 @@ double median(std::vector<double> values) {
                     : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
+// Each sweep sample runs this many times a test's Figure 6 frames.
+constexpr int kSweepFrameScale = 4;
+
 // The seven-test Cycada iOS workload on 512x512 at `workers` tile workers:
-// primitives per second (-1 on failure) and the share of the run's wall
-// time spent in the raster stage. apply_system_config() resets the
-// metrics registry, so the pipeline.* metrics afterwards are this run's
-// alone.
+// primitives per second (-1 on failure) and the share of that time spent in
+// the raster stage. Each test's clock starts once its port is up and its
+// warm-up frame is on screen, and stops once the screen shows the last
+// counted frame (port->screen() waits out its present fence), so the rate
+// and the raster share cover the counted frames alone.
+// apply_system_config() resets the metrics registry, so the pipeline.*
+// metrics afterwards are this sample's alone.
 struct SweepSample {
   double rate = -1;
   double raster_share = 0;
@@ -80,23 +86,28 @@ struct SweepSample {
 SweepSample sweep_sample(int workers) {
   cycada::glport::apply_system_config(SystemConfig::kCycadaIos);
   cycada::gpu::TileWorkerPool::instance().set_worker_count(workers);
+  const cycada::trace::Histogram& raster =
+      cycada::trace::MetricsRegistry::instance().histogram(
+          "pipeline.stage.raster_ns");
   std::uint64_t primitives = 0;
-  const auto start = cycada::now_ns();
+  std::int64_t elapsed = 0;
+  double raster_ns = 0;
   for (const auto& spec : cycada::passmark::test_specs()) {
     auto port = cycada::glport::make_gl_port(SystemConfig::kCycadaIos);
     if (!port->init(512, 512, 1).is_ok()) return {};
     cycada::passmark::PassMark passmark(*port);
     if (!passmark.run(spec.name, 1).is_ok()) return {};  // warm-up
-    const auto prims = passmark.run(spec.name, spec.frames);
+    (void)port->screen();
+    const auto start = cycada::now_ns();
+    const auto raster_at_start = raster.sum();
+    const auto prims = passmark.run(spec.name, spec.frames * kSweepFrameScale);
     if (!prims.is_ok()) return {};
+    (void)port->screen();
+    elapsed += cycada::now_ns() - start;
+    raster_ns += static_cast<double>(raster.sum() - raster_at_start);
     primitives += *prims;
   }
-  const auto elapsed = cycada::now_ns() - start;
   if (elapsed <= 0) return {};
-  const double raster_ns = static_cast<double>(
-      cycada::trace::MetricsRegistry::instance()
-          .histogram("pipeline.stage.raster_ns")
-          .sum());
   return {static_cast<double>(primitives) * 1e9 / static_cast<double>(elapsed),
           raster_ns / static_cast<double>(elapsed)};
 }

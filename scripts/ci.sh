@@ -35,7 +35,9 @@ run ./build/tools/cycada_check --root "$(pwd)/src"
 # (ConfigTest.PassMarkTestsRunCleanly). The scaling gate (>= 2.00x median
 # raster speedup at 4 workers over the sweep's five interleaved rounds, each
 # round's speedup against its own 1-worker rate) only means something with
-# real cores underneath, so it is conditioned on nproc. The sweep prints
+# real cores underneath, so it is conditioned on nproc. Each sample times
+# only the frames it counts (four times Figure 6's per test, from after
+# the warm-up frame to the last counted frame on screen). The sweep prints
 # every attempt's samples with its host steal and 1-worker raster share,
 # and re-runs a round whose steal exceeds 10% of its wall time (at most
 # twice).

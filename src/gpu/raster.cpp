@@ -6,6 +6,10 @@
 #include <limits>
 #include <utility>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace cycada::gpu {
 
 namespace {
@@ -145,11 +149,6 @@ DrawProgram::BlendTerm blend_term(BlendFactor factor) {
   return {1.f, 0.f, 0.f, 0.f};
 }
 
-inline float blend_factor(const DrawProgram::BlendTerm& term, float s,
-                          float sa, float da) {
-  return term.constant + term.sa * sa + term.da * da + term.s * s;
-}
-
 // floor(v) as an int for any float; NaN and far-out values saturate.
 inline int floor_to_int(float v) {
   v = v > -kTexelCoordLimit ? v : -kTexelCoordLimit;
@@ -180,20 +179,101 @@ inline std::uint32_t sample_nearest(const DrawProgram& p, Vec2 uv) {
                floor_to_int(uv.y * p.texture.height));
 }
 
-inline Color sample_linear(const DrawProgram& p, Vec2 uv) {
-  const float fx = uv.x * p.texture.width - 0.5f;
-  const float fy = uv.y * p.texture.height - 0.5f;
+// A color as four float lanes: r, g, b, a in lanes 0 to 3. Its + and * are
+// the compiler's lane-wise vector arithmetic. Every expression on it runs,
+// in each lane, the scalar Color code's operations in that code's order,
+// and the library builds with -ffp-contract=off, so no multiply and add
+// fuse: each byte packed equals the scalar result. unpack and pack are
+// pixel.h's unpack_rgba8888 and pack_rgba8888 in SSE2, which every x86-64
+// compiler targets without a flag; a target without SSE2 runs them per lane.
+using Rgba = float __attribute__((vector_size(16)));
+
+inline Rgba splat(float v) { return Rgba{v, v, v, v}; }
+
+inline Rgba unpack(std::uint32_t word) {
+#if defined(__SSE2__)
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i bytes = _mm_cvtsi32_si128(static_cast<int>(word));
+  const __m128i ints =
+      _mm_unpacklo_epi16(_mm_unpacklo_epi8(bytes, zero), zero);
+  return _mm_cvtepi32_ps(ints) * splat(1.f / 255.f);
+#else
+  const Color c = unpack_rgba8888(word);
+  return Rgba{c.r, c.g, c.b, c.a};
+#endif
+}
+
+inline std::uint32_t pack(Rgba c) {
+#if defined(__SSE2__)
+  // max(v, 0) is v > 0 ? v : 0, so a NaN lane packs as 0.
+  const __m128 clamped =
+      _mm_min_ps(_mm_max_ps(c, _mm_setzero_ps()), splat(1.f));
+  const __m128i ints = _mm_cvttps_epi32(clamped * splat(255.f) + splat(0.5f));
+  const __m128i words = _mm_packs_epi32(ints, ints);
+  return static_cast<std::uint32_t>(
+      _mm_cvtsi128_si32(_mm_packus_epi16(words, words)));
+#else
+  return pack_rgba8888({c[0], c[1], c[2], c[3]});
+#endif
+}
+
+// a * (1 - t) + b * t.
+inline Rgba lerp(Rgba a, Rgba b, float t) {
+  return a * splat(1.f - t) + b * splat(t);
+}
+
+// The four texels a bilinear sample reads, unpacked, keyed by the texel
+// (x0, y0) they start at. Neighbouring pixels of a magnified span read the
+// same four, so a span loop keeps one and reuses its texels while the key
+// repeats. A span whose pixels the texture's memory may hold (framebuffer
+// feedback) never reuses them: a pixel it writes may be one of them.
+struct BilinearTexels {
+  int x0 = 0, y0 = 0;
+  bool valid = false;
+  bool reuse = true;
+  Rgba c00{}, c10{}, c01{}, c11{};
+};
+
+// Interpolates horizontally, then vertically.
+inline Rgba sample_linear(const DrawProgram& p, Vec2 uv,
+                          BilinearTexels& texels) {
+  const TextureView& t = p.texture;
+  const float fx = uv.x * t.width - 0.5f;
+  const float fy = uv.y * t.height - 0.5f;
   const int x0 = floor_to_int(fx);
   const int y0 = floor_to_int(fy);
+  if (!(texels.valid && x0 == texels.x0 && y0 == texels.y0)) {
+    const int left = wrap_texel(x0, t.width, p.wrap);
+    const int right = wrap_texel(x0 + 1, t.width, p.wrap);
+    const std::uint32_t* top =
+        t.texels +
+        static_cast<std::size_t>(wrap_texel(y0, t.height, p.wrap)) *
+            t.stride_px;
+    const std::uint32_t* bottom =
+        t.texels +
+        static_cast<std::size_t>(wrap_texel(y0 + 1, t.height, p.wrap)) *
+            t.stride_px;
+    texels.c00 = unpack(top[left]);
+    texels.c10 = unpack(top[right]);
+    texels.c01 = unpack(bottom[left]);
+    texels.c11 = unpack(bottom[right]);
+    texels.x0 = x0;
+    texels.y0 = y0;
+    texels.valid = texels.reuse;
+  }
   const float tx = fx - static_cast<float>(x0);
   const float ty = fy - static_cast<float>(y0);
-  const Color c00 = unpack_rgba8888(texel(p, x0, y0));
-  const Color c10 = unpack_rgba8888(texel(p, x0 + 1, y0));
-  const Color c01 = unpack_rgba8888(texel(p, x0, y0 + 1));
-  const Color c11 = unpack_rgba8888(texel(p, x0 + 1, y0 + 1));
-  const Color top = c00 * (1.f - tx) + c10 * tx;
-  const Color bottom = c01 * (1.f - tx) + c11 * tx;
-  return top * (1.f - ty) + bottom * ty;
+  return lerp(lerp(texels.c00, texels.c10, tx),
+              lerp(texels.c01, texels.c11, tx), ty);
+}
+
+// Whether the texture's memory overlaps pixels [pixels, pixels + n).
+bool samples_own_pixels(const TextureView& t, const std::uint32_t* pixels,
+                        int n) {
+  const std::uint32_t* end =
+      t.texels + static_cast<std::size_t>(t.height - 1) * t.stride_px +
+      t.width;
+  return t.texels < pixels + n && pixels < end;
 }
 
 // What a draw samples and how the texel meets the vertex color.
@@ -219,53 +299,52 @@ constexpr bool reads_color(Tex tex) {
 
 constexpr bool reads_uv(Tex tex) { return tex != Tex::kNone; }
 
+constexpr bool filters_linear(Tex tex) {
+  return tex == Tex::kLinearReplace || tex == Tex::kLinearModulate;
+}
+
 // Texturing, blending and write-back of one fragment that passed its depth
 // test. Reads and writes only `pixel`, so concurrent calls on disjoint pixel
 // rects of the same target never race.
 template <Tex kTex, Out kOut>
-inline void shade(const DrawProgram& p, std::uint32_t* pixel,
-                  const Color& color, Vec2 uv) {
+inline void shade(const DrawProgram& p, std::uint32_t* pixel, Rgba color,
+                  Vec2 uv, BilinearTexels& texels) {
   if constexpr (kTex == Tex::kNearestReplace && kOut == Out::kWrite) {
     // pack(unpack(t)) == t for every channel value: the texel word is the
     // result.
     *pixel = sample_nearest(p, uv);
   } else {
-    Color src;
+    Rgba src;
     if constexpr (kTex == Tex::kNone) {
       src = color;
     } else if constexpr (kTex == Tex::kNearestReplace) {
-      src = unpack_rgba8888(sample_nearest(p, uv));
+      src = unpack(sample_nearest(p, uv));
     } else if constexpr (kTex == Tex::kNearestModulate) {
-      src = unpack_rgba8888(sample_nearest(p, uv)) * color;
+      src = unpack(sample_nearest(p, uv)) * color;
     } else if constexpr (kTex == Tex::kLinearReplace) {
-      src = sample_linear(p, uv);
+      src = sample_linear(p, uv, texels);
     } else {
-      src = sample_linear(p, uv) * color;
+      src = sample_linear(p, uv, texels) * color;
     }
     if constexpr (kOut == Out::kWrite) {
-      *pixel = pack_rgba8888(src);
+      *pixel = pack(src);
     } else if constexpr (kOut == Out::kAlphaBlend) {
-      const Color dst = unpack_rgba8888(*pixel);
-      const float sa = src.a;
-      const float ia = 1.f - sa;
-      *pixel = pack_rgba8888({src.r * sa + dst.r * ia, src.g * sa + dst.g * ia,
-                              src.b * sa + dst.b * ia,
-                              src.a * sa + dst.a * ia});
+      const float sa = src[3];
+      *pixel = pack(src * splat(sa) + unpack(*pixel) * splat(1.f - sa));
     } else {
-      const Color dst = unpack_rgba8888(*pixel);
-      const float sa = src.a;
-      const float da = dst.a;
-      const auto combine = [&](float s, float d) {
-        return s * blend_factor(p.src, s, sa, da) +
-               d * blend_factor(p.dst, s, sa, da);
+      const Rgba dst = unpack(*pixel);
+      const float sa = src[3];
+      const float da = dst[3];
+      // constant + sa * src alpha + da * dst alpha + s * the source lane.
+      const auto factor = [&](const DrawProgram::BlendTerm& term) {
+        return splat(term.constant + term.sa * sa + term.da * da) +
+               splat(term.s) * src;
       };
-      Color out{combine(src.r, dst.r), combine(src.g, dst.g),
-                combine(src.b, dst.b), combine(src.a, dst.a)};
-      if (p.keep_dst[0]) out.r = dst.r;
-      if (p.keep_dst[1]) out.g = dst.g;
-      if (p.keep_dst[2]) out.b = dst.b;
-      if (p.keep_dst[3]) out.a = dst.a;
-      *pixel = pack_rgba8888(out);
+      Rgba out = src * factor(p.src) + dst * factor(p.dst);
+      for (int i = 0; i < 4; ++i) {
+        if (p.keep_dst[i]) out[i] = dst[i];
+      }
+      *pixel = pack(out);
     }
   }
 }
@@ -281,9 +360,10 @@ bool shade_fragment(const DrawProgram& p, const TargetView& target, int x,
       return false;
     }
   }
+  BilinearTexels texels;
   shade<kTex, kOut>(
       p, &target.color[static_cast<std::size_t>(y) * target.stride_px + x],
-      color, uv);
+      Rgba{color.r, color.g, color.b, color.a}, uv, texels);
   return true;
 }
 
@@ -381,6 +461,19 @@ RasterCounts shade_span(const DrawProgram& p, const TargetView& target,
     }
   }
 
+  // Lane k of the color planes is attribute k, evaluated as `at` evaluates
+  // u and v.
+  Rgba color_row{}, color_dx{}, color_constant{};
+  if constexpr (reads_color(kTex)) {
+    color_row = Rgba{base[0], base[1], base[2], base[3]};
+    color_dx = Rgba{s.attr[0].dx, s.attr[1].dx, s.attr[2].dx, s.attr[3].dx};
+    color_constant =
+        Rgba{s.constant[0], s.constant[1], s.constant[2], s.constant[3]};
+  }
+  BilinearTexels texels;
+  if constexpr (filters_linear(kTex)) {
+    texels.reuse = !samples_own_pixels(p.texture, colors + x0, x1 - x0);
+  }
   std::uint64_t shaded = 0;
   for (int x = x0; x < x1; ++x) {
     const float dx = static_cast<float>(x - s.xref);
@@ -400,11 +493,14 @@ RasterCounts shade_span(const DrawProgram& p, const TargetView& target,
         return value;
       }
     };
-    Color color;
+    Rgba color{};
     Vec2 uv;
-    if constexpr (reads_color(kTex)) color = {at(0), at(1), at(2), at(3)};
+    if constexpr (reads_color(kTex)) {
+      color = color_row + color_dx * splat(dx);
+      if constexpr (kPerspective) color = color_constant + color * splat(rcp);
+    }
     if constexpr (reads_uv(kTex)) uv = {at(4), at(5)};
-    shade<kTex, kOut>(p, colors + x, color, uv);
+    shade<kTex, kOut>(p, colors + x, color, uv, texels);
     ++shaded;
   }
   return {shaded, 0};

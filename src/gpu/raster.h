@@ -38,6 +38,19 @@
 // SrcAlpha/OneMinusSrcAlpha blend, or any blend and color mask). Lines and
 // points keep their step walks and shade through the same specialization.
 //
+// The fragment stage shades a color's four channels at once, as four float
+// lanes (SSE2 on x86-64). Each lane runs the operations of the per-channel
+// scalar rules (pixel.h's unpack_rgba8888 and pack_rgba8888, and Color's
+// arithmetic) in the same order, and the library compiles with
+// -ffp-contract=off, so no multiply and add fuse on a target with FMA: the
+// bytes are the scalar rules' bytes whatever -march says. A bilinear sample
+// keeps the four texels it last unpacked, keyed by the texel (x0, y0) it
+// starts at, for the rest of its span: the span's next pixels between the
+// same four texels reuse them (three pixels of four at 4x magnification),
+// still interpolating horizontally, then vertically. A span whose pixels
+// the texture's memory may hold (framebuffer feedback) reads every
+// sample's texels afresh.
+//
 // The affine replace-texture loops with a plain write and no depth test
 // first test each span: when v is constant along the row and every pixel
 // x provably samples texel (x + k, row) unchanged — nearest samples that

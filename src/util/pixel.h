@@ -49,7 +49,8 @@ struct Color {
 
 // Packs a float color to a 32-bit RGBA8888 value (R in the low byte,
 // matching GL_RGBA/GL_UNSIGNED_BYTE memory order on little-endian). A NaN
-// channel packs as 0. Inline: the rasterizer packs and unpacks per pixel.
+// channel packs as 0. The rasterizer's four-lane pack and unpack
+// (gpu/raster.cpp) compute these two rules' bytes exactly.
 inline std::uint32_t pack_rgba8888(Color c) {
   const auto to8 = [](float v) {
     v = v > 0.f ? v : 0.f;

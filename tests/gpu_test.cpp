@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "trace/metrics.h"
+#include "util/image.h"
 
 namespace cycada::gpu {
 namespace {
@@ -632,6 +634,254 @@ TEST_F(GpuTest, CopySpansMatchThePerPixelPath) {
         EXPECT_EQ(r.fragments, reference.fragments) << where();
         EXPECT_EQ(r.spans_copied > 0, c.copies && !blend) << where();
       }
+    }
+  }
+  pool.set_worker_count(saved_workers);
+}
+
+// Golden bytes for every fragment loop prepare_draw can choose: depth test
+// off and on (against a depth buffer cleared to 0.5, so some fragments
+// fail), the five texture kinds and the three outputs, the generic one
+// with a non-alpha factor pair and a color mask. Each scene draws over a
+// pseudo-random background on a 256x128 target (4x2 tiles):
+//   - a 13x7 texture 4x magnified under repeat, with v sheared along the
+//     rows, so a row's samples change texel row where they keep the column;
+//   - the same texture 1.5x magnified under clamp and 0.5x minified under
+//     repeat, and a perspective quad under repeat;
+//   - a 16x8 texture 4x magnified on the texel grid, as PassMark's Image
+//     Filters draws, where every weight is exact and a bilinear sum often
+//     lands on a rounding tie;
+//   - two lines and two 3-px points.
+// Nearest scenes draw the same. Vertex colors leave [0, 1] and one vertex
+// has a NaN channel. A last scene samples the target's own pixels, 4x
+// magnified along each row and ahead of the pixel being shaded, so the
+// loop samples texels it has just written. Every screen, drawn on the
+// serial façade and on the device at 1 and 4 tile workers, must hash to
+// the constant recorded at commit 6b642fe, whose fragment stage shaded one
+// float channel at a time.
+TEST_F(GpuTest, FragmentLoopsKeepTheirBytes) {
+  constexpr int kWidth = 256;
+  constexpr int kHeight = 128;
+  struct Scene {
+    bool depth;
+    bool textured;
+    TextureFilter filter;
+    TexEnv env;
+    int out;  // 0 write, 1 SrcAlpha/OneMinusSrcAlpha, 2 generic
+    bool feedback;
+    std::uint64_t hash;
+  };
+  constexpr auto kNearest = TextureFilter::kNearest;
+  constexpr auto kLinear = TextureFilter::kLinear;
+  constexpr auto kReplace = TexEnv::kReplace;
+  constexpr auto kModulate = TexEnv::kModulate;
+  const Scene scenes[] = {
+      {false, false, kNearest, kModulate, 0, false, 0xc2e0b16c3fe9168aull},
+      {false, false, kNearest, kModulate, 1, false, 0xe1889adef2bd6ea4ull},
+      {false, false, kNearest, kModulate, 2, false, 0x07f2f96c7c1883d1ull},
+      {false, true, kNearest, kReplace, 0, false, 0x5a54ce00d8fe489dull},
+      {false, true, kNearest, kReplace, 1, false, 0x88d57e41037375f1ull},
+      {false, true, kNearest, kReplace, 2, false, 0x6ed142bd6f509781ull},
+      {false, true, kNearest, kModulate, 0, false, 0x83e6cb1a24da8c3aull},
+      {false, true, kNearest, kModulate, 1, false, 0xd8183cbdbd2b3fcaull},
+      {false, true, kNearest, kModulate, 2, false, 0x99ccb3e730d15d6full},
+      {false, true, kLinear, kReplace, 0, false, 0xe238e731c06a79b3ull},
+      {false, true, kLinear, kReplace, 1, false, 0xdb7a4dc130853891ull},
+      {false, true, kLinear, kReplace, 2, false, 0x8f6a8b24ee2a421bull},
+      {false, true, kLinear, kModulate, 0, false, 0x34411292dae4af8eull},
+      {false, true, kLinear, kModulate, 1, false, 0x8a04909296b58a9cull},
+      {false, true, kLinear, kModulate, 2, false, 0x4a5baaa1f1489ea3ull},
+      {true, false, kNearest, kModulate, 0, false, 0xae046332e8d8dc06ull},
+      {true, false, kNearest, kModulate, 1, false, 0x2a41bad5be98906cull},
+      {true, false, kNearest, kModulate, 2, false, 0xc18805026a77ee3bull},
+      {true, true, kNearest, kReplace, 0, false, 0xbcc4ab8044db8814ull},
+      {true, true, kNearest, kReplace, 1, false, 0x82be6410d8269e95ull},
+      {true, true, kNearest, kReplace, 2, false, 0x38826f55ce66ee24ull},
+      {true, true, kNearest, kModulate, 0, false, 0x1e8f54590fa04d91ull},
+      {true, true, kNearest, kModulate, 1, false, 0xdea43a63fc2299afull},
+      {true, true, kNearest, kModulate, 2, false, 0x48749c2f34ed8dbeull},
+      {true, true, kLinear, kReplace, 0, false, 0x7fe6524f9b89dbcaull},
+      {true, true, kLinear, kReplace, 1, false, 0xaba6c2141c943d7eull},
+      {true, true, kLinear, kReplace, 2, false, 0x56983005f1744220ull},
+      {true, true, kLinear, kModulate, 0, false, 0x811d7bc65863a0fbull},
+      {true, true, kLinear, kModulate, 1, false, 0xdb35f02ca183e2b4ull},
+      {true, true, kLinear, kModulate, 2, false, 0xbe039c6b165eb16aull},
+      {false, true, kLinear, kModulate, 0, true, 0x4cb069b429c23f3cull},
+  };
+
+  const auto pattern = [](std::size_t count, std::uint32_t seed) {
+    std::vector<std::uint32_t> words(count);
+    std::uint32_t x = seed;
+    for (std::uint32_t& word : words) {
+      x ^= x << 13;
+      x ^= x >> 17;
+      x ^= x << 5;
+      word = x;
+    }
+    return words;
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Color c0{1.3f, -0.2f, 0.5f, 0.7f};
+  const Color c1{0.1f, 0.9f, 1.6f, 0.35f};
+  const Color c2{-0.5f, 0.45f, 0.2f, 1.2f};
+  const Color c3{0.8f, 0.3f, 0.9f, 0.05f};
+  // A vertex at pixel (px, py) of the target, clip depth z. The divisions
+  // are by powers of two, so integer pixels are exact clip coordinates.
+  const auto at = [](float px, float py, float z, Color color, Vec2 uv,
+                     float w = 1.f) {
+    ShadedVertex v = vtx(px / (kWidth / 2) - 1.f, 1.f - py / (kHeight / 2),
+                         z, color, uv);
+    v.clip_pos = v.clip_pos * w;
+    return v;
+  };
+  // Pixels [x0, x1) x [y0, y1) sampling uv0 at the top left and uv1 at the
+  // bottom right, v growing by `shear` along the rows; the bottom corners
+  // sit at clip w = `w`.
+  const auto quad = [&](float x0, float y0, float x1, float y1, Vec2 uv0,
+                        Vec2 uv1, Color top_right, float w = 1.f,
+                        float shear = 0.f) {
+    const ShadedVertex tl = at(x0, y0, -0.8f, c0, uv0);
+    const ShadedVertex tr =
+        at(x1, y0, 0.1f, top_right, {uv1.x, uv0.y + shear});
+    const ShadedVertex br = at(x1, y1, 0.9f, c2, {uv1.x, uv1.y + shear}, w);
+    const ShadedVertex bl = at(x0, y1, -0.2f, c3, {uv0.x, uv1.y}, w);
+    return std::vector<ShadedVertex>{tl, tr, br, tl, br, bl};
+  };
+  enum Source { kNpot, kPot, kTarget };  // what a draw samples
+  struct Draw {
+    PrimitiveKind kind;
+    TextureWrap wrap;
+    Source source;
+    std::vector<ShadedVertex> vertices;
+  };
+  constexpr auto kTriangles = PrimitiveKind::kTriangles;
+  constexpr auto kRepeat = TextureWrap::kRepeat;
+  constexpr auto kClamp = TextureWrap::kClampToEdge;
+  const std::vector<Draw> draws = {
+      // 52x28 pixels over 13x7 texels from (-0.3, 0.2): 4x, repeating.
+      {kTriangles, kRepeat, kNpot,
+       quad(3, 4, 55, 32, {-0.3f, 0.2f}, {0.7f, 1.2f}, c1, 1.f, 0.5f)},
+      // 39x21 pixels over 26x14 texels from (-0.5, -0.5): 1.5x, clamped.
+      {kTriangles, kClamp, kNpot,
+       quad(40, 20, 79, 41, {-0.5f, -0.5f}, {1.5f, 1.5f},
+            {0.6f, nan, 0.4f, 0.9f})},
+      // 26x14 pixels over 52x28 texels: 0.5x, repeating.
+      {kTriangles, kRepeat, kNpot,
+       quad(70, 50, 96, 64, {0.1f, 0.f}, {4.1f, 4.f}, c1)},
+      {kTriangles, kRepeat, kNpot,
+       quad(20, 30, 140, 85, {0.2f, -0.1f}, {2.2f, 3.4f}, c1, 2.5f)},
+      // 64x32 pixels over 16x8 texels on the texel grid: 4x.
+      {kTriangles, kRepeat, kPot,
+       quad(120, 70, 184, 102, {0.f, 0.f}, {1.f, 1.f}, c1)},
+      {PrimitiveKind::kLines, kRepeat, kNpot,
+       {at(2, 120, -0.5f, c0, {0.f, 0.f}), at(250, 3, 0.5f, c2, {3.f, 2.f}),
+        at(60, 10, 0.3f, c1, {0.5f, 0.1f}),
+        at(70, 110, -0.6f, c3, {1.5f, 1.9f})}},
+      {PrimitiveKind::kPoints, kRepeat, kNpot,
+       {at(64, 64, -0.4f, c1, {0.3f, 0.6f}),
+        at(100, 20, 0.2f, c2, {0.8f, 0.2f})}},
+  };
+  // Pixel x of each row of [0, 200) samples the target's texel column
+  // 100 + x / 4 of its own row, which pixel x writes when x reaches it.
+  const std::vector<Draw> feedback_draws = {
+      {kTriangles, kRepeat, kTarget,
+       quad(0, 0, 200, kHeight, {100.f / kWidth, 0.f}, {150.f / kWidth, 1.f},
+            c1)},
+  };
+
+  constexpr int kNpotWidth = 13, kNpotHeight = 7;
+  constexpr int kPotWidth = 16, kPotHeight = 8;
+  const std::vector<std::uint32_t> npot =
+      pattern(static_cast<std::size_t>(kNpotWidth) * kNpotHeight, 0x2545f491u);
+  const std::vector<std::uint32_t> pot =
+      pattern(static_cast<std::size_t>(kPotWidth) * kPotHeight, 0x68e31da4u);
+  const Color background{0.25f, 0.5f, 0.75f, 0.5f};
+  TileWorkerPool& pool = TileWorkerPool::instance();
+  const int saved_workers = pool.worker_count();
+  // workers == 0 draws on the façade.
+  const auto render = [&](const Scene& scene, int workers) {
+    Image screen(kWidth, kHeight);
+    std::vector<std::uint32_t>& pixels = screen.pixels();
+    pixels = pattern(pixels.size(), 0x85ebca6bu);
+    RasterState state;
+    state.depth_test = scene.depth;
+    state.filter = scene.filter;
+    state.tex_env = scene.env;
+    state.point_size = 3.f;
+    if (scene.out == 1) {
+      state.blend = true;
+      state.blend_src = BlendFactor::kSrcAlpha;
+      state.blend_dst = BlendFactor::kOneMinusSrcAlpha;
+    } else if (scene.out == 2) {
+      state.blend = true;
+      state.blend_src = BlendFactor::kSrcColor;
+      state.blend_dst = BlendFactor::kOneMinusDstAlpha;
+      state.color_mask[1] = false;
+    }
+    const std::vector<Draw>& list = scene.feedback ? feedback_draws : draws;
+    if (workers == 0) {
+      std::vector<float> depths(static_cast<std::size_t>(kWidth) * kHeight);
+      const TargetView target{pixels.data(), depths.data(), kWidth, kHeight,
+                              kWidth};
+      const TextureView textures[] = {
+          {npot.data(), kNpotWidth, kNpotHeight, kNpotWidth},
+          {pot.data(), kPotWidth, kPotHeight, kPotWidth},
+          {pixels.data(), kWidth, kHeight, kWidth}};
+      Rasterizer rasterizer;
+      rasterizer.clear(target, std::nullopt, false, background, true, 0.5f);
+      for (const Draw& draw : list) {
+        state.wrap = draw.wrap;
+        rasterizer.draw(target, state, draw.kind, draw.vertices,
+                        scene.textured ? textures[draw.source]
+                                       : TextureView{});
+      }
+      return screen;
+    }
+    pool.set_worker_count(workers);
+    dev().reset();
+    const auto target = dev().create_target_external(pixels.data(), kWidth,
+                                                     kHeight, kWidth, true);
+    TextureHandle textures[3] = {kNoHandle, kNoHandle, kNoHandle};
+    if (scene.textured) {
+      const auto define = [&](const std::vector<std::uint32_t>& texels,
+                              int width, int height) {
+        const TextureHandle texture = dev().create_texture();
+        EXPECT_TRUE(dev().define_texture(texture, width, height).is_ok());
+        EXPECT_TRUE(dev()
+                        .upload_texture(texture, 0, 0, width, height,
+                                        texels.data(), width)
+                        .is_ok());
+        return texture;
+      };
+      textures[kNpot] = define(npot, kNpotWidth, kNpotHeight);
+      textures[kPot] = define(pot, kPotWidth, kPotHeight);
+      textures[kTarget] = dev().create_texture();
+      EXPECT_TRUE(dev()
+                      .bind_texture_external(textures[kTarget],
+                                             pixels.data(), kWidth, kHeight,
+                                             kWidth)
+                      .is_ok());
+    }
+    dev().submit_clear(target, std::nullopt, false, background, true, 0.5f);
+    for (const Draw& draw : list) {
+      state.wrap = draw.wrap;
+      state.texture = textures[draw.source];
+      dev().submit_draw(target, state, draw.kind, draw.vertices);
+    }
+    dev().flush();
+    dev().reset();  // the target aliases `pixels`
+    return screen;
+  };
+
+  for (std::size_t i = 0; i < std::size(scenes); ++i) {
+    const Scene& scene = scenes[i];
+    for (const int workers : {0, 1, 4}) {
+      // The feedback scene samples pixels of other tiles; the device runs
+      // such a phase on one thread but tile by tile, an order the façade's
+      // whole rows do not share, so the façade alone draws it.
+      if (scene.feedback && workers != 0) continue;
+      EXPECT_EQ(fnv1a_hash(render(scene, workers)), scene.hash)
+          << "scene " << i << " at " << workers << " worker(s)";
     }
   }
   pool.set_worker_count(saved_workers);
