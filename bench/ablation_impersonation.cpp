@@ -2,10 +2,12 @@
 //
 // A thread using an EAGLContext it created pays one diplomat per GL call; a
 // thread using a context created elsewhere (the GCD/WebKit pattern, §7)
-// additionally migrates the context's TLS binding in and out around every
-// call and assumes the creator's identity. This bench measures both paths,
-// plus the raw locate_tls/propagate_tls syscalls as a function of how many
-// graphics TLS keys are being migrated.
+// additionally runs core::ThreadImpersonation around every call: it saves
+// its own values of the context's graphics TLS keys and installs the
+// context's, in both personas, and assumes the creator's identity; on
+// release it writes its values back into the context's store and restores
+// its own. This bench measures both paths, plus the engine alone over
+// stores of 1, 4, 16 and 64 keys.
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -50,39 +52,46 @@ int main() {
   });
   worker.join();
 
-  // Raw TLS migration cost vs. number of graphics keys.
   std::printf("Ablation: thread impersonation (paper §7)\n\n");
   std::printf("  GL call, creator thread:     %7.1f ns/call\n", creator_ns);
   std::printf("  GL call, impersonating thread: %5.1f ns/call (%.2fx)\n",
               foreign_ns, foreign_ns / creator_ns);
+  const std::size_t app_keys = (*context)->tls().keys().size();
+  std::printf("  (the context's store holds %zu graphics key(s))\n", app_keys);
 
-  std::printf("\n  locate_tls + propagate_tls round trip vs key count:\n");
-  kernel::Kernel& kernel = kernel::Kernel::instance();
-  const kernel::Tid self = kernel.current_thread().tid();
+  // The engine alone, in the Android persona the diplomat runs it in, over
+  // stores of a chosen size: the tracker holds exactly those keys when a
+  // fresh thread creates the store.
+  std::printf("\n  impersonation acquire + release vs keys in the store:\n");
+  core::GraphicsTlsTracker& tracker = core::GraphicsTlsTracker::instance();
   for (int key_count : {1, 4, 16, 64}) {
+    tracker.reset();
     std::vector<kernel::TlsKey> keys;
     for (int i = 0; i < key_count; ++i) {
       keys.push_back(kernel::libc::pthread_key_create());
+      tracker.add_well_known_key(keys.back());
     }
-    std::vector<void*> values(keys.size());
+    core::ContextTls store;
+    std::thread([&] { store = core::ContextTls::capture(); }).join();
     constexpr int kRounds = 50000;
-    const auto t2 = now_ns();
-    for (int i = 0; i < kRounds; ++i) {
-      (void)kernel::sys_locate_tls(self, kernel::Persona::kAndroid,
-                                   keys.data(), values.data(), key_count);
-      (void)kernel::sys_propagate_tls(self, kernel::Persona::kAndroid,
-                                      keys.data(), values.data(), key_count);
+    double ns = 0;
+    {
+      kernel::ScopedPersona android(kernel::Persona::kAndroid);
+      const auto t2 = now_ns();
+      for (int i = 0; i < kRounds; ++i) {
+        core::ThreadImpersonation impersonation(store);
+      }
+      ns = static_cast<double>(now_ns() - t2) / kRounds;
     }
-    const double ns = static_cast<double>(now_ns() - t2) / kRounds;
-    std::printf("    %3d keys: %7.1f ns/round-trip\n", key_count, ns);
+    std::printf("    %3d keys: %7.1f ns/impersonation\n", key_count, ns);
     for (kernel::TlsKey key : keys) kernel::libc::pthread_key_delete(key);
   }
   std::printf(
-      "\n  Takeaway: the per-call tax is ios_gl's MigrationScope, which moves "
-      "the context's\n  one replica TLS slot and sets the impersonated tid "
-      "around each call, whatever the\n  key count. The round trips measure "
-      "the selective-migration engine\n  (core::ThreadImpersonation: only "
-      "graphics keys, discovered via the gated libc\n  hooks), which scales "
-      "with the keys migrated and which no GL call runs.\n");
+      "\n  Takeaway: a foreign GL call pays the one engine, "
+      "core::ThreadImpersonation, over\n  its context's store: ten traps "
+      "(save, install, write back and restore in both\n  personas, and "
+      "assuming and dropping the creator's tid) whose cost grows with the\n"
+      "  keys the tracker held when the context was made (%zu here).\n",
+      app_keys);
   return 0;
 }

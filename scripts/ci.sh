@@ -146,8 +146,9 @@ run env CYCADA_FAULT='all=prob:1000:42' ./build/bench/fig6_passmark
 # that the analyzer finds no persona/lock leaks; --verify adds byte-correct
 # neighbour screens and no frame over its liveness envelope. Four workers
 # are pinned so frames go async on any runner. Each fleet-0 lifetime
-# creates a libui_wrapper layer, so the soak must also have stalled the
-# egl.create_surface probe (its soak.* JSON key is absent at zero).
+# creates a libui_wrapper layer and ends in one GCD GL call, so the soak
+# must also have stalled the egl.create_surface and dispatch.impersonate
+# probes (a soak.* JSON key is absent at zero).
 echo "==> cycada_fleet chaos soak (4 sessions, 8s budget, seed 42)"
 echo "==> env CYCADA_GPU_WORKERS=4 CYCADA_WATCHDOG_BUDGET_MS=50" \
   "./build/tools/cycada_fleet --sessions 4 --frames 3 --chaos-ms 8000 --verify"
@@ -155,14 +156,16 @@ soak_out="$(env CYCADA_GPU_WORKERS=4 CYCADA_WATCHDOG_BUDGET_MS=50 \
   ./build/tools/cycada_fleet --sessions 4 --frames 3 --chaos-ms 8000 \
   --verify)" || { printf '%s\n' "${soak_out}"; exit 1; }
 printf '%s\n' "${soak_out}"
-surface_stalls="$(printf '%s' "${soak_out}" \
-  | grep -o '"soak.fault.egl.create_surface.stalls":[0-9]*' \
-  | grep -o '[0-9]*$' || true)"
-if [[ -z "${surface_stalls}" || "${surface_stalls}" -eq 0 ]]; then
-  echo "ci.sh: FAIL — the chaos soak never stalled egl.create_surface" >&2
-  exit 1
-fi
-echo "    egl.create_surface stalled ${surface_stalls} time(s)"
+for probe in egl.create_surface dispatch.impersonate; do
+  stalls="$(printf '%s' "${soak_out}" \
+    | grep -o "\"soak.fault.${probe}.stalls\":[0-9]*" \
+    | grep -o '[0-9]*$' || true)"
+  if [[ -z "${stalls}" || "${stalls}" -eq 0 ]]; then
+    echo "ci.sh: FAIL — the chaos soak never stalled ${probe}" >&2
+    exit 1
+  fi
+  echo "    ${probe} stalled ${stalls} time(s)"
+done
 
 # --- TSan leg over the lock-free and fault-injection suites ------------------
 # GpuTest is here because a texture write settles recorded draws on the
@@ -170,6 +173,9 @@ echo "    egl.create_surface stalled ${surface_stalls} time(s)"
 # suites (ConfigTest, CrossConfigTest, UiWrapperTest, CycadaIosPresentTest)
 # are here because every present, Cycada iOS's included, now returns while
 # pool workers still raster its frame, and the app thread records the next.
+# ImpersonationTest and IosGlTest are here because every GL call from a
+# render thread or a GCD job runs the impersonation engine over its
+# context's TLS store.
 if [[ "${CYCADA_SKIP_TSAN:-0}" == "1" ]]; then
   echo "ci.sh: OK (TSan skipped)"
   exit 0
@@ -177,6 +183,6 @@ fi
 run cmake -B build-tsan -S . -DCYCADA_TSAN=ON
 run cmake --build build-tsan -j
 (cd build-tsan && run ctest --output-on-failure -j "$(nproc)" \
-  -R 'DispatchTest|Robustness|LinkerTest|PipelineTest|SessionTest|TraceTest|TraceReplayTest|GpuTest|ConfigTest|CrossConfigTest|UiWrapperTest|CycadaIosPresentTest')
+  -R 'DispatchTest|Robustness|LinkerTest|PipelineTest|SessionTest|TraceTest|TraceReplayTest|GpuTest|ConfigTest|CrossConfigTest|UiWrapperTest|CycadaIosPresentTest|ImpersonationTest|IosGlTest')
 
 echo "ci.sh: OK"

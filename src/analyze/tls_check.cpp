@@ -14,7 +14,7 @@ namespace cycada::analyze {
 
 namespace {
 
-// Distinct per-(persona, key-index) sentinel planted in the target thread.
+// Distinct per-(persona, key-index) sentinel planted in the probe creator.
 void* sentinel(int persona, int index) {
   return reinterpret_cast<void*>(
       static_cast<std::uintptr_t>(0xC0DE0000u + persona * 0x1000 + index));
@@ -98,47 +98,50 @@ void check_tls_migration(Report& report) {
   const int count = static_cast<int>(keys.size());
   const kernel::Tid self = kernel.current_thread().tid();
 
-  // Register a fresh kernel thread as the impersonation target (its
-  // ThreadState outlives the OS thread).
-  kernel::Tid target = kernel::kInvalidTid;
-  std::thread([&target] {
-    target = kernel::Kernel::instance()
-                 .register_current_thread(kernel::Persona::kAndroid)
-                 .tid();
+  // A probe context made the way EAGLContext makes one: a fresh kernel
+  // thread plants per-persona sentinels in its own TLS and captures the
+  // store (its ThreadState outlives the OS thread, as a creator's does).
+  core::ContextTls context;
+  bool planted = true;
+  std::thread([&] {
+    const kernel::Tid creator = kernel::Kernel::instance()
+                                    .register_current_thread(
+                                        kernel::Persona::kAndroid)
+                                    .tid();
+    for (int p = 0; p < kernel::kNumPersonas; ++p) {
+      std::vector<void*> values(keys.size());
+      for (int i = 0; i < count; ++i) values[i] = sentinel(p, i);
+      planted &= kernel::sys_propagate_tls(
+                     creator, static_cast<kernel::Persona>(p), keys.data(),
+                     values.data(), count) == 0;
+    }
+    context = core::ContextTls::capture();
   }).join();
-  if (target == kernel::kInvalidTid) {
+  if (!planted) {
     report.add("tls", "tls.no-record", "probe",
-               "could not register a probe target thread");
+               "could not plant sentinels in the probe context's creator");
     return;
   }
 
-  // Plant per-persona sentinels in the target and snapshot our own values.
+  // Snapshot our own values.
   std::vector<void*> before[kernel::kNumPersonas];
   for (int p = 0; p < kernel::kNumPersonas; ++p) {
-    const auto persona = static_cast<kernel::Persona>(p);
-    std::vector<void*> values(keys.size());
-    for (int i = 0; i < count; ++i) values[i] = sentinel(p, i);
-    if (kernel::sys_propagate_tls(target, persona, keys.data(), values.data(),
-                                  count) != 0) {
-      report.add("tls", "tls.no-record", "probe",
-                 "could not plant sentinels in the probe target");
-      return;
-    }
     before[p].resize(keys.size());
-    (void)kernel::sys_locate_tls(self, persona, keys.data(), before[p].data(),
-                                 count);
+    (void)kernel::sys_locate_tls(self, static_cast<kernel::Persona>(p),
+                                 keys.data(), before[p].data(), count);
   }
 
   {
-    core::ThreadImpersonation impersonation(target);
-    const std::optional<core::MigrationRecord> record = core::last_migration();
-    if (!impersonation.active() || !record || record->target != target) {
+    core::ThreadImpersonation impersonation(context);
+    if (!impersonation.active()) {
       report.add("tls", "tls.no-record", "probe",
-                 "impersonating the probe target left no migration record");
+                 "impersonating the probe context's creator migrated "
+                 "nothing");
       return;
     }
-    const std::set<kernel::TlsKey> migrated(record->keys.begin(),
-                                            record->keys.end());
+    const std::set<kernel::TlsKey> migrated(
+        impersonation.migrated_keys().begin(),
+        impersonation.migrated_keys().end());
     for (int i = 0; i < count; ++i) {
       if (!migrated.contains(keys[i])) {
         report.add("tls", "tls.unmigrated-key", key_label(keys[i]),
@@ -146,14 +149,14 @@ void check_tls_migration(Report& report) {
                    "impersonation's migration set");
         continue;
       }
-      // A migrated key must now carry the target's value in both personas.
+      // A migrated key must now carry the context's value in both personas.
       for (int p = 0; p < kernel::kNumPersonas; ++p) {
         const auto persona = static_cast<kernel::Persona>(p);
         void* value = nullptr;
         (void)kernel::sys_locate_tls(self, persona, &keys[i], &value, 1);
         if (value != sentinel(p, i)) {
           report.add("tls", "tls.sentinel-missing", key_label(keys[i]),
-                     "migrated key does not carry the target's value in "
+                     "migrated key does not carry the context's value in "
                      "persona " +
                          std::to_string(p));
         }

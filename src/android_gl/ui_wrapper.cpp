@@ -4,6 +4,7 @@
 #include <iterator>
 
 #include "android_gl/vendor.h"
+#include "core/impersonation.h"
 #include "kernel/kernel.h"
 #include "kernel/libc.h"
 #include "util/faultpoint.h"
@@ -382,15 +383,12 @@ Status UiWrapper::swap_buffers() {
   return layer_->swap(engine_);
 }
 
-std::vector<void*> UiWrapper::get_tls() {
-  // The replica's thread-local binding: the engine's current-context slot.
-  return {kernel::libc::pthread_getspecific(engine_->current_context_tls_key())};
-}
-
-Status UiWrapper::set_tls(const std::vector<void*>& values) {
-  if (values.size() != 1) return Status::invalid_argument("expected 1 slot");
-  kernel::libc::pthread_setspecific(engine_->current_context_tls_key(),
-                                    values[0]);
+Status UiWrapper::set_tls(const core::ContextTls& tls) {
+  // The replica's thread-local binding: the engine's current-context slot,
+  // in the Android persona this runs in.
+  const kernel::TlsKey key = engine_->current_context_tls_key();
+  kernel::libc::pthread_setspecific(key,
+                                    tls.value(kernel::Persona::kAndroid, key));
   return Status::ok();
 }
 

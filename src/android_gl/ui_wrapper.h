@@ -16,6 +16,10 @@
 #include "linker/linker.h"
 #include "util/status.h"
 
+namespace cycada::core {
+class ContextTls;
+}  // namespace cycada::core
+
 namespace cycada::android_gl {
 
 // Android's GLES thread-affinity rule (paper §7): a context may be used by
@@ -72,10 +76,9 @@ class UiWrapper : public linker::LibraryInstance {
   // expensive aegl_bridge_* function in the paper's profiles).
   Status copy_tex_buf(glcore::GLuint texture, gmem::BufferId dst);
 
-  // The eglGetTLSMC/eglSetTLSMC surface (Figure 4): this connection's
-  // thread-local binding, packaged for migration between threads.
-  std::vector<void*> get_tls();
-  Status set_tls(const std::vector<void*>& values);
+  // The eglSetTLSMC surface (Figure 4): binds this replica on the calling
+  // thread to the value its slot holds in `tls`, a context's store.
+  Status set_tls(const core::ContextTls& tls);
 
   // The window layer the present path draws into (nullptr until
   // initialized); its front_image() is what the screen shows.

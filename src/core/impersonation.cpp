@@ -1,6 +1,7 @@
 #include "core/impersonation.h"
 
 #include "core/session.h"
+#include "trace/cyt.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
 #include "util/faultpoint.h"
@@ -12,37 +13,10 @@ namespace {
 // Per-thread nesting depth of graphics-diplomat prelude/postlude windows.
 thread_local int t_graphics_depth = 0;
 
-// Per-thread cache of the tracked-key vector, revalidated against the
-// tracker's generation counter. Impersonation enter/exit calls
-// graphics_keys() on every acquire; with a stable key set this is a single
-// acquire load plus a vector copy, with no shared lock.
-struct KeyCache {
-  std::uint64_t generation = ~0ull;
-  const GraphicsTlsTracker* tracker = nullptr;  // per-session identity
-  std::vector<kernel::TlsKey> keys;
-};
-thread_local KeyCache t_key_cache;
-
-// Most recent completed migration. Leaf mutex: nothing is acquired under it.
-std::mutex g_migration_mutex;
-std::optional<MigrationRecord> g_last_migration;
-
-// Process-wide generation source shared by every tracker instance. Session
-// churn recycles heap addresses, so the (tracker pointer, generation) pair
-// in KeyCache is only sound if no two tracker instances ever publish the
-// same generation value.
-std::atomic<std::uint64_t> g_generation_source{1};
+kernel::Persona persona_at(int index) {
+  return static_cast<kernel::Persona>(index);
+}
 }  // namespace
-
-std::optional<MigrationRecord> last_migration() {
-  std::lock_guard lock(g_migration_mutex);
-  return g_last_migration;
-}
-
-void clear_migration_record() {
-  std::lock_guard lock(g_migration_mutex);
-  g_last_migration.reset();
-}
 
 GraphicsTlsTracker& GraphicsTlsTracker::instance() {
   // Per-session facet: key membership tracked against the session's own
@@ -52,11 +26,6 @@ GraphicsTlsTracker& GraphicsTlsTracker::instance() {
     tracker->owner_ = Session::constructing_owner();
     return tracker;
   });
-}
-
-GraphicsTlsTracker::GraphicsTlsTracker() {
-  generation_.store(g_generation_source.fetch_add(1, std::memory_order_relaxed),
-                    std::memory_order_release);
 }
 
 GraphicsTlsTracker::~GraphicsTlsTracker() { reset(); }
@@ -82,24 +51,13 @@ void GraphicsTlsTracker::reset() {
     hook_kernel_->remove_key_delete_hook(delete_hook_);
     installed_ = false;
   }
-  for (auto& slot : slots_) slot.store(0, std::memory_order_relaxed);
-  generation_.store(g_generation_source.fetch_add(1, std::memory_order_relaxed),
-                    std::memory_order_release);
+  for (auto& slot : slots_) slot.store(0, std::memory_order_release);
   t_graphics_depth = 0;
-  clear_migration_record();
 }
 
 void GraphicsTlsTracker::set_slot(kernel::TlsKey key, bool tracked) {
   if (key < 0 || key >= kernel::kMaxTlsSlots) return;
-  const std::uint8_t value = tracked ? 1 : 0;
-  // The generation bump's release pairs with the acquire in
-  // graphics_keys()/generation(): a reader that sees the new generation
-  // also sees the slot change when it rescans.
-  if (slots_[key].exchange(value, std::memory_order_acq_rel) != value) {
-    generation_.store(
-        g_generation_source.fetch_add(1, std::memory_order_relaxed),
-        std::memory_order_release);
-  }
+  slots_[key].store(tracked ? 1 : 0, std::memory_order_release);
 }
 
 void GraphicsTlsTracker::enter_graphics_diplomat() { ++t_graphics_depth; }
@@ -130,20 +88,11 @@ void GraphicsTlsTracker::on_key_deleted(kernel::TlsKey key) {
 
 std::vector<kernel::TlsKey> GraphicsTlsTracker::graphics_keys() const {
   Session::check_access(owner_, SessionLayer::kTls);
-  const std::uint64_t generation =
-      generation_.load(std::memory_order_acquire);
-  KeyCache& cache = t_key_cache;
-  if (cache.generation != generation || cache.tracker != this) {
-    cache.keys.clear();
-    for (kernel::TlsKey key = 0; key < kernel::kMaxTlsSlots; ++key) {
-      if (slots_[key].load(std::memory_order_relaxed) != 0) {
-        cache.keys.push_back(key);
-      }
-    }
-    cache.generation = generation;
-    cache.tracker = this;
+  std::vector<kernel::TlsKey> keys;
+  for (kernel::TlsKey key = 0; key < kernel::kMaxTlsSlots; ++key) {
+    if (slots_[key].load(std::memory_order_acquire) != 0) keys.push_back(key);
   }
-  return cache.keys;
+  return keys;
 }
 
 bool GraphicsTlsTracker::is_graphics_key(kernel::TlsKey key) const {
@@ -151,48 +100,63 @@ bool GraphicsTlsTracker::is_graphics_key(kernel::TlsKey key) const {
   return slots_[key].load(std::memory_order_acquire) != 0;
 }
 
-ThreadImpersonation::ThreadImpersonation(kernel::Tid target) : target_(target) {
+ContextTls ContextTls::capture() {
+  ContextTls tls;
+  tls.creator_ = kernel::sys_gettid();
+  tls.keys_ = GraphicsTlsTracker::instance().graphics_keys();
+  const kernel::Tid self = kernel::Kernel::instance().current_thread().tid();
+  const int count = static_cast<int>(tls.keys_.size());
+  for (int p = 0; p < kernel::kNumPersonas; ++p) {
+    tls.values_[p].resize(tls.keys_.size());
+    (void)kernel::sys_locate_tls(self, persona_at(p), tls.keys_.data(),
+                                 tls.values_[p].data(), count);
+  }
+  return tls;
+}
+
+void* ContextTls::value(kernel::Persona persona, kernel::TlsKey key) const {
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i] == key) return values_[static_cast<int>(persona)][i];
+  }
+  return nullptr;
+}
+
+ThreadImpersonation::ThreadImpersonation(ContextTls& context) {
   TRACE_SCOPE("impersonation", "acquire");
-  kernel::Kernel& kernel = kernel::Kernel::instance();
-  self_ = kernel.current_thread().tid();
-  if (target_ == kernel::kInvalidTid || target_ == self_) return;
+  self_ = kernel::Kernel::instance().current_thread().tid();
+  if (context.creator_ == kernel::kInvalidTid || context.creator_ == self_) {
+    return;
+  }
   static util::FaultPoint& fault =
       util::FaultRegistry::instance().point("dispatch.impersonate");
   if (fault.should_fail()) {
-    CYCADA_LOG(kWarn) << "injected dispatch.impersonate fault for target "
-                      << target_;
+    CYCADA_LOG(kWarn) << "injected dispatch.impersonate fault for creator "
+                      << context.creator_;
     return;
   }
-  if (kernel.find_thread(target_) == nullptr) {
-    CYCADA_LOG(kWarn) << "impersonation target " << target_ << " not found";
-    return;
-  }
-  keys_ = GraphicsTlsTracker::instance().graphics_keys();
-  const int count = static_cast<int>(keys_.size());
-  {
-    TRACE_SCOPE("impersonation", "migrate_tls_in");
-    for (int p = 0; p < kernel::kNumPersonas; ++p) {
-      const auto persona = static_cast<kernel::Persona>(p);
-      saved_[p].resize(keys_.size());
-      std::vector<void*> incoming(keys_.size());
-      // Save the running thread's graphics TLS and install the target's, in
-      // both personas (steps 3 of §7.1, via the locate/propagate syscalls).
-      if (kernel::sys_locate_tls(self_, persona, keys_.data(),
-                                 saved_[p].data(), count) != 0 ||
-          kernel::sys_locate_tls(target_, persona, keys_.data(),
-                                 incoming.data(), count) != 0 ||
-          kernel::sys_propagate_tls(self_, persona, keys_.data(),
-                                    incoming.data(), count) != 0) {
-        return;
-      }
+  const std::vector<kernel::TlsKey>& keys = context.keys_;
+  const int count = static_cast<int>(keys.size());
+  // Step 3 of §7.1, in both personas: locate every value the release
+  // restores before anything is installed, assume the creator's identity,
+  // then install the context's values.
+  for (int p = 0; p < kernel::kNumPersonas; ++p) {
+    saved_[p].resize(keys.size());
+    if (kernel::sys_locate_tls(self_, persona_at(p), keys.data(),
+                               saved_[p].data(), count) != 0) {
+      return;
     }
   }
-  kernel::sys_impersonate(target_);
-  active_ = true;
-  {
-    std::lock_guard lock(g_migration_mutex);
-    g_last_migration = MigrationRecord{self_, target_, keys_};
+  if (kernel::sys_impersonate(context.creator_) != 0) return;
+  context_ = &context;
+  for (int p = 0; p < kernel::kNumPersonas; ++p) {
+    if (kernel::sys_propagate_tls(self_, persona_at(p), keys.data(),
+                                  context.values_[p].data(), count) != 0) {
+      restore();
+      context_ = nullptr;
+      return;
+    }
   }
+  trace::capture_set_impersonating(true);
   static trace::Counter& acquires =
       trace::MetricsRegistry::instance().counter("impersonation.acquires");
   static trace::Counter& migrated = trace::MetricsRegistry::instance().counter(
@@ -202,27 +166,33 @@ ThreadImpersonation::ThreadImpersonation(kernel::Tid target) : target_(target) {
 }
 
 ThreadImpersonation::~ThreadImpersonation() {
-  if (!active_) return;
+  if (context_ == nullptr) return;
   TRACE_SCOPE("impersonation", "release");
-  const int count = static_cast<int>(keys_.size());
-  {
-    TRACE_SCOPE("impersonation", "migrate_tls_out");
-    for (int p = 0; p < kernel::kNumPersonas; ++p) {
-      const auto persona = static_cast<kernel::Persona>(p);
-      std::vector<void*> updated(keys_.size());
-      // Reflect updates back into the TLS associated with the context (the
-      // target thread), then restore the running thread's own state
-      // (steps 4-5 of §7.1).
-      if (kernel::sys_locate_tls(self_, persona, keys_.data(), updated.data(),
-                                 count) == 0) {
-        (void)kernel::sys_propagate_tls(target_, persona, keys_.data(),
-                                        updated.data(), count);
-      }
-      (void)kernel::sys_propagate_tls(self_, persona, keys_.data(),
-                                      saved_[p].data(), count);
-    }
+  // Steps 4-5 of §7.1: the running thread's values become the context's,
+  // then its own values come back.
+  const std::vector<kernel::TlsKey>& keys = context_->keys_;
+  for (int p = 0; p < kernel::kNumPersonas; ++p) {
+    (void)kernel::sys_locate_tls(self_, persona_at(p), keys.data(),
+                                 context_->values_[p].data(),
+                                 static_cast<int>(keys.size()));
   }
-  kernel::sys_impersonate(kernel::kInvalidTid);
+  restore();
+  trace::capture_set_impersonating(false);
+}
+
+void ThreadImpersonation::restore() {
+  const std::vector<kernel::TlsKey>& keys = context_->keys_;
+  for (int p = 0; p < kernel::kNumPersonas; ++p) {
+    (void)kernel::sys_propagate_tls(self_, persona_at(p), keys.data(),
+                                    saved_[p].data(),
+                                    static_cast<int>(keys.size()));
+  }
+  (void)kernel::sys_impersonate(kernel::kInvalidTid);
+}
+
+const std::vector<kernel::TlsKey>& ThreadImpersonation::migrated_keys() const {
+  static const std::vector<kernel::TlsKey> kNone;
+  return context_ != nullptr ? context_->keys_ : kNone;
 }
 
 }  // namespace cycada::core

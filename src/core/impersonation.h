@@ -12,8 +12,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "kernel/kernel.h"
@@ -47,38 +45,27 @@ class GraphicsTlsTracker {
   // Explicit registration of well-known (e.g. Apple library) slots.
   void add_well_known_key(kernel::TlsKey key);
 
-  // Snapshot of the tracked keys, sorted. Served from a per-thread cache
-  // keyed on the slot-table generation, so concurrent impersonation
-  // enter/exit does not serialize (docs/DISPATCH.md).
+  // Snapshot of the tracked keys, sorted: one scan of the slot table. Read
+  // once per context (ContextTls::capture), never per GL call.
   std::vector<kernel::TlsKey> graphics_keys() const;
   // Wait-free: one acquire load of the key's slot.
   bool is_graphics_key(kernel::TlsKey key) const;
 
-  // Membership-change count; per-thread key caches revalidate against it.
-  std::uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-
  private:
   friend class Session;
-  // Defined in impersonation.cpp: seeds generation_ from the process-wide
-  // source so a tracker constructed at a recycled address can never match
-  // another thread's cached (tracker, generation) pair.
-  GraphicsTlsTracker();
+  GraphicsTlsTracker() = default;
   void on_key_created(kernel::TlsKey key);
   void on_key_deleted(kernel::TlsKey key);
   void set_slot(kernel::TlsKey key, bool tracked);
 
   // Guards only install/reset (hook bookkeeping). The membership set lives
-  // in the lock-free slot table below; the per-call paths — is_graphics_key,
-  // graphics_keys, the key hooks — never take this mutex.
+  // in the lock-free slot table below; is_graphics_key, graphics_keys and
+  // the key hooks never take this mutex.
   mutable util::OrderedMutex mutex_{util::LockLevel::kTlsTracker,
                                     "core.tls_tracker"};
-  // One flag per kernel TLS slot. A slot store is released by the
-  // generation bump that follows it, so a reader that observes the new
-  // generation also observes the membership change.
+  // One flag per kernel TLS slot, stored with release and loaded with
+  // acquire.
   std::array<std::atomic<std::uint8_t>, kernel::kMaxTlsSlots> slots_{};
-  std::atomic<std::uint64_t> generation_{0};
   int create_hook_ = 0;
   int delete_hook_ = 0;
   bool installed_ = false;
@@ -89,38 +76,62 @@ class GraphicsTlsTracker {
   Session* owner_ = nullptr;  // set in instance()'s facet thunk
 };
 
-// What the most recent completed ThreadImpersonation actually migrated.
-// `analyze::check_tls_migration()` cross-references this against the
-// tracker's graphics-key set to prove migration completeness.
-struct MigrationRecord {
-  kernel::Tid self = kernel::kInvalidTid;
-  kernel::Tid target = kernel::kInvalidTid;
-  std::vector<kernel::TlsKey> keys;
+// The graphics TLS associated with one GLES context (paper §7.1 step 2):
+// the tracker's keys when the context was made, with the creator's values
+// of them in both personas. EAGLContext captures it on the creating thread
+// right after its bridge init, where the context's replica reserved its
+// slot; every impersonation that runs with the context installs these
+// values and writes the running thread's values back on release. EAGL lets
+// a context be current on one foreign thread at a time, so the store needs
+// no lock.
+class ContextTls {
+ public:
+  // The calling thread's identity and its values of every key the tracker
+  // holds now.
+  static ContextTls capture();
+
+  kernel::Tid creator() const { return creator_; }
+  const std::vector<kernel::TlsKey>& keys() const { return keys_; }
+  // The stored value of `key` in `persona`; nullptr when the store does not
+  // hold the key.
+  void* value(kernel::Persona persona, kernel::TlsKey key) const;
+
+ private:
+  friend class ThreadImpersonation;
+  kernel::Tid creator_ = kernel::kInvalidTid;
+  std::vector<kernel::TlsKey> keys_;
+  std::vector<void*> values_[kernel::kNumPersonas];
 };
-std::optional<MigrationRecord> last_migration();
-void clear_migration_record();
 
 // RAII thread impersonation for graphics (paper §7.1's five-step procedure):
-// saves the running thread's graphics TLS in BOTH personas, installs the
-// target thread's values (the TLS associated with the GLES context), and
-// assumes the target's identity. On destruction, updates made while
-// impersonating are reflected back to the target and the running thread's
-// saved state is restored.
+// saves the running thread's values of the context's keys in BOTH personas,
+// installs the context's values and assumes the creator's identity. On
+// destruction, the running thread's values, updates made while
+// impersonating included, are written back into the context's store and
+// the running thread's own values are restored. Only the running thread's
+// TLS is read or written, never another live thread's.
+//
+// A no-op on the creator itself. Declined whole, with nothing installed,
+// when the dispatch.impersonate probe fires or any step fails (a creator
+// unknown to this session's kernel: sys_impersonate's kErrSrch).
 class ThreadImpersonation {
  public:
-  explicit ThreadImpersonation(kernel::Tid target);
+  explicit ThreadImpersonation(ContextTls& context);
   ~ThreadImpersonation();
   ThreadImpersonation(const ThreadImpersonation&) = delete;
   ThreadImpersonation& operator=(const ThreadImpersonation&) = delete;
 
-  bool active() const { return active_; }
+  bool active() const { return context_ != nullptr; }
+  // The keys migrated in and out; empty unless active.
+  const std::vector<kernel::TlsKey>& migrated_keys() const;
 
  private:
+  // Puts the saved values back and drops the assumed identity.
+  void restore();
+
+  ContextTls* context_ = nullptr;  // set while active
   kernel::Tid self_ = kernel::kInvalidTid;
-  kernel::Tid target_ = kernel::kInvalidTid;
-  bool active_ = false;
-  std::vector<kernel::TlsKey> keys_;
-  // Saved running-thread values, per persona.
+  // The running thread's own values, per persona.
   std::vector<void*> saved_[kernel::kNumPersonas];
 };
 

@@ -1,5 +1,7 @@
 #include "dispatch/dispatch.h"
 
+#include <optional>
+
 #include "kernel/kernel.h"
 
 namespace cycada::dispatch {
@@ -25,8 +27,10 @@ DispatchQueue::~DispatchQueue() {
 void DispatchQueue::async(std::function<void()> work) {
   Job job;
   job.work = std::move(work);
-  // GCD semantics: the job inherits the submitting thread's EAGL context.
+  // GCD semantics: the job inherits the submitting thread's EAGL context,
+  // and with it the session that context lives in.
   job.submitter_context = ios_gl::EAGLContext::current_context();
+  job.submitter_session = core::Session::bound();
   {
     std::lock_guard lock(mutex_);
     jobs_.push_back(std::move(job));
@@ -54,8 +58,6 @@ void DispatchQueue::drain() {
 }
 
 void DispatchQueue::worker_loop() {
-  // Queue threads are iOS-persona threads in the simulated kernel.
-  kernel::Kernel::instance().register_current_thread(kernel::Persona::kIos);
   for (;;) {
     Job job;
     {
@@ -66,15 +68,26 @@ void DispatchQueue::worker_loop() {
       jobs_.pop_front();
       ++running_jobs_;
     }
-    // Adopt the submitter's context: on Cycada this routes the replica's
-    // TLS binding onto this thread (aegl_bridge_set_tls) and every GLES
-    // call the job makes migrates per call (paper §7).
-    ios_gl::EAGLContext::Ref previous = ios_gl::EAGLContext::current_context();
-    if (job.submitter_context != nullptr) {
-      ios_gl::EAGLContext::set_current_context(job.submitter_context);
+    {
+      // The job, its make-current and its restore run in the submitter's
+      // session, whose kernel knows this worker as an iOS-persona thread.
+      std::optional<core::SessionScope> session;
+      if (job.submitter_session != nullptr) {
+        session.emplace(*job.submitter_session);
+      }
+      kernel::Kernel::instance().register_current_thread(
+          kernel::Persona::kIos);
+      // Adopt the submitter's context: on Cycada this routes the replica's
+      // TLS binding onto this thread (aegl_bridge_set_tls), and every GLES
+      // call the job makes impersonates the context's creator (paper §7).
+      ios_gl::EAGLContext::Ref previous =
+          ios_gl::EAGLContext::current_context();
+      if (job.submitter_context != nullptr) {
+        ios_gl::EAGLContext::set_current_context(job.submitter_context);
+      }
+      job.work();
+      ios_gl::EAGLContext::set_current_context(previous);
     }
-    job.work();
-    ios_gl::EAGLContext::set_current_context(previous);
     {
       std::lock_guard lock(mutex_);
       --running_jobs_;

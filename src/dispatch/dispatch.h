@@ -1,9 +1,9 @@
 // A Grand Central Dispatch-style work queue (paper §7): asynchronous jobs
 // "implicitly take on the GLES and EAGL context of the thread that submitted
-// the asynchronous job". Worker threads register with the simulated kernel
-// in the iOS persona and adopt the submitter's EAGLContext for the duration
-// of each job — which, on Cycada, exercises thread impersonation and TLS
-// migration on every GLES call the job makes.
+// the asynchronous job". Each job runs in its submitter's session, on a
+// worker registered with that session's kernel in the iOS persona, with
+// the submitter's EAGLContext adopted for its duration — which, on Cycada,
+// impersonates the context's creator on every GLES call the job makes.
 #pragma once
 
 #include <condition_variable>
@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/session.h"
 #include "ios_gl/eagl.h"
 
 namespace cycada::dispatch {
@@ -30,8 +31,9 @@ class DispatchQueue {
 
   const std::string& label() const { return label_; }
 
-  // Enqueues `work`; it runs on a queue thread with the submitter's current
-  // EAGLContext adopted (GCD semantics).
+  // Enqueues `work`; it runs on a queue thread bound to the submitter's
+  // session with the submitter's current EAGLContext adopted (GCD
+  // semantics).
   void async(std::function<void()> work);
   // Enqueues and waits for completion.
   void sync(std::function<void()> work);
@@ -44,6 +46,7 @@ class DispatchQueue {
   struct Job {
     std::function<void()> work;
     ios_gl::EAGLContext::Ref submitter_context;
+    core::Session* submitter_session = nullptr;  // nullptr: unbound
   };
 
   void worker_loop();

@@ -35,7 +35,6 @@ StatusOr<EAGLContext::Ref> EAGLContext::init_with_api(EAGLRenderingAPI api,
   auto context = Ref(new EAGLContext());
   context->api_ = api;
   context->sharegroup_ = std::make_shared<EAGLSharegroup>();
-  context->creator_tid_ = kernel::sys_gettid();
   const int version = api == EAGLRenderingAPI::kOpenGLES1 ? 1 : 2;
 
   if (platform() == Platform::kNativeIos) {
@@ -65,11 +64,9 @@ StatusOr<EAGLContext::Ref> EAGLContext::init_with_api(EAGLRenderingAPI api,
                                                 drawable_height);
   CYCADA_RETURN_IF_ERROR(connection.status());
   context->connection_ = connection.value();
-  // Tie the replica's thread-local GLES binding to this context
-  // (paper §7.1 step 2).
-  auto tls = eglbridge::aegl_bridge_get_tls(context->connection_.wrapper);
-  CYCADA_RETURN_IF_ERROR(tls.status());
-  context->context_tls_value_ = tls.value().empty() ? nullptr : tls.value()[0];
+  // Tie the creator's graphics TLS, the replica's fresh binding included,
+  // to this context (paper §7.1 step 2).
+  context->tls_ = core::ContextTls::capture();
   return context;
 }
 
@@ -96,16 +93,17 @@ bool EAGLContext::set_current_context(Ref context) {
                        context->native_screen_target_)
         .is_ok();
   }
-  // Creator threads bind eagerly; other threads receive the context's TLS
-  // binding via aegl_bridge_set_tls (the TLS migration of paper §8.1.1 —
-  // per-GLES-call impersonation still re-migrates around each call).
+  // Creator threads bind eagerly; other threads receive the replica's
+  // binding from the context's TLS via aegl_bridge_set_tls (the TLS
+  // migration of paper §8.1.1 — each of their GLES calls still
+  // impersonates the creator with the whole store).
   auto serial = eglbridge::degraded_serial_lock(context->degraded());
-  if (kernel::sys_gettid() == context->creator_tid_) {
+  if (kernel::sys_gettid() == context->tls_.creator()) {
     return eglbridge::aegl_bridge_make_current(context->connection_.wrapper)
         .is_ok();
   }
   return eglbridge::aegl_bridge_set_tls(context->connection_.wrapper,
-                                        {context->context_tls_value_})
+                                        context->tls_)
       .is_ok();
 }
 

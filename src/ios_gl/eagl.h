@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "core/impersonation.h"
 #include "glcore/engine.h"
 #include "ios_gl/egl_bridge.h"
 #include "ios_gl/platform.h"
@@ -90,14 +91,13 @@ class EAGLContext {
   // runs on the shared fallback connection (GL work serialized, see
   // eglbridge::degraded_serial_lock).
   bool degraded() const { return connection_.degraded; }
-  kernel::Tid creator_tid() const { return creator_tid_; }
   // The engine GL calls land in (replica engine on Cycada, Apple engine on
   // native iOS).
   glcore::GlesEngine* engine() const;
-  // TLS value associated with this context (paper §7.1 step 2); updated as
-  // migrating threads run GL.
-  void* context_tls_value() const { return context_tls_value_; }
-  void set_context_tls_value(void* value) { context_tls_value_ = value; }
+  // The graphics TLS associated with this context (paper §7.1 step 2),
+  // captured on the creator after bridge init; every GL call from another
+  // thread impersonates the creator with it.
+  core::ContextTls& tls() { return tls_; }
   // APPLE_row_bytes state (paper §4.1): maintained on the iOS side under
   // Cycada because the Android library does not know the extension; the
   // data-dependent pixel-path diplomats consult it.
@@ -117,11 +117,10 @@ class EAGLContext {
   std::shared_ptr<EAGLSharegroup> sharegroup_;
   bool multithreaded_ = false;
   std::string debug_label_;
-  kernel::Tid creator_tid_ = kernel::kInvalidTid;
 
   // Cycada backend.
   eglbridge::BridgeConnection connection_;
-  void* context_tls_value_ = nullptr;
+  core::ContextTls tls_;
   int apple_pack_row_bytes_ = 0;
   int apple_unpack_row_bytes_ = 0;
 

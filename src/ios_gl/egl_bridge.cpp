@@ -217,24 +217,12 @@ Status aegl_bridge_copy_tex_buf(android_gl::UiWrapper* wrapper,
   });
 }
 
-StatusOr<std::vector<void*>> aegl_bridge_get_tls(
-    android_gl::UiWrapper* wrapper) {
-  static core::DiplomatEntry& entry = bridge_entry("aegl_bridge_get_tls");
-  return core::diplomat_call(entry, graphics_hooks(),
-                             [&]() -> StatusOr<std::vector<void*>> {
-                               if (wrapper == nullptr) {
-                                 return Status::invalid_argument("null wrapper");
-                               }
-                               return wrapper->get_tls();
-                             });
-}
-
 Status aegl_bridge_set_tls(android_gl::UiWrapper* wrapper,
-                           const std::vector<void*>& values) {
+                           const core::ContextTls& tls) {
   static core::DiplomatEntry& entry = bridge_entry("aegl_bridge_set_tls");
   return core::diplomat_call(entry, graphics_hooks(), [&]() -> Status {
     if (wrapper == nullptr) return Status::invalid_argument("null wrapper");
-    return wrapper->set_tls(values);
+    return wrapper->set_tls(tls);
   });
 }
 

@@ -10,6 +10,7 @@
 #include "android_gl/egl.h"
 #include "android_gl/ui_wrapper.h"
 #include "core/diplomat.h"
+#include "core/impersonation.h"
 #include "util/lock_order.h"
 #include "util/status.h"
 
@@ -68,11 +69,10 @@ Status egl_swap_buffers(android_gl::UiWrapper* wrapper);
 Status aegl_bridge_copy_tex_buf(android_gl::UiWrapper* wrapper,
                                 glcore::GLuint texture, gmem::BufferId dst);
 
-// TLS migration surface (eglGetTLSMC/eglSetTLSMC through one diplomat).
-StatusOr<std::vector<void*>> aegl_bridge_get_tls(
-    android_gl::UiWrapper* wrapper);
+// Binds the replica on a thread that did not create it, from the context's
+// TLS (eglSetTLSMC through one diplomat).
 Status aegl_bridge_set_tls(android_gl::UiWrapper* wrapper,
-                           const std::vector<void*>& values);
+                           const core::ContextTls& tls);
 
 // The shared graphics prelude/postlude used by every GLES diplomat: gates
 // the graphics-TLS-key tracker (paper §7.1).

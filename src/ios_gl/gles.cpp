@@ -1,52 +1,22 @@
 #include "ios_gl/gles.h"
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "core/classification.h"
 #include "glcore/api_registry.h"
 #include "core/diplomat.h"
+#include "core/impersonation.h"
 #include "ios_gl/eagl.h"
 #include "ios_gl/egl_bridge.h"
 #include "ios_gl/platform.h"
 #include "iosurface/iosurface.h"
 #include "kernel/kernel.h"
-#include "trace/cyt.h"
 
 namespace cycada::ios_gl {
 
 namespace {
-
-// Per-call TLS migration for threads using a context they did not create
-// (paper §7.1 steps 3-5): install the TLS associated with the context,
-// assume the creator's identity, and on return reflect updates back and
-// restore the running thread's own state. Runs in the Android persona.
-class MigrationScope {
- public:
-  explicit MigrationScope(EAGLContext* eagl) : eagl_(eagl) {
-    if (eagl_ == nullptr) return;
-    wrapper_ = eagl_->wrapper();
-    saved_ = wrapper_->get_tls();
-    (void)wrapper_->set_tls({eagl_->context_tls_value()});
-    kernel::sys_impersonate(eagl_->creator_tid());
-    trace::capture_set_impersonating(true);
-  }
-  ~MigrationScope() {
-    if (eagl_ == nullptr) return;
-    auto updated = wrapper_->get_tls();
-    eagl_->set_context_tls_value(updated.empty() ? nullptr : updated[0]);
-    (void)wrapper_->set_tls(saved_);
-    kernel::sys_impersonate(kernel::kInvalidTid);
-    trace::capture_set_impersonating(false);
-  }
-  MigrationScope(const MigrationScope&) = delete;
-  MigrationScope& operator=(const MigrationScope&) = delete;
-
- private:
-  EAGLContext* eagl_ = nullptr;
-  android_gl::UiWrapper* wrapper_ = nullptr;
-  std::vector<void*> saved_;
-};
 
 core::DiplomatId gl_diplomat_id(std::string_view name) {
   return core::DiplomatRegistry::instance().resolve(
@@ -67,12 +37,14 @@ std::invoke_result_t<Fn, glcore::GlesEngine&> dispatch(
     if constexpr (!std::is_void_v<Result>) return Result{};
     else return;
   }
-  const bool migrate = kernel::sys_gettid() != eagl->creator_tid();
+  // A thread that did not create the context impersonates its creator for
+  // the call (paper §7.1 steps 3-5), in the Android persona.
+  const bool foreign = kernel::sys_gettid() != eagl->tls().creator();
   android_gl::UiWrapper* wrapper = eagl->wrapper();
   return core::diplomat_call(entry, eglbridge::graphics_hooks(),
                              [&]() -> Result {
-                               MigrationScope scope(migrate ? eagl.get()
-                                                            : nullptr);
+                               std::optional<core::ThreadImpersonation> scope;
+                               if (foreign) scope.emplace(eagl->tls());
                                return fn(*wrapper->engine());
                              });
 }

@@ -266,7 +266,6 @@ long Kernel::dispatch(ThreadState& thread, std::int32_t native_sysno,
 }
 
 long Kernel::sys_locate_tls(ThreadState& caller, const SyscallArgs& args) {
-  (void)caller;
   const Tid tid = static_cast<Tid>(args.reg[0]);
   const auto persona_index = args.reg[1];
   const auto* keys = reinterpret_cast<const TlsKey*>(args.reg[2]);
@@ -278,7 +277,9 @@ long Kernel::sys_locate_tls(ThreadState& caller, const SyscallArgs& args) {
       (count > 0 && (keys == nullptr || values == nullptr))) {
     return kErrInval;
   }
-  ThreadState* target = find_thread(tid);
+  // The caller's own areas need no registry lookup: impersonation migrates
+  // through them on every foreign-thread GL call.
+  ThreadState* target = tid == caller.tid_ ? &caller : find_thread(tid);
   if (target == nullptr) return kErrSrch;
   std::lock_guard lock(target->tls_mutex_);
   const TlsArea& area = target->tls_[persona_index];
@@ -290,7 +291,6 @@ long Kernel::sys_locate_tls(ThreadState& caller, const SyscallArgs& args) {
 }
 
 long Kernel::sys_propagate_tls(ThreadState& caller, const SyscallArgs& args) {
-  (void)caller;
   const Tid tid = static_cast<Tid>(args.reg[0]);
   const auto persona_index = args.reg[1];
   const auto* keys = reinterpret_cast<const TlsKey*>(args.reg[2]);
@@ -301,7 +301,7 @@ long Kernel::sys_propagate_tls(ThreadState& caller, const SyscallArgs& args) {
       (count > 0 && (keys == nullptr || values == nullptr))) {
     return kErrInval;
   }
-  ThreadState* target = find_thread(tid);
+  ThreadState* target = tid == caller.tid_ ? &caller : find_thread(tid);
   if (target == nullptr) return kErrSrch;
   std::lock_guard lock(target->tls_mutex_);
   TlsArea& area = target->tls_[persona_index];

@@ -9,8 +9,10 @@
 #include "android_gl/surface_flinger.h"
 #include "android_gl/ui_wrapper.h"
 #include "android_gl/vendor.h"
+#include "core/impersonation.h"
 #include "gpu/device.h"
 #include "kernel/kernel.h"
+#include "kernel/libc.h"
 #include "util/faultpoint.h"
 
 namespace cycada::android_gl {
@@ -434,11 +436,13 @@ TEST_F(UiWrapperTest, MakeCurrentEnforcesAffinity) {
 
 TEST_F(UiWrapperTest, TlsRoundTripMovesCurrentContext) {
   ASSERT_TRUE(wrapper_->initialize(2, 8, 8).is_ok());
-  auto tls = wrapper_->get_tls();
-  ASSERT_EQ(tls.size(), 1u);
-  EXPECT_NE(tls[0], nullptr);
+  // The replica's slot, captured into a context store as EAGL does.
+  const kernel::TlsKey slot = wrapper_->engine()->current_context_tls_key();
+  core::GraphicsTlsTracker::instance().add_well_known_key(slot);
+  const core::ContextTls tls = core::ContextTls::capture();
+  EXPECT_NE(tls.value(kernel::Persona::kAndroid, slot), nullptr);
   ASSERT_TRUE(wrapper_->clear_current().is_ok());
-  EXPECT_EQ(wrapper_->get_tls()[0], nullptr);
+  EXPECT_EQ(kernel::libc::pthread_getspecific(slot), nullptr);
   ASSERT_TRUE(wrapper_->set_tls(tls).is_ok());
   EXPECT_EQ(wrapper_->engine()->current_context_id(), wrapper_->context_id());
 }

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 
+#include "core/impersonation.h"
+#include "core/session.h"
 #include "dispatch/dispatch.h"
 #include "glport/system_config.h"
 #include "gmem/graphic_buffer.h"
 #include "gpu/pipeline.h"
+#include "kernel/kernel.h"
 #include "passmark/passmark.h"
 #include "trace/metrics.h"
 #include "ios_gl/gles.h"
@@ -415,6 +418,113 @@ TEST(DispatchTest, AsyncJobsAdoptSubmitterContext) {
   EXPECT_EQ(done.load(), 24);
   EXPECT_EQ(pool.jobs_completed(), 24u);
   ios_gl::EAGLContext::clear_current_context();
+}
+
+// An EAGL drawable of `size`² attached to a fresh framebuffer of `context`,
+// made current on the calling thread. Returns the renderbuffer.
+glcore::GLuint attach_drawable(const ios_gl::EAGLContext::Ref& context,
+                               int size) {
+  EXPECT_TRUE(ios_gl::EAGLContext::set_current_context(context));
+  glcore::GLuint fbo = 0;
+  glcore::GLuint rbo = 0;
+  ios_gl::glGenFramebuffers(1, &fbo);
+  ios_gl::glGenRenderbuffers(1, &rbo);
+  ios_gl::glBindRenderbuffer(glcore::GL_RENDERBUFFER, rbo);
+  EXPECT_TRUE(context
+                  ->renderbuffer_storage_from_drawable(
+                      rbo, ios_gl::CAEAGLLayer{size, size})
+                  .is_ok());
+  ios_gl::glBindFramebuffer(glcore::GL_FRAMEBUFFER, fbo);
+  ios_gl::glFramebufferRenderbuffer(glcore::GL_FRAMEBUFFER,
+                                    glcore::GL_COLOR_ATTACHMENT0,
+                                    glcore::GL_RENDERBUFFER, rbo);
+  ios_gl::glViewport(0, 0, size, size);
+  return rbo;
+}
+
+trace::Counter& impersonation_acquires() {
+  return trace::MetricsRegistry::instance().counter("impersonation.acquires");
+}
+
+TEST(DispatchTest, JobsRunInTheSubmittersSession) {
+  glport::apply_system_config(SystemConfig::kCycadaIos);
+  auto session = core::SessionRegistry::instance().create("gcd-submitter");
+  ASSERT_TRUE(session.is_ok());
+  {
+    core::SessionScope scope(**session);
+    kernel::Kernel::instance().register_current_thread(kernel::Persona::kIos);
+    core::GraphicsTlsTracker::instance().install();
+    auto context = ios_gl::EAGLContext::init_with_api(
+        ios_gl::EAGLRenderingAPI::kOpenGLES2);
+    ASSERT_TRUE(context.is_ok());
+    ASSERT_TRUE(ios_gl::EAGLContext::set_current_context(*context));
+
+    const std::uint64_t acquires = impersonation_acquires().value();
+    std::uint32_t job_session = ~0u;
+    int gl_error = -1;
+    {
+      dispatch::DispatchQueue queue("com.cycada.session");
+      queue.sync([&] {
+        // Kernel registration, TLS, crossings and fault filter: all the
+        // submitter's session, so the creator's tid resolves there.
+        job_session = core::Session::current().id();
+        ios_gl::glClearColor(0.f, 1.f, 0.f, 1.f);
+        gl_error = static_cast<int>(ios_gl::glGetError());
+      });
+    }
+    EXPECT_EQ(job_session, (*session)->id());
+    EXPECT_EQ(gl_error, static_cast<int>(glcore::GL_NO_ERROR));
+    EXPECT_EQ(impersonation_acquires().value() - acquires, 2u);
+    EXPECT_EQ((*session)->cross_leak_total(), 0u);
+    ios_gl::EAGLContext::clear_current_context();
+  }
+  core::SessionRegistry::instance().destroy(*session);
+}
+
+TEST(DispatchTest, JobRendersWithTheContextItsCreatorSwitchedAwayFrom) {
+  // One thread creates two contexts and makes the second current; a GCD
+  // job renders and presents with the first. Each GL call of the job
+  // impersonates the creator with the first context's TLS.
+  glport::apply_system_config(SystemConfig::kCycadaIos);
+  auto first = ios_gl::EAGLContext::init_with_api(
+      ios_gl::EAGLRenderingAPI::kOpenGLES2, 16, 16);
+  auto second = ios_gl::EAGLContext::init_with_api(
+      ios_gl::EAGLRenderingAPI::kOpenGLES2, 16, 16);
+  ASSERT_TRUE(first.is_ok() && second.is_ok());
+  const glcore::GLuint first_rbo = attach_drawable(*first, 16);
+  const glcore::GLuint second_rbo = attach_drawable(*second, 16);
+
+  const std::uint64_t acquires = impersonation_acquires().value();
+  dispatch::DispatchQueue queue("com.cycada.render");
+  queue.sync([&] {
+    ios_gl::EAGLContext::set_current_context(*first);
+    ios_gl::glClearColor(1.f, 0.f, 0.f, 1.f);
+    ios_gl::glClear(glcore::GL_COLOR_BUFFER_BIT);
+    EXPECT_TRUE((*first)->present_renderbuffer(first_rbo).is_ok());
+  });
+  EXPECT_EQ(impersonation_acquires().value() - acquires, 2u);
+  EXPECT_EQ((*first)->screen_snapshot().at(8, 8), 0xff0000ffu);  // red
+
+  // The creator's next draw on the second context still lands.
+  ios_gl::glClearColor(0.f, 1.f, 0.f, 1.f);
+  ios_gl::glClear(glcore::GL_COLOR_BUFFER_BIT);
+  ASSERT_TRUE((*second)->present_renderbuffer(second_rbo).is_ok());
+  EXPECT_EQ((*second)->screen_snapshot().at(8, 8), 0xff00ff00u);  // green
+  EXPECT_EQ((*first)->screen_snapshot().at(8, 8), 0xff0000ffu);
+  EXPECT_EQ(impersonation_acquires().value() - acquires, 2u);
+  ios_gl::EAGLContext::clear_current_context();
+}
+
+TEST(DispatchTest, ThreadedBrowserPageImpersonatesItsCreator) {
+  glport::apply_system_config(SystemConfig::kCycadaIos);
+  auto port = glport::make_gl_port(SystemConfig::kCycadaIos);
+  ASSERT_TRUE(port->init(128, 128, 2).is_ok());
+  webkit::Browser browser(*port, /*jit_enabled=*/false);
+  browser.enable_threaded_rendering();
+  const std::uint64_t acquires = impersonation_acquires().value();
+  ASSERT_TRUE(browser.load("<body bg=#203040><p>gcd</p></body>").is_ok());
+  EXPECT_GT(impersonation_acquires().value(), acquires);
+  EXPECT_EQ(browser.screen().at(100, 120), webkit::parse_color("#203040"));
 }
 
 }  // namespace

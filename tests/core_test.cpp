@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "core/classification.h"
@@ -178,31 +179,36 @@ TEST_F(TrackerTest, GatingIsReentrant) {
 
 class ImpersonationTest : public DiplomatTest {};
 
-TEST_F(ImpersonationTest, MigratesGraphicsTlsBothWays) {
+// A graphics key reserved inside a diplomat window, as a replica reserves
+// its slot.
+kernel::TlsKey tracked_key() {
   GraphicsTlsTracker& tracker = GraphicsTlsTracker::instance();
   tracker.install();
   tracker.enter_graphics_diplomat();
   const kernel::TlsKey key = kernel::libc::pthread_key_create();
   tracker.exit_graphics_diplomat();
+  return key;
+}
 
+TEST_F(ImpersonationTest, MigratesGraphicsTlsBothWays) {
+  const kernel::TlsKey key = tracked_key();
   kernel::Kernel& kernel = kernel::Kernel::instance();
-  // Target thread sets its graphics TLS (Android persona) and stays alive.
-  kernel::Tid target_tid = kernel::kInvalidTid;
-  int target_value = 1;
-  int running_value = 2;
-  std::atomic<bool> ready{false}, done{false};
-  void* target_after = nullptr;
-  std::thread target([&] {
+  // The creator sets its graphics TLS (Android persona) and captures the
+  // context's store.
+  kernel::Tid creator_tid = kernel::kInvalidTid;
+  int creator_value = 1;
+  ContextTls context;
+  std::thread([&] {
     kernel.register_current_thread(kernel::Persona::kAndroid);
-    target_tid = kernel.current_thread().tid();
-    kernel.tls_set(key, &target_value);
-    ready.store(true);
-    while (!done.load()) std::this_thread::yield();
-    target_after = kernel.tls_get(key);
-  });
-  while (!ready.load()) std::this_thread::yield();
+    creator_tid = kernel.current_thread().tid();
+    kernel.tls_set(key, &creator_value);
+    context = ContextTls::capture();
+  }).join();
+  EXPECT_EQ(context.creator(), creator_tid);
+  EXPECT_EQ(context.value(kernel::Persona::kAndroid, key), &creator_value);
 
   // Running thread (iOS persona): its own value in the Android slot.
+  int running_value = 2;
   {
     kernel::ScopedPersona android(kernel::Persona::kAndroid);
     kernel.tls_set(key, &running_value);
@@ -210,12 +216,13 @@ TEST_F(ImpersonationTest, MigratesGraphicsTlsBothWays) {
 
   int updated_value = 3;
   {
-    ThreadImpersonation impersonation(target_tid);
+    ThreadImpersonation impersonation(context);
     ASSERT_TRUE(impersonation.active());
-    EXPECT_EQ(kernel::sys_gettid(), target_tid);
+    EXPECT_EQ(impersonation.migrated_keys(), context.keys());
+    EXPECT_EQ(kernel::sys_gettid(), creator_tid);
     kernel::ScopedPersona android(kernel::Persona::kAndroid);
-    // The running thread now sees the target's value...
-    EXPECT_EQ(kernel.tls_get(key), &target_value);
+    // The running thread now sees the context's value...
+    EXPECT_EQ(kernel.tls_get(key), &creator_value);
     // ...and updates it while impersonating.
     kernel.tls_set(key, &updated_value);
   }
@@ -226,18 +233,83 @@ TEST_F(ImpersonationTest, MigratesGraphicsTlsBothWays) {
     // The running thread's own TLS was restored.
     EXPECT_EQ(kernel.tls_get(key), &running_value);
   }
-  done.store(true);
-  target.join();
-  // The update was reflected back to the target thread.
-  EXPECT_EQ(target_after, &updated_value);
+  // The update was reflected into the context's store.
+  EXPECT_EQ(context.value(kernel::Persona::kAndroid, key), &updated_value);
+}
+
+TEST_F(ImpersonationTest, NeverWritesAnotherThreadsTls) {
+  // The creator stays alive and rebinds its own slot while another thread
+  // impersonates it. The rebind survives the release, and the update made
+  // while impersonating lands in the context's store only.
+  const kernel::TlsKey key = tracked_key();
+  kernel::Kernel& kernel = kernel::Kernel::instance();
+  int first = 1;
+  int rebound = 2;
+  int updated = 3;
+  ContextTls context;
+  std::atomic<int> step{0};
+  void* creator_after = nullptr;
+  std::thread creator([&] {
+    kernel.register_current_thread(kernel::Persona::kAndroid);
+    kernel.tls_set(key, &first);
+    context = ContextTls::capture();
+    step.store(1);
+    while (step.load() != 2) std::this_thread::yield();
+    kernel.tls_set(key, &rebound);
+    step.store(3);
+    while (step.load() != 4) std::this_thread::yield();
+    creator_after = kernel.tls_get(key);
+  });
+  while (step.load() != 1) std::this_thread::yield();
+  {
+    ThreadImpersonation impersonation(context);
+    EXPECT_TRUE(impersonation.active());
+    {
+      kernel::ScopedPersona android(kernel::Persona::kAndroid);
+      EXPECT_EQ(kernel.tls_get(key), &first);
+      kernel.tls_set(key, &updated);
+    }
+    step.store(2);
+    while (step.load() != 3) std::this_thread::yield();
+  }
+  step.store(4);
+  creator.join();
+  EXPECT_EQ(creator_after, &rebound);
+  EXPECT_EQ(context.value(kernel::Persona::kAndroid, key), &updated);
 }
 
 TEST_F(ImpersonationTest, SelfAndInvalidTargetsAreNoOps) {
-  const kernel::Tid self = kernel::Kernel::instance().current_thread().tid();
-  ThreadImpersonation self_imp(self);
+  const kernel::TlsKey key = tracked_key();
+  kernel::Kernel& kernel = kernel::Kernel::instance();
+  // The creator's own calls do not impersonate, nor does an empty store.
+  ContextTls own = ContextTls::capture();
+  ThreadImpersonation self_imp(own);
   EXPECT_FALSE(self_imp.active());
-  ThreadImpersonation bad(99999);
-  EXPECT_FALSE(bad.active());
+  EXPECT_TRUE(self_imp.migrated_keys().empty());
+  ContextTls none;
+  ThreadImpersonation no_creator(none);
+  EXPECT_FALSE(no_creator.active());
+
+  // A creator this kernel does not know (sys_impersonate's kErrSrch)
+  // declines the whole impersonation: nothing is installed.
+  int creator_value = 1;
+  ContextTls stale;
+  std::thread([&] {
+    kernel.register_current_thread(kernel::Persona::kAndroid);
+    kernel.tls_set(key, &creator_value);
+    stale = ContextTls::capture();
+  }).join();
+  kernel.reset(kernel::TrapModel::kCycada);
+  const kernel::Tid self =
+      kernel.register_current_thread(kernel::Persona::kAndroid).tid();
+  ASSERT_NE(self, stale.creator());
+  int own_value = 2;
+  kernel.tls_set(key, &own_value);
+  {
+    ThreadImpersonation unknown(stale);
+    EXPECT_FALSE(unknown.active());
+    EXPECT_EQ(kernel.tls_get(key), &own_value);
+  }
   EXPECT_EQ(kernel::sys_gettid(), self);
 }
 

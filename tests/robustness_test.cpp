@@ -21,6 +21,7 @@
 #include "core/diplomat.h"
 #include "core/impersonation.h"
 #include "core/replay.h"
+#include "dispatch/dispatch.h"
 #include "glcore/engine.h"
 #include "glport/system_config.h"
 #include "gpu/device.h"
@@ -635,18 +636,11 @@ TEST(RobustnessFaultPointTest, InjectedIOSurfaceLockFaultFailsGracefully) {
 
 TEST(RobustnessFaultPointTest, InjectedImpersonationFaultLeavesThreadUsable) {
   glport::apply_system_config(glport::SystemConfig::kCycadaIos);
-  std::atomic<kernel::Tid> target{kernel::kInvalidTid};
-  std::atomic<bool> stop{false};
-  std::thread helper([&] {
-    kernel::ThreadState& state =
-        kernel::Kernel::instance().register_current_thread(
-            kernel::Persona::kIos);
-    target.store(state.tid(), std::memory_order_release);
-    while (!stop.load(std::memory_order_acquire)) std::this_thread::yield();
-  });
-  while (target.load(std::memory_order_acquire) == kernel::kInvalidTid) {
-    std::this_thread::yield();
-  }
+  core::ContextTls context;
+  std::thread([&] {
+    kernel::Kernel::instance().register_current_thread(kernel::Persona::kIos);
+    context = core::ContextTls::capture();
+  }).join();
 
   util::FaultPoint& fault =
       util::FaultRegistry::instance().point("dispatch.impersonate");
@@ -655,16 +649,54 @@ TEST(RobustnessFaultPointTest, InjectedImpersonationFaultLeavesThreadUsable) {
   {
     // The injected failure declines the impersonation instead of migrating
     // TLS halfway: the guard reports inactive and its destructor is a no-op.
-    core::ThreadImpersonation failed(target.load());
+    core::ThreadImpersonation failed(context);
     EXPECT_FALSE(failed.active());
   }
   fault.disarm();
   {
-    core::ThreadImpersonation ok(target.load());
+    core::ThreadImpersonation ok(context);
     EXPECT_TRUE(ok.active());
   }
-  stop.store(true, std::memory_order_release);
-  helper.join();
+
+  // On the app path, a declined GCD GL call runs on the worker's own
+  // binding (the foreign make-current's), so the frame keeps its bytes.
+  const auto gcd_frame = [&](bool inject) {
+    auto eagl = ios_gl::EAGLContext::init_with_api(
+        ios_gl::EAGLRenderingAPI::kOpenGLES2, 16, 16);
+    EXPECT_TRUE(eagl.is_ok());
+    ios_gl::EAGLContext::set_current_context(*eagl);
+    glcore::GLuint fbo = 0;
+    glcore::GLuint rbo = 0;
+    ios_gl::glGenFramebuffers(1, &fbo);
+    ios_gl::glGenRenderbuffers(1, &rbo);
+    ios_gl::glBindRenderbuffer(glcore::GL_RENDERBUFFER, rbo);
+    EXPECT_TRUE((*eagl)
+                    ->renderbuffer_storage_from_drawable(
+                        rbo, ios_gl::CAEAGLLayer{16, 16})
+                    .is_ok());
+    ios_gl::glBindFramebuffer(glcore::GL_FRAMEBUFFER, fbo);
+    ios_gl::glFramebufferRenderbuffer(glcore::GL_FRAMEBUFFER,
+                                      glcore::GL_COLOR_ATTACHMENT0,
+                                      glcore::GL_RENDERBUFFER, rbo);
+    ios_gl::glViewport(0, 0, 16, 16);
+    fault.reset_stats();
+    if (inject) fault.arm_once(1);
+    dispatch::DispatchQueue queue("com.cycada.fault");
+    queue.sync([] {
+      ios_gl::glClearColor(0.f, 1.f, 1.f, 1.f);
+      ios_gl::glClear(glcore::GL_COLOR_BUFFER_BIT);
+    });
+    fault.disarm();
+    EXPECT_EQ(fault.fires(), inject ? 1u : 0u);
+    EXPECT_TRUE((*eagl)->present_renderbuffer(rbo).is_ok());
+    const Image screen = (*eagl)->screen_snapshot();
+    ios_gl::EAGLContext::clear_current_context();
+    return screen;
+  };
+  const Image clean = gcd_frame(false);
+  const Image declined = gcd_frame(true);
+  EXPECT_EQ(Image::diff_count(clean, declined), 0u);
+  EXPECT_EQ(declined.at(8, 8), 0xffffff00u);  // cyan, from the job
 }
 
 TEST(RobustnessRetryTest, RetriesUntilSuccessThenGivesUp) {

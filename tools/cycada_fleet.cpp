@@ -17,8 +17,9 @@
 // the default only), and the cross-session leak evidence must stay zero.
 //
 // --chaos-ms MS is the chaos soak (docs/ROBUSTNESS.md §6): session fleet-0
-// runs one-frame app lifetimes under seeded stall and error faults on
-// every catalog probe for MS ms while the other sessions re-run their app.
+// runs one-frame app lifetimes, each ending in one GCD GL call, under
+// seeded stall and error faults on every catalog probe for MS ms while the
+// other sessions re-run their app.
 // fleet-0 must then recover to rung 0 with no leaked persona or lock;
 // --verify also holds every neighbour lifetime to the reference hash and
 // every frame in any session to 5 s.
@@ -40,7 +41,9 @@
 #include "core/impersonation.h"
 #include "core/replay.h"
 #include "core/session.h"
+#include "dispatch/dispatch.h"
 #include "glport/system_config.h"
+#include "ios_gl/gles.h"
 #include "kernel/kernel.h"
 #include "passmark/passmark.h"
 #include "trace/cyt.h"
@@ -150,13 +153,19 @@ void run_session_body(const FleetOptions& options, std::string_view test,
   } while (out.ok && now_ns() < deadline_ns);
 }
 
-// One chaos-session app lifetime: a fresh port and one frame of `test`.
-// Returns false when an injected fault made it fail.
+// One chaos-session app lifetime: a fresh port, one frame of `test`, and
+// one GCD job that makes one GL call with the lifetime's context, so the
+// dispatch.impersonate probe sits on its path. The call is a query: the
+// screen keeps its bytes. Returns false when an injected fault made the
+// lifetime fail.
 bool chaos_lifetime(std::string_view test) {
   auto port = glport::make_ios_port();
   if (!port->init(128, 128, 1).is_ok()) return false;
   passmark::PassMark passmark(*port);
-  return passmark.run(test, 1).is_ok();
+  if (!passmark.run(test, 1).is_ok()) return false;
+  dispatch::DispatchQueue queue("com.cycada.chaos");
+  queue.sync([] { (void)ios_gl::glIsEnabled(glcore::GL_BLEND); });
+  return true;
 }
 
 // The calling thread's ladder, as the soak prints it.
